@@ -17,8 +17,8 @@ result is as sparse as this family allows.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from exactframes.errors import CombineModeError, DomainError
 from exactframes.matrices import ExactMatrix, block_diag
@@ -75,15 +75,15 @@ def base_case(n: int) -> HyperplaneBasis:
 
 def _as_int_rows(m: ExactMatrix) -> list[list[int]]:
     out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            q = m.entry(i, j).as_fraction()
-            if q.denominator != 1:
-                raise DomainError("hyperplane blocks must have integer "
-                                  f"entries, found {q} at ({i + 1}, {j + 1})")
-            row.append(q.numerator)
-        out.append(row)
+    for i, row in enumerate(m._data):
+        ints = []
+        for j, t in enumerate(row):
+            if t and (len(t) != 1 or t[0][0] != 1 or t[0][2] != 1):
+                raise DomainError(
+                    "hyperplane blocks must have integer entries, found "
+                    f"{m.entry(i, j)} at ({i + 1}, {j + 1})")
+            ints.append(t[0][1] if t else 0)
+        out.append(ints)
     return out
 
 
@@ -105,16 +105,12 @@ def _ones_form(h: HyperplaneBasis) -> HyperplaneBasis | None:
     for i, row in enumerate(rows):
         base = row[0]
         if base != 0 and all(v == base for v in row):
-            swapped = [list(h.normal) if k == i else r
-                       for k, r in enumerate(rows)]
-            return HyperplaneBasis(ExactMatrix(swapped), (1,) * n)
+            m = h.matrix
+            data = (m._data[:i] + ExactMatrix([h.normal])._data
+                    + m._data[i + 1:])
+            return HyperplaneBasis(ExactMatrix._raw(m.rows, m.cols, data),
+                                   (1,) * n)
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def combine(h1: HyperplaneBasis, h2: HyperplaneBasis,
@@ -148,7 +144,7 @@ def _combine_ones(h1: HyperplaneBasis, h2: HyperplaneBasis
     p, q = h1.dimension, h2.dimension
     top = ExactMatrix([[1] * (p + q)])
     stacked = matrices.vstack(top, block_diag([h1.matrix, h2.matrix]))
-    g = _gcd(p, q)
+    g = math.gcd(p, q)
     normal = (q // g,) * p + (-(p // g),) * q
     return HyperplaneBasis(stacked, normal)
 

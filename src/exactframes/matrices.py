@@ -12,7 +12,7 @@ hot paths (Gram matrices, products) free of wrapper objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from exactframes import _kernel
 from exactframes.errors import DimensionError, DomainError
@@ -173,13 +173,20 @@ class ExactMatrix:
         return hash(self._data)
 
     def __str__(self) -> str:
-        cells = [[str(RadicalScalar._raw(t)) for t in row]
-                 for row in self._data]
-        widths = [max(len(cells[i][j]) for i in range(self._rows))
-                  for j in range(self._cols)]
-        return "\n".join(
-            "[" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]"
-            for row in cells)
+        return "\n".join(self._text_lines())
+
+    def _text_lines(self) -> Iterator[str]:
+        """The lines of ``str(self)``, one per row, each cell
+        right-aligned to its column.  Cells are formatted once for the
+        column widths and again row by row, so the text of a large
+        matrix is never held whole."""
+        widths = [0] * self._cols
+        for row in self._data:
+            for j, t in enumerate(row):
+                widths[j] = max(widths[j], len(str(RadicalScalar._raw(t))))
+        for row in self._data:
+            yield "[" + "  ".join(str(RadicalScalar._raw(t)).rjust(w)
+                                  for t, w in zip(row, widths)) + "]"
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self._rows}x{self._cols}>"

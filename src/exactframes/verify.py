@@ -6,19 +6,21 @@ there are no tolerances on the exact paths.  Reports carry a witness for
 the first failing position, with 1-based indices and the exact residual
 rendered as text.
 
-For hyperplane-basis checks on matrices with irrational entries the
-normal vector is found in floating point (the report is then flagged
-``approximate``); all other paths are exact regardless of the entries.
+No check uses floating point.  The hyperplane-basis check needs
+rational squared row norms and raises DomainError otherwise; every
+other check is exact regardless of the entries.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from exactframes import _kernel
-from exactframes.errors import DimensionError, PreconditionError
+from exactframes.errors import (DimensionError, DomainError,
+                                PreconditionError)
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import RadicalScalar
 
@@ -62,7 +64,6 @@ class VerifyReport:
     k_value: Fraction | None = None
     unit_rows: bool | None = None
     normal: tuple[Fraction, ...] | None = None
-    approximate: bool = False
 
     def to_json_dict(self) -> dict:
         out: dict = {"passed": self.passed, "property": self.prop.value}
@@ -74,8 +75,6 @@ class VerifyReport:
             out["unit_rows"] = self.unit_rows
         if self.normal is not None:
             out["normal"] = [str(c) for c in self.normal]
-        if self.approximate:
-            out["approximate"] = True
         return out
 
 
@@ -171,56 +170,77 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
                         unit_rows=unit)
 
 
-def _rational_entry(terms: tuple) -> Fraction | None:
-    if not terms:
-        return Fraction(0)
-    if len(terms) == 1 and terms[0][0] == 1:
-        return Fraction(terms[0][1], terms[0][2])
+def _row_overlap_witness(data, support, rows_at) -> Witness | None:
+    """First row pair ``i < j`` with a nonzero inner product, in
+    (1,2), (1,3), ... order, or None.
+
+    Only pairs whose supports meet are computed, over the shared
+    columns: every other pair has inner product exactly zero.
+    """
+    for i, cols in enumerate(support):
+        row = data[i]
+        for j in sorted({k for c in cols for k in rows_at[c] if k > i}):
+            other = data[j]
+            shared = cols & support[j]
+            got = _kernel.dot_terms([row[c] for c in shared],
+                                    [other[c] for c in shared])
+            if got:
+                return Witness("row_inner_product", i + 1, j + 1,
+                               _residual_text(got))
     return None
 
 
-def _rational_nullspace(rows: list[list[Fraction]], n: int
-                        ) -> tuple[Fraction, ...] | None:
-    """One exact kernel vector of an (n-1) x n rational system, or None
-    if the rows are linearly dependent (kernel dimension > 1)."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * p for v, p in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    if r != n - 1:
+def _projected_normal(data, support, rows_at) -> list[tuple]:
+    """A nonzero multiple of the normal of nonzero, pairwise orthogonal
+    rows with rational squared norms.
+
+    The rows are independent, so projecting ``e_k`` off their span,
+    ``e_k - sum_i (r_i[k] / |r_i|^2) r_i``, leaves ``(N_k / |N|^2) N``
+    for the normal ``N``.  Its k-th entry ``N_k^2 / |N|^2`` is found
+    first, and the whole vector is formed for the first k where that is
+    nonzero; these entries sum to 1, so such a k exists.  Raises
+    DomainError naming the first row whose squared norm is irrational.
+    """
+    inv_norms = []
+    for i, row in enumerate(data):
+        vals = [row[c] for c in support[i]]
+        nsq = _kernel.dot_terms(vals, vals)
+        if len(nsq) != 1 or nsq[0][0] != 1:
+            raise DomainError(
+                f"row {i + 1} has irrational squared norm "
+                f"{_residual_text(nsq)}; the hyperplane check needs "
+                "rational squared row norms")
+        inv_norms.append((-nsq[0][2], nsq[0][1]))
+    for k, rows in enumerate(rows_at):
+        diag = _ONE
+        for i in rows:
+            t = data[i][k]
+            diag = _kernel.add_terms(
+                diag, _kernel.scale_terms(_kernel.mul_terms(t, t),
+                                          *inv_norms[i]))
+        if diag:
+            break
+    nu = [()] * len(rows_at)
+    nu[k] = _ONE
+    for i in rows:
+        row = data[i]
+        c = _kernel.scale_terms(row[k], *inv_norms[i])
+        for j in support[i]:
+            nu[j] = _kernel.add_terms(nu[j], _kernel.mul_terms(c, row[j]))
+    return nu
+
+
+def _primitive_normal(nu: list[tuple]) -> tuple[Fraction, ...] | None:
+    """The primitive integer multiple of a rational vector whose last
+    nonzero coordinate is positive, or None if ``nu`` is irrational."""
+    if any(t and (len(t) != 1 or t[0][0] != 1) for t in nu):
         return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for row, c in zip(m, pivots):
-        vec[c] = -row[free]
-    # clear denominators and common factors, keep the sign as computed
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    lcm = math.lcm(*(t[0][2] for t in nu if t))
+    ints = [t[0][1] * (lcm // t[0][2]) if t else 0 for t in nu]
+    g = math.gcd(*ints)
+    if next(v for v in reversed(ints) if v) < 0:
+        g = -g
     return tuple(Fraction(v // g) for v in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
@@ -229,78 +249,41 @@ def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
 
     The matrix must be ``(n-1) x n`` with nonzero, pairwise orthogonal
     rows whose common orthogonal complement is spanned by a vector with
-    all coordinates nonzero.  With rational entries the normal is
-    computed exactly and reported; with irrational entries a floating
-    nullspace (threshold 1e-9) is used and the report is flagged
-    approximate, without a certified normal.
+    all coordinates nonzero.  The check is exact whenever every squared
+    row norm is rational, which holds for integer rows and for their
+    normalized forms; an irrational squared row norm raises
+    DomainError naming the row.  The normal is reported, as the
+    primitive integer vector whose last nonzero coordinate is positive,
+    whenever the normal line holds a rational vector (always, for
+    rational rows); otherwise ``normal`` is None and the verdict is
+    still exact.
     """
     if a.cols != a.rows + 1:
         raise DimensionError(
             f"a hyperplane basis of R^n has shape (n-1) x n, got {a.shape}")
     data = a._data
-    for i, row in enumerate(data):
-        if all(not t for t in row):
+    support = [{c for c, t in enumerate(row) if t} for row in data]
+    for i, cols in enumerate(support):
+        if not cols:
             return VerifyReport(
                 False, MatrixProperty.HYPERPLANE_BASIS,
                 Witness("zero_row", i + 1, i + 1, "0"))
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            got = _kernel.dot_terms(data[i], data[j])
-            if got:
-                return VerifyReport(
-                    False, MatrixProperty.HYPERPLANE_BASIS,
-                    Witness("row_inner_product", i + 1, j + 1,
-                            _residual_text(got)))
-    rational = []
-    for row in data:
-        frow = []
-        for t in row:
-            q = _rational_entry(t)
-            if q is None:
-                break
-            frow.append(q)
-        else:
-            rational.append(frow)
-            continue
-        break
-    if len(rational) == a.rows:
-        normal = _rational_nullspace(rational, a.cols)
-        if normal is None:
-            return VerifyReport(
-                False, MatrixProperty.HYPERPLANE_BASIS,
-                Witness("rank_deficient", a.rows, a.rows,
-                        "rows are linearly dependent"))
-        zero = next((j for j, c in enumerate(normal) if c == 0), None)
-        if zero is not None:
-            return VerifyReport(
-                False, MatrixProperty.HYPERPLANE_BASIS,
-                Witness("normal_zero_coordinate", 1, zero + 1, "0"),
-                normal=normal)
-        return VerifyReport(True, MatrixProperty.HYPERPLANE_BASIS,
-                            normal=normal)
-    return _float_hyperplane(a)
-
-
-def _float_hyperplane(a: ExactMatrix) -> VerifyReport:
-    import numpy as np
-
-    f = np.array(a.to_float_rows())
-    _, s, vt = np.linalg.svd(f)
-    if len(s) == a.rows and s[-1] <= 1e-9 * max(1.0, s[0]):
-        return VerifyReport(
-            False, MatrixProperty.HYPERPLANE_BASIS,
-            Witness("rank_deficient", a.rows, a.rows,
-                    "rows are numerically dependent"),
-            approximate=True)
-    normal = vt[-1]
-    zero = next((j for j, c in enumerate(normal) if abs(c) <= 1e-9), None)
+    rows_at: list[list[int]] = [[] for _ in range(a.cols)]
+    for i, cols in enumerate(support):
+        for c in cols:
+            rows_at[c].append(i)
+    witness = _row_overlap_witness(data, support, rows_at)
+    if witness is not None:
+        return VerifyReport(False, MatrixProperty.HYPERPLANE_BASIS, witness)
+    nu = _projected_normal(data, support, rows_at)
+    normal = _primitive_normal(nu)
+    zero = next((j for j, t in enumerate(nu) if not t), None)
     if zero is not None:
         return VerifyReport(
             False, MatrixProperty.HYPERPLANE_BASIS,
             Witness("normal_zero_coordinate", 1, zero + 1, "0"),
-            approximate=True)
-    return VerifyReport(True, MatrixProperty.HYPERPLANE_BASIS,
-                        approximate=True)
+            normal=normal)
+    return VerifyReport(True, MatrixProperty.HYPERPLANE_BASIS, normal=normal)
 
 
 def check_unbiased_pair(b1: ExactMatrix, b2: ExactMatrix) -> VerifyReport:

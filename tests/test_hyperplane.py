@@ -132,7 +132,7 @@ def test_build_passes_checker_up_to_64():
         h = build(n)
         r = check_hyperplane_basis(h.matrix)
         assert r.passed, (n, r.witness)
-        assert not r.approximate
+        assert "approximate" not in r.to_json_dict()
         assert all(c != 0 for c in h.normal)
         assert len(h.normal) == n
         # the construction's normal agrees with the certified one up to
@@ -150,6 +150,14 @@ def test_normalized_bases_are_orthonormal():
             assert m.row_norm_squared(i) == ExactMatrix([[1]]).entry(0, 0)
         r = check_hyperplane_basis(m)
         assert r.passed
+
+
+def test_normalized_bases_report_the_built_normal():
+    for n in range(2, 65):
+        h = build(n)
+        r = check_hyperplane_basis(h.matrix.normalize_rows())
+        assert r.passed, n
+        assert r.normal in (h.normal, tuple(-c for c in h.normal)), n
 
 
 def test_rows_orthogonal_to_stored_normal():

@@ -318,6 +318,17 @@ def test_cli_verify_tight_and_hyperplane(tmp_path, capsys):
     assert doc["normal"] == ["5", "-2", "-1", "-1", "1"]
 
 
+def test_cli_verify_hyperplane_irrational_row_norm_exits_2(tmp_path,
+                                                         capsys):
+    basis = write(tmp_path / "basis.csv",
+                  "1,0,0\n0,1 + sqrt(2),1\n")
+    rc = cli_main(["verify", basis, "--check", "hyperplane"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 2 has irrational squared norm" in captured.err
+
+
 def test_cli_verify_mub(tmp_path, capsys):
     b1, b2, b3 = mub_r4()
     f2 = write(tmp_path / "b2.json", serialize(b2))

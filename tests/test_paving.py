@@ -149,6 +149,21 @@ def test_paving_sampling_is_seeded_and_reproducible():
     assert shifted.partitions_examined == 40
 
 
+@pytest.mark.parametrize("m", (66, 128))
+def test_paving_sampling_past_64_bit_masks(m):
+    half = Fraction(1, 2)
+    g = from_fraction_rows([[half if i == j else 0 for j in range(m)]
+                            for i in range(m)])
+    result = paving_epsilon(g, sample=50, seed=3)
+    assert result == paving_epsilon(g, sample=50, seed=3)
+    assert result.partitions_examined == 50 and not result.exhaustive
+    first, second = result.best_partition
+    assert first[0] == 0 and sorted(first + second) == list(range(m))
+    # uniform masks put about half the rows in each block; masks cut to
+    # their low 64 bits would put at most 65 of 128 rows in the first
+    assert max(result.per_size_histogram) > m // 2 - 14
+
+
 def test_paving_rejects_bad_sample_counts():
     g = ExactMatrix.identity(4)
     with pytest.raises(DomainError, match="sample"):

@@ -1,13 +1,15 @@
 """Exact property certification: unitarity, tightness, hyperplane bases,
 unbiased pairs, and the float cross-checks behind every exact pass."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from exactframes.errors import DimensionError, PreconditionError
+from exactframes.errors import (DimensionError, DomainError,
+                                PreconditionError)
 from exactframes.matrices import ExactMatrix, from_fraction_rows
 from exactframes.radicals import make, sqrt_rational
 from exactframes.verify import (MatrixProperty, check_equal_norm_rows,
@@ -141,7 +143,44 @@ def test_hyperplane_basis_normals(rows, normal):
     # primitive integer vector with positive free coordinate
     assert all(c.denominator == 1 for c in r.normal)
     assert r.normal[-1] > 0
-    assert not r.approximate
+    assert "approximate" not in r.to_json_dict()
+
+
+def orthogonal_rows(rng, count, n, lead_zero=False):
+    """``count`` random nonzero, pairwise orthogonal integer rows of
+    length ``n`` (Gram-Schmidt with cleared denominators); with
+    ``lead_zero`` every row has first coordinate 0."""
+    start = 1 if lead_zero else 0
+    while True:
+        rows = []
+        for _ in range(count):
+            v = [Fraction(0)] * start + [Fraction(rng.randint(-4, 4))
+                                         for _ in range(n - start)]
+            for r in rows:
+                f = sum(a * b for a, b in zip(v, r)) / sum(a * a for a in r)
+                v = [a - f * b for a, b in zip(v, r)]
+            if not any(v):
+                break
+            den = math.lcm(*(a.denominator for a in v))
+            rows.append([a * den for a in v])
+        else:
+            return rows
+
+
+def assert_primitive_normal(r, rows):
+    """``r.normal`` is the primitive integer vector with positive last
+    nonzero coordinate spanning sympy's nullspace of ``rows``."""
+    (vec,) = sympy.Matrix(rows).nullspace()
+    vec = [Fraction(str(v)) for v in vec]
+    assert parallel(r.normal, vec)
+    assert all(c.denominator == 1 for c in r.normal)
+    assert math.gcd(*(int(c) for c in r.normal)) == 1
+    assert next(c for c in reversed(r.normal) if c) > 0
+    assert r.passed == all(v != 0 for v in vec)
+    if not r.passed:
+        assert r.witness.kind == "normal_zero_coordinate"
+        first_zero = next(j for j, v in enumerate(vec) if v == 0)
+        assert (r.witness.i, r.witness.j) == (1, first_zero + 1)
 
 
 def test_hyperplane_normal_matches_sympy_nullspace():
@@ -155,9 +194,6 @@ def test_hyperplane_normal_matches_sympy_nullspace():
                     sympy.Matrix(rows).rank() == n - 1:
                 break
         r = check_hyperplane_basis(from_fraction_rows(rows))
-        basis = sympy.Matrix(rows).nullspace()
-        assert len(basis) == 1
-        vec = [Fraction(str(v)) for v in basis[0]]
         rows_orthogonal = all(
             sum(a * b for a, b in zip(rows[i], rows[j])) == 0
             for i in range(n - 1) for j in range(i + 1, n - 1))
@@ -165,10 +201,25 @@ def test_hyperplane_normal_matches_sympy_nullspace():
             assert not r.passed
             assert r.witness.kind == "row_inner_product"
             continue
-        assert parallel(r.normal, vec)
-        assert r.passed == all(v != 0 for v in vec)
-        if not r.passed:
-            assert r.witness.kind == "normal_zero_coordinate"
+        assert_primitive_normal(r, rows)
+    for _ in range(25):
+        n = rng.randint(2, 6)
+        # generic orthogonal rows, mostly passing
+        rows = orthogonal_rows(rng, n - 1, n)
+        assert_primitive_normal(
+            check_hyperplane_basis(from_fraction_rows(rows)), rows)
+        # first column zero in every row: the normal is e_1
+        rows = orthogonal_rows(rng, n - 1, n, lead_zero=True)
+        r = check_hyperplane_basis(from_fraction_rows(rows))
+        assert r.normal == (1,) + (0,) * (n - 1)
+        assert_primitive_normal(r, rows)
+        # e_1 is a row: the normal's first coordinate is 0, so the
+        # projection of e_1 vanishes and a later coordinate is used
+        rows = [[1] + [0] * (n - 1)] + orthogonal_rows(rng, n - 2, n,
+                                                       lead_zero=True)
+        r = check_hyperplane_basis(from_fraction_rows(rows))
+        assert r.normal[0] == 0 and (r.witness.i, r.witness.j) == (1, 1)
+        assert_primitive_normal(r, rows)
 
 
 def test_hyperplane_zero_coordinate_fails():
@@ -195,16 +246,35 @@ def test_hyperplane_irrational_entries_fall_back_to_float():
     m = ExactMatrix([[c, c, 0], [make(Fraction(1, 2), 2),
                      make(Fraction(-1, 2), 2), 0]])
     r = check_hyperplane_basis(m)
-    assert r.approximate
     assert not r.passed  # normal (0,0,1) has zero coordinates
+    assert r.witness.kind == "normal_zero_coordinate"
+    assert (r.witness.i, r.witness.j) == (1, 1)
+    assert r.normal == (0, 0, 1)
 
 
 def test_hyperplane_irrational_pass_is_flagged():
     c = sqrt_rational(Fraction(1, 2))
     m = ExactMatrix([[c, c]])
     r = check_hyperplane_basis(m)
-    assert r.passed and r.approximate
-    assert r.normal is None  # the float path certifies no exact normal
+    assert r.passed
+    assert r.normal == (-1, 1)
+    assert "approximate" not in r.to_json_dict()
+
+
+def test_hyperplane_irrational_normal_passes_without_normal():
+    s2 = make(1, 2)
+    m = ExactMatrix([[1, 0, -1], [-s2, 2, -s2]])  # normal (1, sqrt 2, 1)
+    r = check_hyperplane_basis(m)
+    assert r.passed and r.witness is None
+    assert r.normal is None
+    assert r.to_json_dict() == {"passed": True,
+                                "property": "hyperplane_basis"}
+
+
+def test_hyperplane_irrational_row_norm_is_a_domain_error():
+    m = ExactMatrix([[1, 0, 0], [0, 1 + sqrt_rational(2), 1]])
+    with pytest.raises(DomainError, match="row 2 has irrational squared"):
+        check_hyperplane_basis(m)
 
 
 def test_unbiased_pair_identity_vs_sign_core():
