@@ -11,6 +11,7 @@ hot paths (Gram matrices, products) free of wrapper objects.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -173,20 +174,36 @@ class ExactMatrix:
         return hash(self._data)
 
     def __str__(self) -> str:
-        return "\n".join(self._text_lines())
+        cells = list(self._cell_rows())
+        return "\n".join(self._text_lines(cells, cells))
 
-    def _text_lines(self) -> Iterator[str]:
+    def _text_digest(self) -> str:
+        """Hex sha256 of ``str(self)``, fed line by line so that the
+        text of a large matrix is never held whole; each cell is
+        formatted twice instead, for the column widths and its line."""
+        h = hashlib.sha256()
+        sep = b""
+        for line in self._text_lines(self._cell_rows(), self._cell_rows()):
+            h.update(sep + line.encode("utf-8"))
+            sep = b"\n"
+        return h.hexdigest()
+
+    def _cell_rows(self) -> Iterator[list[str]]:
+        for row in self._data:
+            yield [str(RadicalScalar._raw(t)) for t in row]
+
+    def _text_lines(self, for_widths: Iterable[list[str]],
+                    for_lines: Iterable[list[str]]) -> Iterator[str]:
         """The lines of ``str(self)``, one per row, each cell
-        right-aligned to its column.  Cells are formatted once for the
-        column widths and again row by row, so the text of a large
-        matrix is never held whole."""
+        right-aligned to its column; the cell texts are read once from
+        each argument."""
         widths = [0] * self._cols
-        for row in self._data:
-            for j, t in enumerate(row):
-                widths[j] = max(widths[j], len(str(RadicalScalar._raw(t))))
-        for row in self._data:
-            yield "[" + "  ".join(str(RadicalScalar._raw(t)).rjust(w)
-                                  for t, w in zip(row, widths)) + "]"
+        for cells in for_widths:
+            for j, c in enumerate(cells):
+                widths[j] = max(widths[j], len(c))
+        for cells in for_lines:
+            yield "[" + "  ".join(c.rjust(w)
+                                  for c, w in zip(cells, widths)) + "]"
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self._rows}x{self._cols}>"

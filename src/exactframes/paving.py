@@ -16,7 +16,6 @@ exact.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,17 +153,15 @@ def paving_epsilon(g: ExactMatrix, blocks: int = 2,
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
+        # numpy draws at most 64 bits at once: join words, low word
+        # first, and cut the top one down to size.  A single word draws
+        # the same stream as a flat array of the same bound.
         bits = m - 1
-        if bits <= 64:
-            masks = (int(v) for v in
-                     rng.integers(0, 1 << bits, size=sample, dtype=np.uint64))
-        else:
-            # numpy draws at most 64 bits at once: join whole words, low
-            # word first, and cut the top one down to size
-            words = rng.integers(0, 1 << 64, size=(sample, -(-bits // 64)),
-                                 dtype=np.uint64)
-            masks = (sum(int(w) << (64 * i) for i, w in enumerate(row))
-                     & ((1 << bits) - 1) for row in words)
+        words = rng.integers(0, 1 << min(bits, 64),
+                             size=(sample, max(1, -(-bits // 64))),
+                             dtype=np.uint64)
+        masks = (sum(int(w) << (64 * i) for i, w in enumerate(row))
+                 & ((1 << bits) - 1) for row in words)
         examined = sample
         exhaustive = False
     for mask in masks:
@@ -176,13 +173,7 @@ def paving_epsilon(g: ExactMatrix, blocks: int = 2,
             best = (v, s, sc)
     assert best is not None
     if matrix_id is None:
-        # sha256 of str(g), fed line by line
-        h = hashlib.sha256()
-        sep = b""
-        for line in g._text_lines():
-            h.update(sep + line.encode("utf-8"))
-            sep = b"\n"
-        matrix_id = f"{m}x{m}-{h.hexdigest()[:12]}"
+        matrix_id = f"{m}x{m}-{g._text_digest()[:12]}"
     return PavingResult(
         matrix_id=matrix_id,
         matrix_size=m,

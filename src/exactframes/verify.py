@@ -174,16 +174,21 @@ def _row_overlap_witness(data, support, rows_at) -> Witness | None:
     """First row pair ``i < j`` with a nonzero inner product, in
     (1,2), (1,3), ... order, or None.
 
-    Only pairs whose supports meet are computed, over the shared
-    columns: every other pair has inner product exactly zero.
+    Only pairs whose supports meet are computed, over the columns where
+    the spans of their supports overlap: every other pair has inner
+    product exactly zero.  Slicing the span costs little on dense rows
+    and keeps the work on banded rows, such as those of ``build(n)``,
+    down to their overlap.
     """
+    spans = [(min(cols), max(cols) + 1) for cols in support]
     for i, cols in enumerate(support):
         row = data[i]
-        for j in sorted({k for c in cols for k in rows_at[c] if k > i}):
-            other = data[j]
-            shared = cols & support[j]
-            got = _kernel.dot_terms([row[c] for c in shared],
-                                    [other[c] for c in shared])
+        lo_i, hi_i = spans[i]
+        for j in sorted(set().union(*[rows_at[c] for c in cols])):
+            if j <= i:
+                continue
+            lo, hi = max(lo_i, spans[j][0]), min(hi_i, spans[j][1])
+            got = _kernel.dot_terms(row[lo:hi], data[j][lo:hi])
             if got:
                 return Witness("row_inner_product", i + 1, j + 1,
                                _residual_text(got))
