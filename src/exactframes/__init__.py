@@ -1,7 +1,6 @@
 """Exact construction and certification of unitary matrices and tight
 frames over sums of rational multiples of square roots."""
 
-from exactframes._kernel import IMPLEMENTATION as kernel_implementation
 from exactframes.errors import (BlockFormError, CombineModeError,
                                 DimensionError, DomainError,
                                 ExactFramesError, ParseError,
@@ -44,7 +43,7 @@ __all__ = [
     "check_orthogonal_columns", "check_tight_frame", "check_unbiased_pair",
     "check_unitary", "combine", "constant_first_row", "constant_two_rows",
     "deserialize", "format_scalar", "gram_projection", "hstack",
-    "iterate_two_tight", "kernel_implementation", "make",
+    "iterate_two_tight", "make",
     "make_two_row_table", "mub_r4", "parse_scalar", "paving_epsilon",
     "predicted_sparsity", "serialize", "sign_matrix", "sqrt_rational",
     "third_case", "two_constant_block_example", "two_constant_diag",

@@ -1,35 +1,10 @@
-"""Arithmetic kernel selection.
+"""The exact arithmetic kernel on radical-term tuples (see ``pycore``)."""
 
-Imports the compiled kernel when available and falls back to the pure
-Python implementation otherwise.  Set ``EXACTFRAMES_KERNEL=pure`` to
-force the fallback or ``EXACTFRAMES_KERNEL=c`` to require the compiled
-module (raising if it is missing).  Both kernels implement the same
-term-tuple contract and agree bit-for-bit.
-"""
+from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
+                                        make_terms, matmul_terms, mul_terms,
+                                        neg_terms, scale_terms,
+                                        squarefree_split)
 
-from __future__ import annotations
-
-import os
-
-_choice = os.environ.get("EXACTFRAMES_KERNEL", "").strip().lower()
-
-if _choice in ("pure", "python", "py"):
-    from exactframes._kernel import pycore as _impl
-elif _choice in ("c", "fast", "compiled"):
-    from exactframes._kernel import fastcore as _impl  # type: ignore
-else:
-    try:
-        from exactframes._kernel import fastcore as _impl  # type: ignore
-    except ImportError:
-        from exactframes._kernel import pycore as _impl
-
-IMPLEMENTATION = _impl.IMPLEMENTATION
-squarefree_split = _impl.squarefree_split
-is_squarefree = _impl.is_squarefree
-make_terms = _impl.make_terms
-neg_terms = _impl.neg_terms
-add_terms = _impl.add_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
-dot_terms = _impl.dot_terms
-matmul_terms = _impl.matmul_terms
+__all__ = ["add_terms", "dot_terms", "is_squarefree", "make_terms",
+           "matmul_terms", "mul_terms", "neg_terms", "scale_terms",
+           "squarefree_split"]

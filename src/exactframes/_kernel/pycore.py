@@ -11,17 +11,16 @@ A scalar is represented as a tuple of terms ``(rad, num, den)`` meaning
 
 The empty tuple is zero.  Every function below returns canonical output
 given canonical input, so tuple equality is exact scalar equality.
-The compiled kernel (``fastcore``) implements the same contract; the two
-must agree bit-for-bit on every input.
+
+Products of roots need no factoring: for squarefree ``ra`` and ``rb``
+with ``g = gcd(ra, rb)``, ``sqrt(ra) * sqrt(rb) == g * sqrt(ra/g * rb/g)``,
+and the two cofactors are coprime and squarefree, so their product is
+squarefree.  Only :func:`make_terms` factors, at the input boundary.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-IMPLEMENTATION = "python"
-
-_SPLIT_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -29,9 +28,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
     Requires ``n >= 1``.
     """
-    cached = _SPLIT_CACHE.get(n)
-    if cached is not None:
-        return cached
     if n < 1:
         raise ValueError("squarefree_split requires a positive integer")
     m = n
@@ -48,11 +44,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e & 1:
                 core *= d
         d += 1 if d == 2 else 2
-    core *= m
-    result = (outer, core)
-    if len(_SPLIT_CACHE) < 65536:
-        _SPLIT_CACHE[n] = result
-    return result
+    return outer, core * m
 
 
 def is_squarefree(n: int) -> bool:
@@ -135,12 +127,17 @@ def _acc_pair(acc: dict, ta: tuple, tb: tuple) -> None:
     """Accumulate the product of two term tuples into ``acc``."""
     for ra, na, da in ta:
         for rb, nb, db in tb:
+            # equal radicands are the g == ra case of the rule below,
+            # taken without the gcd: they are the common case, and
+            # through the gcd the construct benchmark's large tier ran
+            # about 8 % slower (Python 3.11, 2 CPUs)
             if ra == rb:
                 core = 1
                 num = na * nb * ra
             else:
-                outer, core = squarefree_split(ra * rb)
-                num = na * nb * outer
+                g = gcd(ra, rb)
+                core = (ra // g) * (rb // g)
+                num = na * nb * g
             den = da * db
             cur = acc.get(core)
             if cur is None:

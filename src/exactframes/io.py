@@ -117,7 +117,8 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int)
+    # JSON true and false load as bool, a subclass of int
+    if not (type(rows) is int and type(cols) is int
             and rows >= 1 and cols >= 1):
         raise ParseError("'rows' and 'cols' must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
@@ -146,7 +147,7 @@ def _entry_from_json(entry: object, i: int, j: int,
                 f"{where} term {t} must be an object with keys "
                 "num, den, rad")
         num, den, rad = term["num"], term["den"], term["rad"]
-        if not all(isinstance(v, int) for v in (num, den, rad)):
+        if not all(type(v) is int for v in (num, den, rad)):
             raise ParseError(f"{where} term {t} fields must be integers")
         if den == 0:
             raise ParseError(f"{where} term {t} has a zero denominator")

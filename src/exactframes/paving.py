@@ -106,8 +106,7 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def paving_epsilon(g: ExactMatrix, blocks: int = 2,
-                   sample: int | None = None, seed: int = 0,
+def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
                    matrix_id: str | None = None) -> PavingResult:
     """Search 2-pavings of a symmetric matrix ``G``.
 
@@ -116,11 +115,8 @@ def paving_epsilon(g: ExactMatrix, blocks: int = 2,
     EXHAUSTIVE_LIMIT; otherwise ``sample`` random partitions must be
     requested (seeded, reproducible).  Ties on the value are broken
     toward the lexicographically smallest first block, making the
-    result deterministic.  Only ``blocks = 2`` is implemented.
+    result deterministic.
     """
-    if blocks != 2:
-        raise DomainError(
-            f"only 2-block pavings are supported, got blocks = {blocks}")
     if not g.is_square:
         raise DimensionError(f"paving needs a square matrix, got {g.shape}")
     if not g.is_symmetric():

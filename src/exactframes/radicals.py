@@ -3,9 +3,9 @@
 Each scalar is a finite sum of rational multiples of square roots of
 distinct squarefree positive integers; the rational part is the ``r == 1``
 term.  This set is closed under addition, negation and multiplication
-(products of roots reduce via ``sqrt(a)*sqrt(b) == outer*sqrt(core)``
-with ``a*b == outer**2 * core``), which is all the constructions here
-need.  There is no division and no ordering.
+(products of roots reduce via ``sqrt(a)*sqrt(b) == g*sqrt((a/g)*(b/g))``
+with ``g == gcd(a, b)``), which is all the constructions here need.
+There is no division and no ordering.
 
 Equality is structural on the canonical term tuple, so ``==`` decides
 exact mathematical equality.  ``RadicalScalar`` is immutable and
@@ -202,22 +202,6 @@ def sqrt_rational(value: RationalLike) -> RadicalScalar:
     if q == 0:
         return ZERO
     return make(Fraction(1, q.denominator), q.numerator * q.denominator)
-
-
-def add(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    return x + y
-
-
-def mul(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    return x * y
-
-
-def is_zero(x: RadicalScalar) -> bool:
-    return x.is_zero
-
-
-def to_float(x: RadicalScalar) -> float:
-    return x.to_float()
 
 
 def format_scalar(x: RadicalScalar) -> str:

@@ -215,17 +215,14 @@ def weave(coeffs: WeaveCoefficients,
             raise PreconditionError(
                 f"block {idx + 1} columns ({w.i}, {w.j}) are not "
                 f"orthogonal; inner product {w.residual}")
-    band_rows = []
+    data = []
     for i in range(c.rows):
-        band = None
-        for j, blk in enumerate(blocks):
-            piece = blk.scale(c.entry(i, j))
-            band = piece if band is None else hstack(band, piece)
-        band_rows.append(band)
-    out = band_rows[0]
-    for band in band_rows[1:]:
-        out = vstack(out, band)
-    return out
+        band = [blk.scale(c.entry(i, j))._data
+                for j, blk in enumerate(blocks)]
+        data.extend(tuple(t for piece in pieces for t in piece)
+                    for pieces in zip(*band))
+    return ExactMatrix._raw(c.rows * depth, sum(b.cols for b in blocks),
+                            tuple(data))
 
 
 def mub_r4() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:

@@ -360,6 +360,23 @@ def test_cli_verify_malformed_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ("rows", "cols", "num", "den", "rad",
+                                   "all"))
+def test_cli_verify_json_booleans_are_rejected(tmp_path, capsys, field):
+    # bool subclasses int, so true once read as 1 and certified unitary
+    term = {"num": 1, "den": 1, "rad": 1}
+    doc = {"rows": 1, "cols": 1, "entries": [[[term]]]}
+    for key in (("rows", "cols", "num", "den", "rad") if field == "all"
+                else (field,)):
+        (doc if key in doc else term)[key] = True
+    f = write(tmp_path / "bool.json", json.dumps(doc))
+    rc = cli_main(["verify", f, "--check", "unitary"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err and "integers" in captured.err
+
+
 def test_cli_sparsity(tmp_path, capsys):
     f = write(tmp_path / "h8.json", serialize(build(8).matrix))
     rc = cli_main(["sparsity", f])

@@ -108,12 +108,6 @@ def test_paving_custom_matrix_id_passthrough():
     assert result.matrix_id == "example"
 
 
-def test_paving_rejects_other_block_counts():
-    g = ExactMatrix.identity(4)
-    with pytest.raises(DomainError, match="only 2-block"):
-        paving_epsilon(g, blocks=3)
-
-
 def test_paving_rejects_non_square_and_asymmetric():
     with pytest.raises(DimensionError):
         paving_epsilon(ExactMatrix([[1, 2]]))

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from exactframes.errors import DomainError, ParseError
-from exactframes.radicals import (ONE, ZERO, RadicalScalar, add, format_scalar,
-                                  is_zero, make, mul, parse_scalar,
-                                  sqrt_rational, to_float)
+from exactframes.radicals import (ONE, ZERO, RadicalScalar, format_scalar,
+                                  make, parse_scalar, sqrt_rational)
 
 
 @pytest.mark.parametrize("coeff,rad,expected_terms", (
@@ -43,35 +42,35 @@ def test_sqrt_rational():
 
 def test_add_cancels():
     s2, s3 = make(1, 2), make(1, 3)
-    assert add(add(s2, s3), -s2) == s3
-    assert add(make(1, 8), make(-2, 2)) == ZERO
-    assert add(make(Fraction(1, 4), 7), make(Fraction(1, 4), 7)) == \
+    assert s2 + s3 + -s2 == s3
+    assert make(1, 8) + make(-2, 2) == ZERO
+    assert make(Fraction(1, 4), 7) + make(Fraction(1, 4), 7) == \
         make(Fraction(1, 2), 7)
 
 
 def test_mul_known_products():
     s2 = make(1, 2)
-    assert mul(s2, s2) == RadicalScalar(2)
-    assert mul(make(Fraction(1, 4), 7), make(Fraction(1, 4), 5)) == \
+    assert s2 * s2 == RadicalScalar(2)
+    assert make(Fraction(1, 4), 7) * make(Fraction(1, 4), 5) == \
         make(Fraction(1, 16), 35)
-    assert mul(s2 + ONE, s2 - ONE) == ONE
-    assert mul(make(1, 6), make(1, 10)) == make(2, 15)
+    assert (s2 + ONE) * (s2 - ONE) == ONE
+    assert make(1, 6) * make(1, 10) == make(2, 15)
 
 
 def test_is_zero():
-    assert is_zero(make(1, 8) - make(2, 2))
-    assert not is_zero(make(1, 2) - make(1, 3))
-    assert is_zero(ZERO)
+    assert (make(1, 8) - make(2, 2)).is_zero
+    assert not (make(1, 2) - make(1, 3)).is_zero
+    assert ZERO.is_zero
     assert bool(ONE) and not bool(ZERO)
 
 
 def test_to_float_values():
-    assert to_float(make(2, 3)) == pytest.approx(3.4641016151377546, abs=0)
-    assert to_float(make(Fraction(-1, 4), 7)) == pytest.approx(
+    assert make(2, 3).to_float() == pytest.approx(3.4641016151377546, abs=0)
+    assert make(Fraction(-1, 4), 7).to_float() == pytest.approx(
         -0.6614378277661477, abs=0)
-    assert to_float(ZERO) == 0.0
+    assert ZERO.to_float() == 0.0
     # nearest double to 1/sqrt(3), not the doubly rounded 1/math.sqrt(3)
-    assert "%.17g" % to_float(sqrt_rational(Fraction(1, 3))) == \
+    assert "%.17g" % sqrt_rational(Fraction(1, 3)).to_float() == \
         "0.57735026918962573"
 
 
@@ -160,8 +159,10 @@ def test_float_oracle_agreement():
         b = random_scalar(rng)
         fa = sum(float(c) * math.sqrt(r) for r, c in a.terms)
         fb = sum(float(c) * math.sqrt(r) for r, c in b.terms)
-        assert to_float(a + b) == pytest.approx(fa + fb, abs=1e-9, rel=1e-9)
-        assert to_float(a * b) == pytest.approx(fa * fb, abs=1e-9, rel=1e-9)
+        assert (a + b).to_float() == pytest.approx(fa + fb, abs=1e-9,
+                                                   rel=1e-9)
+        assert (a * b).to_float() == pytest.approx(fa * fb, abs=1e-9,
+                                                   rel=1e-9)
 
 
 def test_round_trip_randomized():
