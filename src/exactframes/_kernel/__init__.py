@@ -2,9 +2,9 @@
 
 from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         make_terms, matmul_terms, mul_terms,
-                                        neg_terms, scale_terms,
+                                        neg_terms, root_terms, scale_terms,
                                         squarefree_split)
 
 __all__ = ["add_terms", "dot_terms", "is_squarefree", "make_terms",
-           "matmul_terms", "mul_terms", "neg_terms", "scale_terms",
-           "squarefree_split"]
+           "matmul_terms", "mul_terms", "neg_terms", "root_terms",
+           "scale_terms", "squarefree_split"]

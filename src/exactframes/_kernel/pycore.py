@@ -61,7 +61,16 @@ def make_terms(num: int, den: int, rad: int) -> tuple:
     if num == 0:
         return ()
     outer, core = squarefree_split(rad)
-    num *= outer
+    return root_terms(num * outer, den, core)
+
+
+def root_terms(num: int, den: int, core: int) -> tuple:
+    """Canonical terms for ``num/den * sqrt(core)`` with ``core``
+    already squarefree, so that nothing is factored; ``den != 0``."""
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if num == 0:
+        return ()
     if den < 0:
         num, den = -num, -den
     g = gcd(num, den)

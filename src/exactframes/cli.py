@@ -239,7 +239,7 @@ def _cmd_pave(args: argparse.Namespace) -> int:
         if not report.passed:
             print(json.dumps(report.to_json_dict(), sort_keys=True))
             return FAILED
-        gram = paving.gram_projection(matrix, report.k_value)
+        gram = paving.scaled_gram(matrix, report.k_value)
     result = paving.paving_epsilon(gram, sample=args.sample, seed=args.seed)
     print(json.dumps(result.to_json_dict(), sort_keys=True))
     return OK

@@ -25,7 +25,8 @@ from fractions import Fraction
 from exactframes import _kernel
 from exactframes.errors import ParseError
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import RadicalScalar, format_scalar, parse_scalar
+from exactframes.radicals import (RadicalScalar, format_scalar, parse_scalar,
+                                  split_radicand)
 
 FORMATS = ("exact-json", "csv", "latex", "float-csv")
 
@@ -124,18 +125,20 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"'entries' must be a list of {rows} rows")
     data = []
+    splits: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"entries[{i}] must be a list of {cols} entries")
         drow = []
         for j, entry in enumerate(row):
-            drow.append(_entry_from_json(entry, i, j, notes))
+            drow.append(_entry_from_json(entry, i, j, notes, splits))
         data.append(tuple(drow))
     return ExactMatrix._raw(rows, cols, tuple(data))
 
 
 def _entry_from_json(entry: object, i: int, j: int,
-                     notes: list[str] | None) -> tuple:
+                     notes: list[str] | None,
+                     splits: dict[int, tuple[int, int]]) -> tuple:
     where = f"entries[{i}][{j}]"
     if not isinstance(entry, list):
         raise ParseError(f"{where} must be a list of terms")
@@ -154,17 +157,19 @@ def _entry_from_json(entry: object, i: int, j: int,
         if rad < 1:
             raise ParseError(f"{where} term {t} has radicand {rad}; "
                              "radicands must be positive")
-        if notes is not None and not _kernel.is_squarefree(rad):
-            outer, core = _kernel.squarefree_split(rad)
+        outer, core = split_radicand(rad, splits)
+        if notes is not None and outer != 1:
             notes.append(f"{where} term {t}: radicand {rad} is not "
                          f"squarefree; normalized to {outer}^2 * {core}")
-        total = _kernel.add_terms(total, _kernel.make_terms(num, den, rad))
+        total = _kernel.add_terms(
+            total, _kernel.root_terms(num * outer, den, core))
     return total
 
 
 def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
     rows = []
     width = None
+    splits: dict[int, tuple[int, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -177,7 +182,7 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
         row = []
         for colno, cell in enumerate(cells, start=1):
             try:
-                row.append(parse_scalar(cell, notes))
+                row.append(parse_scalar(cell, notes, splits))
             except ParseError as exc:
                 raise ParseError(
                     f"line {lineno}, cell {colno}: {exc}") from None

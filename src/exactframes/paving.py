@@ -12,6 +12,15 @@ Partition search is combinatorial: exhaustive enumeration is capped at
 be requested explicitly.  Spectral norms are floating point (symmetric
 eigenvalues via LAPACK); everything up to the Gram projection itself is
 exact.
+
+The search is batched.  Partitions are taken a chunk at a time as a
+boolean membership array; the blocks of one size across the chunk are
+gathered into a ``(batch, k, k)`` stack, and one ``eigvalsh`` call
+covers the stack.  LAPACK sees the same entries as it would one block at
+a time, so every value is the same to the bit.  A partition costs about
+15 us on 16 rows and 33 us on 24 rows (numpy 2.4, one core of a 2-CPU
+Xeon), most of it in LAPACK itself, so the exhaustive search of 24 rows
+takes about five minutes.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix
@@ -47,7 +57,26 @@ def gram_projection(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
     if report.k_value != k:
         raise PreconditionError(
             f"frame is {report.k_value}-tight, not {k}-tight")
-    return a.matmul(a.transpose()).scale(Fraction(1, k))
+    return scaled_gram(a, k)
+
+
+def scaled_gram(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
+    """The exact ``A A^T / k``, with no tightness check.
+
+    For callers that have certified ``a`` as a k-tight frame already;
+    :func:`gram_projection` checks first.  Each entry on or above the
+    diagonal is computed once and mirrored below it.
+    """
+    inv = 1 / Fraction(k)
+    data = a._data
+    n = a.rows
+    out = [[()] * n for _ in range(n)]
+    for i, row in enumerate(data):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = _kernel.scale_terms(
+                _kernel.dot_terms(row, data[j]),
+                inv.numerator, inv.denominator)
+    return ExactMatrix._raw(n, n, tuple(map(tuple, out)))
 
 
 def weight_profile(a: ExactMatrix) -> tuple[Fraction, ...]:
@@ -100,10 +129,31 @@ class PavingResult:
         }
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+# Bound on the float64 entries of one chunk's block stacks, which hold
+# at most ``chunk * m * m``: about 256 KiB, so that peak memory stays
+# flat.  On 16 rows, chunks of 1 MiB were not measurably faster.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _block_norms(base: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Spectral norm of ``base`` compressed to each row's member set.
+
+    Rows of the boolean ``member`` with the same count are gathered into
+    one ``(rows, k, k)`` stack and go to a single ``eigvalsh`` call; an
+    empty set has norm 0.0.
+    """
+    sizes = member.sum(axis=1)
+    out = np.zeros(len(member))
+    # np.bincount, not np.unique: the first np.unique call of a process
+    # raises its peak memory by about 1.3 MiB (numpy 2.4)
+    for k in np.flatnonzero(np.bincount(sizes)):
+        if k == 0:
+            continue
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(member[rows])[1].reshape(len(rows), k)
+        blocks = base[idx[:, :, None], idx[:, None, :]]
+        out[rows] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+    return out
 
 
 def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
@@ -130,43 +180,54 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
     if sample is not None and sample < 1:
         raise DomainError(f"sample must be >= 1, got {sample}")
     base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
-
-    def value_of(mask: int) -> tuple[float, tuple[int, ...],
-                                     tuple[int, ...]]:
-        s = tuple(i for i in range(m) if i == 0 or (mask >> (i - 1)) & 1)
-        sc = tuple(i for i in range(1, m) if not (mask >> (i - 1)) & 1)
-        idx_s = np.array(s, dtype=np.intp)
-        idx_c = np.array(sc, dtype=np.intp)
-        v = max(_spectral_norm(base[np.ix_(idx_s, idx_s)]),
-                _spectral_norm(base[np.ix_(idx_c, idx_c)]))
-        return v, s, sc
-
-    best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
-    hist: dict[int, float] = {}
+    if not np.isfinite(base).all():
+        raise DomainError("an entry of 2G - I overflows a float64")
+    bits = m - 1
     if sample is None:
-        masks = range(1 << (m - 1))
-        examined = 1 << (m - 1)
+        examined = 1 << bits
+        words = None
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
-        # numpy draws at most 64 bits at once: join words, low word
-        # first, and cut the top one down to size.  A single word draws
-        # the same stream as a flat array of the same bound.
-        bits = m - 1
+        # numpy draws at most 64 bits at once: a mask is its row of
+        # words joined low word first, cut to ``bits`` bits.  A single
+        # word draws the same stream as a flat array of the same bound.
         words = rng.integers(0, 1 << min(bits, 64),
                              size=(sample, max(1, -(-bits // 64))),
                              dtype=np.uint64)
-        masks = (sum(int(w) << (64 * i) for i, w in enumerate(row))
-                 & ((1 << bits) - 1) for row in words)
         examined = sample
         exhaustive = False
-    for mask in masks:
-        v, s, sc = value_of(mask)
-        balance = min(len(s), len(sc))
-        if balance not in hist or v < hist[balance]:
-            hist[balance] = v
-        if best is None or v < best[0] or (v == best[0] and s < best[1]):
-            best = (v, s, sc)
+
+    best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
+    hist: dict[int, float] = {}
+    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    for lo in range(0, examined, chunk):
+        hi = min(lo + chunk, examined)
+        if words is None:
+            block = np.arange(lo, hi, dtype=np.uint64)[:, None]
+        else:
+            block = words[lo:hi]
+        # one row per mask: index 0 is always in the first block, and
+        # index i > 0 is when bit i - 1 of the mask is set
+        member = np.ones((hi - lo, m), dtype=bool)
+        member[:, 1:] = np.unpackbits(
+            block.astype("<u8", copy=False).view(np.uint8), axis=1,
+            count=bits, bitorder="little")
+        size = member.sum(axis=1)
+        v = np.maximum(_block_norms(base, member),
+                       _block_norms(base, ~member))
+        balance = np.minimum(size, m - size)
+        for b in np.flatnonzero(np.bincount(balance)).tolist():
+            low = float(v[balance == b].min())
+            if b not in hist or low < hist[b]:
+                hist[b] = low
+        low = float(v.min())
+        if best is not None and low > best[0]:
+            continue
+        for r in np.flatnonzero(v == low):
+            s = tuple(np.flatnonzero(member[r]).tolist())
+            if best is None or low < best[0] or s < best[1]:
+                best = (low, s, tuple(np.flatnonzero(~member[r]).tolist()))
     assert best is not None
     if matrix_id is None:
         matrix_id = f"{m}x{m}-{g._text_digest()[:12]}"

@@ -247,15 +247,35 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_scalar(text: str, notes: list[str] | None = None) -> RadicalScalar:
+def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
+                   ) -> tuple[int, int]:
+    """``(outer, core)`` with ``rad == outer**2 * core``, core squarefree,
+    factored at most once per memo ``splits``.
+
+    Readers own one memo per call, so a radicand that repeats across
+    the cells of one input is factored once.
+    """
+    split = splits.get(rad)
+    if split is None:
+        split = splits[rad] = _kernel.squarefree_split(rad)
+    return split
+
+
+def parse_scalar(text: str, notes: list[str] | None = None,
+                 splits: dict[int, tuple[int, int]] | None = None
+                 ) -> RadicalScalar:
     """Parse the scalar text grammar (inverse of :func:`format_scalar`).
 
     Non-squarefree radicands are normalized; when ``notes`` is given a
-    message is appended for each normalization.
+    message is appended for each normalization.  ``splits`` is the
+    radicand memo of :func:`split_radicand`, for a caller that parses
+    many scalars; by default each call has its own.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty scalar text")
+    if splits is None:
+        splits = {}
     pos = 0
 
     def peek() -> str | None:
@@ -279,22 +299,26 @@ def parse_scalar(text: str, notes: list[str] | None = None) -> RadicalScalar:
                              f" in {text!r}")
         return int(tok)
 
-    def parse_root() -> int:
+    def parse_root() -> tuple[int, int]:
         take("sqrt")
         take("(")
         rad = parse_int()
         take(")")
         if rad < 1:
             raise ParseError(f"radicand must be positive in {text!r}")
-        if notes is not None and not _kernel.is_squarefree(rad):
+        outer, core = split_radicand(rad, splits)
+        if notes is not None and outer != 1:
+            root = RadicalScalar._raw(_kernel.root_terms(outer, 1, core))
             notes.append(
                 f"radicand {rad} is not squarefree; normalized to "
-                f"{format_scalar(make(1, rad))}")
-        return rad
+                f"{format_scalar(root)}")
+        return outer, core
 
-    def parse_term() -> RadicalScalar:
+    def parse_term(sign: int) -> RadicalScalar:
         if peek() == "sqrt":
-            return make(1, parse_root())
+            outer, core = parse_root()
+            return RadicalScalar._raw(_kernel.root_terms(sign * outer, 1,
+                                                         core))
         num = parse_int()
         den = 1
         if peek() == "/":
@@ -302,22 +326,22 @@ def parse_scalar(text: str, notes: list[str] | None = None) -> RadicalScalar:
             den = parse_int()
             if den == 0:
                 raise ParseError(f"zero denominator in {text!r}")
-        rad = 1
+        outer, core = 1, 1
         if peek() == "*":
             take("*")
-            rad = parse_root()
-        return make(Fraction(num, den), rad)
+            outer, core = parse_root()
+        return RadicalScalar._raw(
+            _kernel.root_terms(sign * num * outer, den, core))
 
     sign = 1
     if peek() in ("+", "-"):
         if take() == "-":
             sign = -1
-    result = parse_term() * sign
+    result = parse_term(sign)
     while pos < len(tokens):
         op = take()
         if op not in ("+", "-"):
             raise ParseError(f"expected '+' or '-' but found {op!r}"
                              f" in {text!r}")
-        term = parse_term()
-        result = result - term if op == "-" else result + term
+        result = result + parse_term(-1 if op == "-" else 1)
     return result

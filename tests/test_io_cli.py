@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from exactframes import _kernel, paving, verify
+from exactframes._kernel import pycore
 from exactframes.cli import main as cli_main
 from exactframes.errors import ParseError
 from exactframes.hyperplane import build
@@ -103,6 +105,38 @@ def test_deserialize_normalizes_radicands_with_notes():
     m = deserialize("sqrt(8),1\n", notes)
     assert m == ExactMatrix([[2 * sq(2), 1]])
     assert len(notes) == 1 and "squarefree" in notes[0]
+
+
+PRIME = 1000003
+
+
+@pytest.mark.parametrize("text, notes_want", [
+    ("sqrt(1000003),3*sqrt(4000012)\n" * 3,
+     ["radicand 4000012 is not squarefree; normalized to "
+      "2*sqrt(1000003)"] * 3),
+    ('{"rows":3,"cols":2,"entries":['
+     + ",".join(['[[{"num":1,"den":1,"rad":1000003}],'
+                 '[{"num":3,"den":1,"rad":4000012}]]'] * 3) + "]}",
+     [f"entries[{i}][1] term 0: radicand 4000012 is not squarefree; "
+      "normalized to 2^2 * 1000003" for i in range(3)]),
+], ids=["csv", "exact-json"])
+def test_deserialize_factors_each_radicand_once(monkeypatch, text,
+                                                notes_want):
+    calls = []
+    real = pycore.squarefree_split
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(pycore, "squarefree_split", counted)
+    monkeypatch.setattr(_kernel, "squarefree_split", counted)
+    notes = []
+    m = deserialize(text, notes)
+    assert calls == [PRIME, 4 * PRIME]
+    assert notes == notes_want
+    root = sqrt_rational(PRIME)
+    assert m == ExactMatrix([[root, 6 * root]] * 3)
 
 
 def test_deserialize_merges_duplicate_radicands():
@@ -419,6 +453,23 @@ def test_cli_pave_rejects_non_tight_frame(tmp_path, capsys):
     rc = cli_main(["pave", f])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_cli_pave_checks_tightness_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = verify.check_tight_frame
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(verify, "check_tight_frame", counted)
+    monkeypatch.setattr(paving, "check_tight_frame", counted)
+    f = write(tmp_path / "frame.json", serialize(ap_two_tight(1, 2)))
+    assert cli_main(["pave", f]) == 0
+    assert calls == [(8, 4)]
+    assert json.loads(capsys.readouterr().out)["best_partition"] == [
+        [0, 3, 5, 6], [1, 2, 4, 7]]
 
 
 def test_cli_errata(capsys):

@@ -4,6 +4,7 @@ profiles, and the deterministic partition search."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exactframes.errors import (DimensionError, DomainError,
@@ -11,10 +12,11 @@ from exactframes.errors import (DimensionError, DomainError,
 from exactframes.matrices import ExactMatrix, from_fraction_rows
 from exactframes.paving import (EXHAUSTIVE_LIMIT, PavingResult,
                                 gram_projection, paving_epsilon,
-                                weight_profile)
+                                scaled_gram, weight_profile)
 from exactframes.radicals import RadicalScalar, sqrt_rational
 from exactframes.two_tight import ap_two_tight, make_two_row_table, \
     weight_in_front
+from exactframes.unitary import constant_first_row
 
 
 def test_gram_projection_of_two_tight_frame():
@@ -40,6 +42,20 @@ def test_gram_projection_rejects_non_tight_input():
 def test_gram_projection_rejects_wrong_constant():
     with pytest.raises(PreconditionError, match="2-tight, not 3-tight"):
         gram_projection(ap_two_tight(1, 2), 3)
+
+
+@pytest.mark.parametrize("frame, k", [
+    (ap_two_tight(1, 2), 2),
+    (ap_two_tight(Fraction(1, 3), Fraction(5, 2)), 2),
+    (weight_in_front(make_two_row_table((7, 5, 3, 1), 8)), 2),
+    (constant_first_row(5), 1),
+    (constant_first_row(6), Fraction(-3, 7)),
+])
+def test_scaled_gram_matches_the_full_product(frame, k):
+    full = frame.matmul(frame.transpose()).scale(Fraction(1, k))
+    assert scaled_gram(frame, k) == full
+    if k > 0:
+        assert gram_projection(frame, k) == full
 
 
 def test_weight_profile_exact_column_sums():
@@ -158,6 +174,12 @@ def test_paving_sampling_past_64_bit_masks(m):
     assert max(result.per_size_histogram) > m // 2 - 14
 
 
+def test_paving_rejects_entries_beyond_float_range():
+    g = from_fraction_rows([[10 ** 400, 0], [0, 1]])
+    with pytest.raises(DomainError, match="overflows a float64"):
+        paving_epsilon(g)
+
+
 def test_paving_rejects_bad_sample_counts():
     g = ExactMatrix.identity(4)
     with pytest.raises(DomainError, match="sample"):
@@ -170,3 +192,98 @@ def test_paving_result_matrix_ids_distinguish_inputs():
     assert a.matrix_id != b.matrix_id
     assert a.matrix_id.startswith("8x8-")
     assert len(a.matrix_id.split("-")[1]) == 12
+
+
+def _half_identity(m):
+    half = Fraction(1, 2)
+    return from_fraction_rows([[half if i == j else 0 for j in range(m)]
+                               for i in range(m)])
+
+
+def _random_symmetric(m, rng, values):
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            v = Fraction(rng.choice(values), rng.randrange(1, 4))
+            rows[i][j] = rows[j][i] = v
+    return from_fraction_rows(rows)
+
+
+def _reference_paving(g, sample=None, seed=0):
+    """The search one partition at a time, with masks as Python ints
+    and two eigvalsh calls per partition: the oracle for the batched
+    search, which must agree bit for bit."""
+    m = g.rows
+    base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
+
+    def norm(idx):
+        if not idx:
+            return 0.0
+        idx = np.array(idx, dtype=np.intp)
+        return float(np.max(np.abs(np.linalg.eigvalsh(
+            base[np.ix_(idx, idx)]))))
+
+    if sample is None:
+        masks = range(1 << (m - 1))
+        examined = 1 << (m - 1)
+    else:
+        bits = m - 1
+        words = np.random.default_rng(seed).integers(
+            0, 1 << min(bits, 64), size=(sample, max(1, -(-bits // 64))),
+            dtype=np.uint64)
+        masks = [sum(int(w) << (64 * i) for i, w in enumerate(row))
+                 & ((1 << bits) - 1) for row in words]
+        examined = sample
+    best = None
+    hist = {}
+    for mask in masks:
+        s = tuple(i for i in range(m) if i == 0 or (mask >> (i - 1)) & 1)
+        sc = tuple(i for i in range(1, m) if not (mask >> (i - 1)) & 1)
+        v = max(norm(s), norm(sc))
+        balance = min(len(s), len(sc))
+        if balance not in hist or v < hist[balance]:
+            hist[balance] = v
+        if best is None or v < best[0] or (v == best[0] and s < best[1]):
+            best = (v, s, sc)
+    return PavingResult(
+        matrix_id=f"{m}x{m}-{g._text_digest()[:12]}", matrix_size=m,
+        best_partition=(best[1], best[2]), best_value=best[0],
+        per_size_histogram=hist, partitions_examined=examined,
+        exhaustive=sample is None)
+
+
+def _assert_same_result(got, want):
+    # dataclass equality compares best_value and the histogram with ==
+    assert got == want
+    assert got.best_value.hex() == want.best_value.hex()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_batched_search_matches_reference_exhaustive(m):
+    rng = random.Random(400 + m)
+    for values in (range(-3, 4), (0, 0, 0, 1, -1)):
+        g = _random_symmetric(m, rng, values)
+        _assert_same_result(paving_epsilon(g), _reference_paving(g))
+
+
+@pytest.mark.parametrize("m", (30, 66, 130))
+def test_batched_search_matches_reference_sampled(m):
+    g = _random_symmetric(m, random.Random(m), range(-3, 4))
+    for seed in (0, 11):
+        _assert_same_result(paving_epsilon(g, sample=40, seed=seed),
+                            _reference_paving(g, sample=40, seed=seed))
+
+
+@pytest.mark.parametrize("g, sample", [
+    (gram_projection(ap_two_tight(1, 2), 2), None),
+    (_half_identity(6), None),
+    # 512 partitions, every one of value 0: ties across chunks
+    (_half_identity(10), None),
+    # every value 0 in random order: the smallest first block is not in
+    # the first chunk
+    (_half_identity(66), 40),
+], ids=["ap_two_tight", "half_identity_6", "half_identity_10",
+        "half_identity_66_sampled"])
+def test_batched_search_matches_reference_on_exact_ties(g, sample):
+    _assert_same_result(paving_epsilon(g, sample=sample, seed=5),
+                        _reference_paving(g, sample=sample, seed=5))
