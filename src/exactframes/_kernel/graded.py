@@ -1,0 +1,360 @@
+"""Exact Gram matrices of term-tuple rows by integer matrix products.
+
+Each row is written as ``sum_r sqrt(r) * V_r[i] / D[i]``: ``D[i]`` is
+the least common denominator of row ``i`` and ``V_r`` is the integer
+matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  Then
+
+    <row_i, row_j> = sum_{r, s} g * (V_r V_s^T)[i, j]
+                     * sqrt((r/g) * (s/g)) / (D[i] D[j]),   g = gcd(r, s),
+
+and for squarefree ``r`` and ``s`` the core ``(r/g) * (s/g)`` is
+squarefree, so nothing is factored.  Given ``r``, the core fixes ``s``
+(as prime sets, ``s`` is ``r`` with the core's primes flipped), so at
+most one pair of the radicands of rows ``i`` and ``j`` lands on each
+(i, j, core).
+
+The rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
+time, sorted by radicand within the block, and multiplied a chunk at a
+time: each chunk only against the expanded rows whose columns meet its
+own, over those columns, so the mostly-zero expanded matrix is never
+multiplied whole.  The nonzero products of a block are summed per
+(core, i, j) by sorting, so memory follows one block's entries of the
+Gram, and a check stops after the first block with a mismatch.  When
+every row, or every column, carries at most one radicand, the pairs
+(i, j) and the products map one to one and nothing is summed.
+
+There is no float anywhere.  Arrays are int64 only when a bound proven
+from the inputs keeps every sum below 2^63 (see :func:`_dtype`);
+otherwise the same code runs on arrays of Python ints.
+
+Below a fixed size the pair-by-pair scan of :mod:`pycore` is faster
+than the numpy calls' fixed cost, and both functions take it there.
+"""
+
+from __future__ import annotations
+
+from itertools import groupby
+from math import gcd, lcm
+from operator import itemgetter
+
+import numpy as np
+
+from exactframes._kernel.pycore import dot_terms, scale_terms
+
+# Inputs with fewer entry products n (n + 1) / 2 * width than this are
+# scanned pair by pair.  Measured on the small tiers of the construct
+# and verify benchmarks (n <= 16), in one process with the cut switched
+# from job to job (Python 3.11, numpy 2.4, 2-CPU Xeon): at 400 their
+# median job took 6.7 % and 7.9 % longer than scanning everything, at
+# 1200 it stayed within 1.2 %, inside the +-3 % noise.  Repeated calls
+# in a tight loop cross over near 300 already.
+_SCAN_BELOW = 1200
+# expanded rows per chunk product
+_CHUNK = 32
+# pairs (i, j) per block of rows, about: the products of one block are
+# alive at once
+_BLOCK_PAIRS = 1 << 12
+# products gathered before each merge into a block's sorted sums
+_MERGE_ENTRIES = 1 << 12
+
+
+def _starts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``key`` starts."""
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
+def _most(group: np.ndarray, k: np.ndarray, size: int) -> int:
+    """The most distinct values of ``k`` (each below ``size``) that
+    share a value of ``group``."""
+    if not len(k):
+        return 0
+    key = np.sort(group * size + k)
+    key = key[_starts(key)]
+    return int(np.bincount(key // size).max())
+
+
+def _dtype(top: int, width: int, maxrad: int, most: int):
+    """int64 when no sum can reach 2^63, else object (Python ints).
+
+    A product of two expanded rows is a sum of ``width`` terms of at
+    most ``top**2``; it is scaled by ``g <= maxrad``, and at most
+    ``most`` (the most radicands one row carries) scaled products fold
+    into one (i, j, core).  The factor 2 leaves headroom.  Unfolded
+    products are scaled by ``g`` in Python ints, so callers pass
+    ``maxrad = most = 1`` for them.
+    """
+    if top * top * width * maxrad * max(most, 1) * 2 < 1 << 63:
+        return np.int64
+    return object
+
+
+class _Graded:
+    """The rows of a term-tuple matrix as expanded integer rows.
+
+    ``rads`` lists the radicands; expanded row ``e`` is the
+    ``sqrt(rads[e_rad[e]])`` part of row ``e_row[e]`` times
+    ``dens[e_row[e]]``.  Its nonzero entries are ``t_val`` at columns
+    ``t_col``, for the terms with ``t_row == e`` (``t_row`` ascends);
+    as the left factor of a product they are ``t_left``, which differs
+    only when each column carries one radicand (see ``__init__``).
+    Expanded rows are sorted by block of rows, then radicand, then row.
+    The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
+    with ``i <= j`` are numbered in the order of the pair scan.
+    """
+
+    def __init__(self, rows) -> None:
+        self.n = n = len(rows)
+        self.width = width = len(rows[0])
+        self.dens = []
+        rad_ids: dict[int, int] = {}
+        at, rad, cols, vals = [], [], [], []
+        for i, row in enumerate(rows):
+            d = lcm(*[t[2] for e in row for t in e])
+            self.dens.append(d)
+            for c, e in enumerate(row):
+                for r, num, den in e:
+                    at.append(i)
+                    rad.append(rad_ids.setdefault(r, len(rad_ids)))
+                    cols.append(c)
+                    vals.append(num * (d // den))
+        rads = list(rad_ids)
+        t_i, t_k, t_c = (np.array(x, dtype=np.intp) for x in (at, rad, cols))
+        top = max(map(abs, vals), default=0)
+        # the lists cost more than the arrays: drop them early
+        del at, rad, cols
+        most = _most(t_i, t_k, len(rads))
+        weight = None
+        # one radicand per row: the products map one to one onto the
+        # pairs (i, j)
+        self.single = most <= 1
+        if self.single:
+            self.dtype = _dtype(top, width, 1, 1)
+        elif _most(t_c, t_k, len(rads)) <= 1:
+            # one radicand per column: <row_i, row_j> is rational, the
+            # sum over the columns of their radicand times the
+            # coefficients, so rows stay whole and the left factor of
+            # each product carries the radicands
+            self.single = True
+            self.dtype = _dtype(top, width, max(rads), 1)
+            weight = np.array(rads, dtype=self.dtype)[t_k]
+            t_k = np.zeros_like(t_k)
+            rads = [1]
+        else:
+            self.dtype = _dtype(top, width, max(rads), most)
+        self.rads = rads
+        self.block = max(1, _BLOCK_PAIRS // n)
+        key = (t_i // self.block * len(rads) + t_k) * n + t_i
+        by = np.argsort(key, kind="stable")
+        key = key[by]
+        first = _starts(key)
+        self.e_row, self.e_rad = t_i[by][first], t_k[by][first]
+        self.t_row = np.cumsum(first) - 1
+        self.t_col = t_c[by]
+        self.t_val = np.array(vals, dtype=self.dtype)[by]
+        del vals
+        self.t_left = self.t_val if weight is None else (
+            self.t_val * weight[by])
+        if not self.single:
+            self._core_tables()
+
+    def _core_tables(self) -> None:
+        """``cores`` ascending, and for each pair of radicand indices
+        that share a column, the index of its core in ``core_of`` and
+        its gcd in ``g_of``."""
+        meets = np.zeros((len(self.rads), self.width), dtype=np.intp)
+        meets[self.e_rad[self.t_row], self.t_col] = 1
+        by_pair = {}
+        for x, y in zip(*(p.tolist() for p
+                          in np.nonzero(np.triu(meets @ meets.T)))):
+            r, s = self.rads[x], self.rads[y]
+            g = gcd(r, s)
+            by_pair[x, y] = ((r // g) * (s // g), g)
+        self.cores = sorted({core for core, _ in by_pair.values()})
+        index = {core: c for c, core in enumerate(self.cores)}
+        shape = (len(self.rads), len(self.rads))
+        self.core_of = np.zeros(shape, dtype=np.intp)
+        self.g_of = np.zeros(shape, dtype=self.dtype)
+        for (x, y), (core, g) in by_pair.items():
+            self.core_of[x, y] = self.core_of[y, x] = index[core]
+            self.g_of[x, y] = self.g_of[y, x] = g
+
+    def blocks(self):
+        """``(i0, i1, lo, hi)`` per block of rows: rows ``i0 <= i < i1``
+        are the expanded rows ``lo <= e < hi``."""
+        count = -(-self.n // self.block)
+        bounds = np.searchsorted(self.e_row // self.block,
+                                 np.arange(count + 1)).tolist()
+        for b in range(count):
+            yield (b * self.block, min((b + 1) * self.block, self.n),
+                   bounds[b], bounds[b + 1])
+
+    def products(self, i0: int, lo: int, hi: int):
+        """``(a, b, pair, p)`` arrays over the pairs of an expanded row
+        ``a`` in ``[lo, hi)``, the block of rows from ``i0``, and any
+        ``b`` with ``e_row[a] <= e_row[b]`` whose product ``p = <row a,
+        row b>`` is nonzero; ``pair`` is ``e_row[a] * n + e_row[b]``."""
+        n, row = self.n, self.e_row
+        starts = np.searchsorted(self.t_row,
+                                 list(range(lo, hi, _CHUNK)) + [hi])
+        for c0, t0, t1 in zip(range(lo, hi, _CHUNK), starts[:-1],
+                              starts[1:]):
+            c1 = min(c0 + _CHUNK, hi)
+            # the chunk's columns, numbered in order
+            used = np.zeros(self.width, dtype=bool)
+            used[self.t_col[t0:t1]] = True
+            pos = np.cumsum(used) - 1
+            # the expanded rows of this block or later ones with an
+            # entry in those columns
+            hit = used[self.t_col]
+            near = np.zeros(len(row), dtype=bool)
+            near[self.t_row[hit]] = True
+            near &= row >= i0
+            cand = np.flatnonzero(near)
+            hit &= near[self.t_row]
+            left = np.zeros((c1 - c0, pos[-1] + 1), dtype=self.dtype)
+            left[self.t_row[t0:t1] - c0, pos[self.t_col[t0:t1]]] = (
+                self.t_left[t0:t1])
+            right = np.zeros((len(cand), pos[-1] + 1), dtype=self.dtype)
+            right[np.searchsorted(cand, self.t_row[hit]),
+                  pos[self.t_col[hit]]] = self.t_val[hit]
+            prod = left @ right.T
+            keep = prod != 0
+            keep &= row[c0:c1, None] <= row[cand]
+            a, b = np.nonzero(keep)
+            p = prod[a, b]
+            a += c0
+            b = cand[b]
+            yield a, b, row[a] * n + row[b], p
+
+    def fold(self, i0: int, lo: int, hi: int) -> tuple:
+        """``(pair, core, sums)`` for the expanded rows ``[lo, hi)`` of
+        the block of rows from ``i0``: ``sqrt(cores[core[k]])`` has coefficient
+        ``sums[k] / (D[i] D[j])`` in ``<row_i, row_j>``, with ``(i, j)``
+        numbered ``pair[k]``, for every nonzero one, sorted by pair and
+        then core.  For rows with more than one radicand."""
+        ncores = len(self.cores)
+        keys = [np.zeros(0, dtype=np.intp)]
+        sums = [np.zeros(0, dtype=self.dtype)]
+
+        def merge():
+            k, v = np.concatenate(keys), np.concatenate(sums)
+            order = np.argsort(k, kind="stable")
+            k, v = k[order], v[order]
+            starts = np.flatnonzero(_starts(k))
+            if len(starts):
+                v = np.add.reduceat(v, starts)
+                k = k[starts]
+            live = v != 0
+            keys[:] = [k[live]]
+            sums[:] = [v[live]]
+
+        pending = 0
+        for a, b, pair, p in self.products(i0, lo, hi):
+            ra, rb = self.e_rad[a], self.e_rad[b]
+            keys.append(pair * ncores + self.core_of[ra, rb])
+            sums.append(self.g_of[ra, rb] * p)
+            pending += len(p)
+            if pending > _MERGE_ENTRIES:
+                merge()
+                pending = 0
+        merge()
+        pair, core = np.divmod(keys[0], ncores)
+        return pair, core, sums[0]
+
+
+def _small(rows) -> bool:
+    n = len(rows)
+    return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
+
+
+def gram_mismatch(rows, diag: tuple[int, int] | None
+                  ) -> tuple[int, int] | None:
+    """The first ``(i, j)``, 0-based with ``i <= j`` in row-major
+    order, where ``<rows[i], rows[j]>`` differs from ``p/q`` on the
+    diagonal (``diag == (p, q)``, in lowest terms with ``p, q > 0``)
+    and from 0 off it, or None.
+
+    ``diag=None`` compares only the pairs with ``i < j``.
+    """
+    if _small(rows):
+        want = () if diag is None else ((1,) + diag,)
+        for i, row in enumerate(rows):
+            for j in range(i + (diag is None), len(rows)):
+                if dot_terms(row, rows[j]) != (want if i == j else ()):
+                    return i, j
+        return None
+    gr = _Graded(rows)
+    n = gr.n
+    bad = np.zeros(n * n, dtype=bool)
+    for i0, i1, lo, hi in gr.blocks():
+        # self_sums[i] / D[i]^2 is the rational part of <row_i, row_i>
+        self_sums = {}
+        if gr.single:
+            for a, b, pair, p in gr.products(i0, lo, hi):
+                on = a == b
+                bad[pair[~on]] = True
+                for i, k, s in zip(gr.e_row[a[on]].tolist(),
+                                   gr.e_rad[a[on]].tolist(), p[on].tolist()):
+                    self_sums[i] = gr.rads[k] * s
+        else:
+            pair, core, sums = gr.fold(i0, lo, hi)
+            # core index 0 is core 1, from each expanded row times itself
+            i, j = np.divmod(pair, n)
+            on = (i == j) & (core == 0)
+            bad[pair[~on]] = True
+            self_sums = dict(zip(i[on].tolist(), sums[on].tolist()))
+        for i in range(i0, i1):
+            if diag is None:
+                bad[i * n + i] = False
+            elif self_sums.get(i, 0) * diag[1] != diag[0] * gr.dens[i] ** 2:
+                bad[i * n + i] = True
+        k = i0 * n + int(bad[i0 * n:i1 * n].argmax())
+        if bad[k]:
+            return divmod(k, n)
+    return None
+
+
+def gram_terms(rows, num: int, den: int) -> tuple:
+    """The Gram matrix of ``rows`` times ``num/den`` (``num != 0``,
+    ``den > 0``) as rows of canonical term tuples: entry (i, j) is
+    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``."""
+    n = len(rows)
+    out = [[()] * n for _ in range(n)]
+    if _small(rows):
+        for i, row in enumerate(rows):
+            for j in range(i, n):
+                out[i][j] = scale_terms(dot_terms(row, rows[j]), num, den)
+    else:
+        gr = _Graded(rows)
+        dens = gr.dens
+
+        def term(core, i, j, v):
+            t_num, t_den = v * num, dens[i] * dens[j] * den
+            g = gcd(t_num, t_den)
+            return core, t_num // g, t_den // g
+
+        for i0, _, lo, hi in gr.blocks():
+            if gr.single:
+                for a, b, _, p in gr.products(i0, lo, hi):
+                    for i, j, x, y, v in zip(
+                            gr.e_row[a].tolist(), gr.e_row[b].tolist(),
+                            gr.e_rad[a].tolist(), gr.e_rad[b].tolist(),
+                            p.tolist()):
+                        r, s = gr.rads[x], gr.rads[y]
+                        g = gcd(r, s)
+                        out[i][j] = (term((r // g) * (s // g), i, j, g * v),)
+            else:
+                pair, core, sums = gr.fold(i0, lo, hi)
+                for k, group in groupby(zip(pair.tolist(), core.tolist(),
+                                            sums.tolist()),
+                                        key=itemgetter(0)):
+                    i, j = divmod(k, n)
+                    out[i][j] = tuple(term(gr.cores[c], i, j, v)
+                                      for _, c, v in group)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[j][i] = out[i][j]
+    return tuple(map(tuple, out))

@@ -20,11 +20,16 @@ from typing import Sequence
 
 from exactframes import errata as errata_mod
 from exactframes import hyperplane, io, paving, two_tight, unitary, verify
-from exactframes.errors import ExactFramesError, ParseError
+from exactframes.errors import ExactFramesError, ResourceLimitError
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import parse_scalar
 
 OK, FAILED, USAGE, BREACH = 0, 1, 2, 3
+
+# Largest --n of the sized families.  two-constant-diag, the costliest,
+# takes about 20 s and 530 MiB to construct, re-check and write at
+# n = 1024 (Python 3.11, 2-CPU Xeon), and time grows about as n^2.
+MAX_DIMENSION = 1024
 
 
 def _rational(text: str) -> Fraction:
@@ -123,21 +128,26 @@ def _need(args: argparse.Namespace, parser_error, *names: str) -> list:
     return [getattr(args, n) for n in names]
 
 
+_SIZED = ("hyperplane", "constant-first-row", "constant-two-rows",
+          "two-constant-diag")
+
+
 def _construct(args: argparse.Namespace, fail_usage) -> tuple:
     """Build the requested family member; returns (matrix, checker)."""
     fam = args.family
-    if fam == "hyperplane":
+    if fam in _SIZED:
         (n,) = _need(args, fail_usage, "n")
+        if n > MAX_DIMENSION:
+            raise ResourceLimitError(
+                f"--n {n} is beyond the dimension cap of {MAX_DIMENSION}")
+    if fam == "hyperplane":
         basis = hyperplane.build(n)
         return basis.matrix, verify.check_hyperplane_basis
     if fam == "constant-first-row":
-        (n,) = _need(args, fail_usage, "n")
         return unitary.constant_first_row(n), verify.check_unitary
     if fam == "constant-two-rows":
-        (n,) = _need(args, fail_usage, "n")
         return unitary.constant_two_rows(n), verify.check_unitary
     if fam == "two-constant-diag":
-        (n,) = _need(args, fail_usage, "n")
         return unitary.two_constant_diag(n), verify.check_unitary
     if fam == "third-case":
         return unitary.third_case(), verify.check_unitary

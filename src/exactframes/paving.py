@@ -9,9 +9,9 @@ compressions to the blocks, where ``|| . ||`` is the spectral norm.
 
 Partition search is combinatorial: exhaustive enumeration is capped at
 24 indices (2^23 partitions); beyond that a seeded random sample must
-be requested explicitly.  Spectral norms are floating point (symmetric
-eigenvalues via LAPACK); everything up to the Gram projection itself is
-exact.
+be requested explicitly, of at most as many partitions.  Spectral norms
+are floating point (symmetric eigenvalues via LAPACK); everything up to
+the Gram projection itself is exact.
 
 The search is batched.  Partitions are taken a chunk at a time as a
 boolean membership array; the blocks of one size across the chunk are
@@ -38,6 +38,8 @@ from exactframes.radicals import ZERO
 from exactframes.verify import check_tight_frame
 
 EXHAUSTIVE_LIMIT = 24
+# the most partitions one search examines, sampled or exhaustive
+SAMPLE_LIMIT = 1 << (EXHAUSTIVE_LIMIT - 1)
 
 
 def gram_projection(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
@@ -64,19 +66,15 @@ def scaled_gram(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
     """The exact ``A A^T / k``, with no tightness check.
 
     For callers that have certified ``a`` as a k-tight frame already;
-    :func:`gram_projection` checks first.  Each entry on or above the
-    diagonal is computed once and mirrored below it.
+    :func:`gram_projection` checks first.  The entries come from the
+    graded Gram (:func:`exactframes._kernel.gram_terms`): integer
+    matrix products of the rows' coefficients per radicand, folded onto
+    cores by the gcd rule, with no float; each entry on or above the
+    diagonal is built once and mirrored below it.
     """
     inv = 1 / Fraction(k)
-    data = a._data
-    n = a.rows
-    out = [[()] * n for _ in range(n)]
-    for i, row in enumerate(data):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = _kernel.scale_terms(
-                _kernel.dot_terms(row, data[j]),
-                inv.numerator, inv.denominator)
-    return ExactMatrix._raw(n, n, tuple(map(tuple, out)))
+    return ExactMatrix._raw(a.rows, a.rows, _kernel.gram_terms(
+        a._data, inv.numerator, inv.denominator))
 
 
 def weight_profile(a: ExactMatrix) -> tuple[Fraction, ...]:
@@ -162,10 +160,10 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
 
     Enumerates every unordered partition (fixing index 0 in the first
     block, including the trivial one) when the size is at most
-    EXHAUSTIVE_LIMIT; otherwise ``sample`` random partitions must be
-    requested (seeded, reproducible).  Ties on the value are broken
-    toward the lexicographically smallest first block, making the
-    result deterministic.
+    EXHAUSTIVE_LIMIT; otherwise ``sample`` random partitions, at most
+    SAMPLE_LIMIT, must be requested (seeded, reproducible).  Ties on
+    the value are broken toward the lexicographically smallest first
+    block, making the result deterministic.
     """
     if not g.is_square:
         raise DimensionError(f"paving needs a square matrix, got {g.shape}")
@@ -179,6 +177,11 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
             "search a seeded random subset")
     if sample is not None and sample < 1:
         raise DomainError(f"sample must be >= 1, got {sample}")
+    if sample is not None and sample > SAMPLE_LIMIT:
+        raise ResourceLimitError(
+            f"sample of {sample} partitions is beyond the cap of "
+            f"2^{EXHAUSTIVE_LIMIT - 1} = {SAMPLE_LIMIT}, the exhaustive "
+            "search's own budget")
     base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
     if not np.isfinite(base).all():
         raise DomainError("an entry of 2G - I overflows a float64")

@@ -30,9 +30,14 @@ from fractions import Fraction
 from typing import Union
 
 from exactframes import _kernel
-from exactframes.errors import DomainError, ParseError
+from exactframes.errors import DomainError, ParseError, ResourceLimitError
 
 RationalLike = Union[int, Fraction]
+
+# Largest radicand, in bits, that the readers accept.  Radicands are
+# factored by trial division, up to the square root: a 40-bit prime
+# takes about 0.1 s, a 44-bit one 0.4 s and 2^61 - 1 over 15 s.
+MAX_RADICAND_BITS = 40
 
 _DEC_PRECISION = 40
 _DEC_SQRT: dict[int, Decimal] = {}
@@ -253,10 +258,16 @@ def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
     factored at most once per memo ``splits``.
 
     Readers own one memo per call, so a radicand that repeats across
-    the cells of one input is factored once.
+    the cells of one input is factored once.  A radicand of more than
+    MAX_RADICAND_BITS bits raises ResourceLimitError before any
+    factoring.
     """
     split = splits.get(rad)
     if split is None:
+        if rad.bit_length() > MAX_RADICAND_BITS:
+            raise ResourceLimitError(
+                f"radicand {rad} has {rad.bit_length()} bits, beyond the "
+                f"cap of {MAX_RADICAND_BITS} bits")
         split = splits[rad] = _kernel.squarefree_split(rad)
     return split
 

@@ -9,6 +9,14 @@ rendered as text.
 No check uses floating point.  The hyperplane-basis check needs
 rational squared row norms and raises DomainError otherwise; every
 other check is exact regardless of the entries.
+
+The unitary, tight-frame and orthogonal-columns checks compare a Gram
+matrix with a scaled identity.  The graded Gram
+(:mod:`exactframes._kernel.graded`) finds the first mismatching pair in
+the row-major (1,1), (1,2), ... order with integer matrix products per
+radicand, in int64 only under a bound proven from the input and in
+Python ints otherwise; the term kernel then computes that one pair's
+residual, so witnesses are those of a pair-by-pair scan.
 """
 
 from __future__ import annotations
@@ -82,21 +90,24 @@ def _residual_text(terms: tuple) -> str:
     return str(RadicalScalar._raw(terms))
 
 
-def _gram_witness(data, kind: str, expected_diag: tuple
+def _gram_witness(data, kind: str, expected_diag: tuple | None
                   ) -> Witness | None:
-    """Scan the Gram matrix of ``data`` rows against a scaled identity.
+    """Compare the Gram matrix of ``data`` rows with a scaled identity.
 
-    Returns the first mismatch in (1,1), (1,2), ... order, or None.
+    Returns the first mismatch in (1,1), (1,2), ... order, or None;
+    ``expected_diag`` is a positive rational term tuple, or None to
+    compare only the pairs off the diagonal.  The graded Gram finds the
+    position and the term kernel computes its residual.
     """
-    n = len(data)
-    for i in range(n):
-        for j in range(i, n):
-            got = _kernel.dot_terms(data[i], data[j])
-            want = expected_diag if i == j else ()
-            if got != want:
-                diff = _kernel.add_terms(got, _kernel.neg_terms(want))
-                return Witness(kind, i + 1, j + 1, _residual_text(diff))
-    return None
+    diag = None if expected_diag is None else expected_diag[0][1:]
+    hit = _kernel.gram_mismatch(data, diag)
+    if hit is None:
+        return None
+    i, j = hit
+    got = _kernel.dot_terms(data[i], data[j])
+    want = expected_diag if i == j else ()
+    diff = _kernel.add_terms(got, _kernel.neg_terms(want))
+    return Witness(kind, i + 1, j + 1, _residual_text(diff))
 
 
 def check_unitary(a: ExactMatrix) -> VerifyReport:
@@ -115,18 +126,8 @@ def check_unitary(a: ExactMatrix) -> VerifyReport:
 
 def check_orthogonal_columns(a: ExactMatrix) -> VerifyReport:
     """Certify that all column pairs are exactly orthogonal."""
-    cols = a.transpose()._data
-    n = len(cols)
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = _kernel.dot_terms(cols[i], cols[j])
-            if got:
-                witness = Witness("column_inner_product", i + 1, j + 1,
-                                  _residual_text(got))
-                break
-        if witness is not None:
-            break
+    witness = _gram_witness(a.transpose()._data, "column_inner_product",
+                            None)
     return VerifyReport(witness is None,
                         MatrixProperty.ORTHOGONAL_COLUMNS, witness)
 

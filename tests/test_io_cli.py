@@ -1,23 +1,28 @@
 """Tests for matrix serialization and the command line interface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from exactframes import _kernel, paving, verify
 from exactframes._kernel import pycore
+from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
 from exactframes.errors import ParseError
 from exactframes.hyperplane import build
 from exactframes.io import FORMATS, deserialize, serialize
 from exactframes.matrices import ExactMatrix, from_fraction_rows
 from exactframes.paving import gram_projection
-from exactframes.radicals import sqrt_rational
+from exactframes.radicals import MAX_RADICAND_BITS, sqrt_rational
 from exactframes.two_tight import ap_two_tight
+from exactframes.two_tight import (abcd_outline, iterate_two_tight,
+                                   make_two_row_table, weight_in_front)
 from exactframes.unitary import (BlockForm, WeaveCoefficients, block_pair,
-                                 constant_first_row, mub_r4,
-                                 two_constant_diag, weave)
+                                 constant_first_row, constant_two_rows,
+                                 mub_r4, third_case, two_constant_diag,
+                                 weave)
 
 
 def sq(p, q=1):
@@ -31,6 +36,22 @@ ROUND_TRIP_MATRICES = [
     ap_two_tight(1, 2),
     build(7).matrix,
     ExactMatrix([[1 + sq(2) - sq(3, 4), 0], [Fraction(-7, 3), sq(50)]]),
+    # a member of every construct family, within the radicand cap
+    constant_first_row(128),
+    constant_two_rows(128),
+    two_constant_diag(32),
+    build(64).matrix.normalize_rows(),
+    third_case(),
+    *mub_r4(),
+    block_pair(two_constant_diag(4), two_constant_diag(4),
+               Fraction(3, 5), Fraction(4, 5), BlockForm.BALANCED),
+    weight_in_front(make_two_row_table(range(1, 33), 33)),
+    weight_in_front(abcd_outline(1, 2, 3, 4)),
+    iterate_two_tight(ap_two_tight(1, 2), ap_two_tight(3, 4)),
+    weave(WeaveCoefficients(from_fraction_rows(
+        [[Fraction(3, 5), Fraction(4, 5)],
+         [Fraction(-4, 5), Fraction(3, 5)]])),
+        [two_constant_diag(3), constant_first_row(3)]),
 ]
 
 
@@ -40,6 +61,20 @@ def test_exact_json_round_trips_byte_identically(matrix):
     again = deserialize(text)
     assert again == matrix
     assert serialize(again, "exact-json") == text
+
+
+def test_exact_json_bytes_match_json_dumps():
+    # the writer builds the text directly; json.dumps of the document
+    # is the reference, with big and negative coefficients
+    big = 10 ** 30 + 7
+    matrices = ROUND_TRIP_MATRICES + [ExactMatrix(
+        [[Fraction(-big, 3) + sq(6) * big, 0], [sq(2, 5), -1]])]
+    for m in matrices:
+        doc = {"rows": m.rows, "cols": m.cols, "entries": [
+            [[{"num": n, "den": d, "rad": r} for r, n, d in entry]
+             for entry in row] for row in m._data]}
+        assert serialize(m, "exact-json") == json.dumps(
+            doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("matrix", ROUND_TRIP_MATRICES)
@@ -470,6 +505,48 @@ def test_cli_pave_checks_tightness_once(tmp_path, capsys, monkeypatch):
     assert calls == [(8, 4)]
     assert json.loads(capsys.readouterr().out)["best_partition"] == [
         [0, 3, 5, 6], [1, 2, 4, 7]]
+
+
+def test_cli_pave_rejects_samples_past_the_cap(tmp_path, capsys):
+    f = write(tmp_path / "ap.json", serialize(ap_two_tight(1, 2)))
+    rc = cli_main(["pave", f, "--sample", "100000000000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of 2^{paving.EXHAUSTIVE_LIMIT - 1}" in captured.err
+
+
+@pytest.mark.parametrize("family", ("hyperplane", "constant-first-row",
+                                    "constant-two-rows", "two-constant-diag"))
+def test_cli_construct_rejects_dimensions_past_the_cap(family, capsys):
+    n = MAX_DIMENSION + (2 if family == "constant-two-rows" else 1)
+    start = time.perf_counter()
+    rc = cli_main(["construct", family, "--n", str(n)])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dimension cap of {MAX_DIMENSION}" in captured.err
+
+
+@pytest.mark.parametrize("text", (
+    "1,0\n0,sqrt(2305843009213693951)\n",
+    '{"rows":1,"cols":1,"entries":[[[{"den":1,"num":1,'
+    '"rad":2305843009213693951}]]]}',
+))
+def test_cli_rejects_radicands_past_the_bit_cap(tmp_path, capsys, text):
+    # 2^61 - 1 is prime: trial division would take minutes
+    f = write(tmp_path / ("m.csv" if text[0] == "1" else "m.json"), text)
+    start = time.perf_counter()
+    rc = cli_main(["sparsity", f])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of {MAX_RADICAND_BITS} bits" in captured.err
+    # the largest accepted radicand, a 40-bit prime, is still read
+    f = write(tmp_path / "ok.csv", "sqrt(1099511627689)\n")
+    assert cli_main(["sparsity", f]) == 0
 
 
 def test_cli_errata(capsys):

@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exactframes._kernel import dot_terms, graded, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix, from_fraction_rows
-from exactframes.paving import (EXHAUSTIVE_LIMIT, PavingResult,
+from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT, PavingResult,
                                 gram_projection, paving_epsilon,
                                 scaled_gram, weight_profile)
-from exactframes.radicals import RadicalScalar, sqrt_rational
+from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight, make_two_row_table, \
     weight_in_front
 from exactframes.unitary import constant_first_row
@@ -56,6 +57,58 @@ def test_scaled_gram_matches_the_full_product(frame, k):
     assert scaled_gram(frame, k) == full
     if k > 0:
         assert gram_projection(frame, k) == full
+
+
+def _reference_scaled_gram(a, k):
+    """``A A^T / k`` one dot product per entry on or above the
+    diagonal: the oracle for the graded Gram."""
+    inv = 1 / Fraction(k)
+    out = [[()] * a.rows for _ in range(a.rows)]
+    for i, row in enumerate(a._data):
+        for j in range(i, a.rows):
+            out[i][j] = out[j][i] = scale_terms(
+                dot_terms(row, a._data[j]), inv.numerator, inv.denominator)
+    return ExactMatrix._raw(a.rows, a.rows, tuple(map(tuple, out)))
+
+
+# squarefree radicands with shared primes: several pairs of radicands
+# fold onto each core
+_POOL = (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 42)
+
+
+def _random_frame(rng, top):
+    def scalar():
+        value = RadicalScalar(0)
+        for _ in range(rng.randint(1, 3)):
+            num = rng.choice((-1, 1)) * rng.randint(1, top)
+            value = value + make(Fraction(num, rng.randint(1, 6)),
+                                 rng.choice(_POOL))
+        return value
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    return ExactMatrix([[scalar() if rng.random() < 0.7 else 0
+                         for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scaled_gram_matches_reference_on_random_matrices(seed, gram_path):
+    rng = random.Random(seed)
+    for _ in range(10):
+        a = _random_frame(rng, rng.choice((5, 10 ** 30)))
+        k = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(1, 9))
+        assert scaled_gram(a, k) == _reference_scaled_gram(a, k)
+
+
+@pytest.mark.parametrize("frame", [
+    weight_in_front(make_two_row_table(range(1, 9), 9)),
+    weight_in_front(make_two_row_table((7, 5, 3, 1) * 2, 8)).scale(10 ** 12),
+    constant_first_row(24),
+], ids=["wif_32x16", "wif_32x16_big", "cfr_24"])
+def test_scaled_gram_matches_reference_on_frames(frame):
+    # the graded path, not the pair scan used below its size cut
+    assert not graded._small(frame._data)
+    for k in (2, Fraction(-3, 7)):
+        assert scaled_gram(frame, k) == _reference_scaled_gram(frame, k)
 
 
 def test_weight_profile_exact_column_sums():
@@ -178,6 +231,16 @@ def test_paving_rejects_entries_beyond_float_range():
     g = from_fraction_rows([[10 ** 400, 0], [0, 1]])
     with pytest.raises(DomainError, match="overflows a float64"):
         paving_epsilon(g)
+
+
+def test_paving_rejects_samples_past_the_exhaustive_budget():
+    g = gram_projection(ap_two_tight(1, 2), 2)
+    assert SAMPLE_LIMIT == 2 ** (EXHAUSTIVE_LIMIT - 1)
+    assert paving_epsilon(g, sample=3).partitions_examined == 3
+    with pytest.raises(ResourceLimitError, match=str(SAMPLE_LIMIT)):
+        paving_epsilon(g, sample=SAMPLE_LIMIT + 1)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        paving_epsilon(g, sample=100_000_000_000)
 
 
 def test_paving_rejects_bad_sample_counts():

@@ -8,10 +8,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from exactframes._kernel import (add_terms, dot_terms, graded, make_terms,
+                                 neg_terms)
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
-from exactframes.matrices import ExactMatrix, from_fraction_rows
-from exactframes.radicals import make, sqrt_rational
+from exactframes.matrices import (ExactMatrix, block_diag, from_fraction_rows,
+                                  vstack)
+from exactframes.radicals import RadicalScalar, make, sqrt_rational
+from exactframes.two_tight import ap_two_tight
+from exactframes.unitary import constant_first_row, two_constant_diag
 from exactframes.verify import (MatrixProperty, check_equal_norm_rows,
                                 check_hyperplane_basis,
                                 check_orthogonal_columns, check_tight_frame,
@@ -313,3 +318,229 @@ def test_report_json_shapes():
     assert not d["passed"]
     assert d["witness"] == {"kind": "row_inner_product", "i": 1, "j": 1,
                             "residual": "1"}
+
+
+# ---------------------------------------------------------------------------
+# the graded Gram against the pair-by-pair scan it replaced
+
+# squarefree radicands with shared prime factors, so that different
+# pairs of radicands fold onto one core (sqrt(2)*sqrt(15) and
+# sqrt(6)*sqrt(5) both give sqrt(30))
+POOL = (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 42)
+_ONE = make_terms(1, 1, 1)
+
+
+def _scan_witness(rows, kind, diag):
+    """The first mismatch of the Gram of ``rows`` against ``diag * I``
+    (only off the diagonal when ``diag`` is None), scanned pair by
+    pair: the oracle."""
+    for i in range(len(rows)):
+        for j in range(i + (diag is None), len(rows)):
+            got = dot_terms(rows[i], rows[j])
+            want = diag if i == j else ()
+            if got != want:
+                diff = add_terms(got, neg_terms(want))
+                return {"kind": kind, "i": i + 1, "j": j + 1,
+                        "residual": str(RadicalScalar._raw(diff))}
+    return None
+
+
+def reference_report(a, check):
+    """``check_<check>(a).to_json_dict()`` as the scan computes it."""
+    if check == "unitary":
+        w = _scan_witness(a._data, "row_inner_product", _ONE)
+        out = {"passed": w is None, "property": "unitary"}
+    elif check == "orthogonal_columns":
+        w = _scan_witness(a.transpose()._data, "column_inner_product",
+                          None)
+        out = {"passed": w is None, "property": "orthogonal_columns"}
+    else:
+        cols = a.transpose()._data
+        k = dot_terms(cols[0], cols[0])
+        if len(k) != 1 or k[0][0] != 1 or k[0][1] <= 0:
+            return {"passed": False, "property": "tight_frame",
+                    "witness": {"kind": "column_norm_squared", "i": 1,
+                                "j": 1,
+                                "residual": str(RadicalScalar._raw(k))}}
+        w = _scan_witness(cols, "column_inner_product", k)
+        out = {"passed": w is None, "property": "tight_frame",
+               "k": str(Fraction(k[0][1], k[0][2]))}
+        if w is None:
+            out["unit_rows"] = all(dot_terms(r, r) == _ONE for r in a._data)
+    if w is not None:
+        out["witness"] = w
+    return out
+
+
+CHECKS = {"unitary": check_unitary, "tight_frame": check_tight_frame,
+          "orthogonal_columns": check_orthogonal_columns}
+
+
+def assert_matches_scan(a):
+    for name, check in CHECKS.items():
+        if name == "unitary" and not a.is_square:
+            continue
+        if name == "tight_frame" and a.rows < a.cols:
+            continue
+        assert check(a).to_json_dict() == reference_report(a, name), name
+
+
+def random_scalar(rng, big=False):
+    top = 10 ** 30 if big else 5
+    value = RadicalScalar(0)
+    for _ in range(rng.randint(1, 3)):
+        num = rng.choice((-1, 1)) * rng.randint(1, top)
+        value = value + make(Fraction(num, rng.randint(1, 6)),
+                             rng.choice(POOL))
+    return value
+
+
+def random_matrix(rng, big=False):
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    return ExactMatrix([[random_scalar(rng, big) if rng.random() < 0.7
+                         else 0 for _ in range(cols)] for _ in range(rows)])
+
+
+def kron(a, b):
+    return ExactMatrix([[a.entry(i, j) * b.entry(k, m)
+                         for j in range(a.cols) for m in range(b.cols)]
+                        for i in range(a.rows) for k in range(b.rows)])
+
+
+def rotation(c, s):
+    return ExactMatrix([[c, s], [-s, c]])
+
+
+# exact (cos, sin) pairs; the last has coefficients near 10^30
+# (Euclid's formula with m = 10^15 + 3, n = 10^15)
+_M, _N = 10 ** 15 + 3, 10 ** 15
+UNIT_PAIRS = [
+    (make(Fraction(1, 2), 3), RadicalScalar(Fraction(1, 2))),
+    (make(Fraction(1, 2), 2), make(Fraction(1, 2), 2)),
+    (make(Fraction(1, 4), 6) + make(Fraction(1, 4), 2),
+     make(Fraction(1, 4), 6) - make(Fraction(1, 4), 2)),
+    (RadicalScalar(Fraction(3, 5)), RadicalScalar(Fraction(4, 5))),
+    (RadicalScalar(Fraction(_M * _M - _N * _N, _M * _M + _N * _N)),
+     RadicalScalar(Fraction(2 * _M * _N, _M * _M + _N * _N))),
+]
+
+
+def signed_permutation(a, rng):
+    rows = list(range(a.rows))
+    cols = list(range(a.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    signs = [rng.choice((-1, 1)) for _ in cols]
+    return ExactMatrix([[a.entry(i, j) * s for j, s in zip(cols, signs)]
+                        for i in rows])
+
+
+def random_unitary(rng, pairs=UNIT_PAIRS):
+    """A signed permutation of a block diagonal of Kronecker products
+    of exact rotations, with a constant-first-row block: entries carry
+    up to four radicands, and up to 12 rows."""
+    u = rotation(*rng.choice(pairs))
+    for _ in range(rng.randint(0, 2)):
+        u = kron(u, rotation(*rng.choice(pairs)))
+    blocks = [u]
+    if u.rows < 8 and rng.random() < 0.7:
+        blocks.append(constant_first_row(rng.randint(2, 12 - u.rows)))
+    return signed_permutation(block_diag(blocks), rng)
+
+
+def with_doubled_entry(a, i, j):
+    return ExactMatrix([[a.entry(r, c) * (2 if (r, c) == (i, j) else 1)
+                         for c in range(a.cols)] for r in range(a.rows)])
+
+
+def defects(a, rng):
+    """``a``, copies with one entry doubled (in the first row, the last
+    row and anywhere), and a copy with its last row doubled, which on
+    an orthonormal basis only the last diagonal entry reveals."""
+    yield a
+    for r in (0, a.rows - 1, rng.randrange(a.rows)):
+        nonzero = [c for c in range(a.cols) if a.entry(r, c)]
+        if nonzero:
+            yield with_doubled_entry(a, r, rng.choice(nonzero))
+    yield ExactMatrix([a.row(i) for i in range(a.rows - 1)]
+                      + [[2 * x for x in a.row(a.rows - 1)]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graded_gram_matches_scan_on_random_matrices(seed, gram_path):
+    rng = random.Random(seed)
+    for _ in range(12):
+        assert_matches_scan(random_matrix(rng, big=rng.random() < 0.3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graded_gram_matches_scan_on_unitaries_and_frames(seed, gram_path):
+    rng = random.Random(100 + seed)
+    for _ in range(3):
+        u = random_unitary(rng)
+        # orthogonal columns of different squared norms
+        scaled = ExactMatrix([[u.entry(i, j) * (j + 1) for j in range(u.cols)]
+                              for i in range(u.rows)])
+        # two orthonormal bases stacked: a 2-tight frame
+        frame = vstack(u, signed_permutation(u, rng))
+        for base in (u, scaled, frame):
+            for a in defects(base, rng):
+                assert_matches_scan(a)
+
+
+@pytest.mark.parametrize("pair", (3, 2), ids=("one_radicand", "folded"))
+def test_graded_gram_matches_scan_across_blocks(pair):
+    # 70 rows are taken in blocks of 58, so a defect in the last 12 rows
+    # is found after the first block passes
+    rng = random.Random(11 + pair)
+    a = block_diag([
+        signed_permutation(constant_first_row(58), rng),
+        kron(rotation(*UNIT_PAIRS[pair]),
+             signed_permutation(constant_first_row(6), rng))])
+    assert graded._Graded(a._data).block == 58
+    c = next(c for c in range(58, 70) if a.entry(64, c))
+    last = list(defects(a, rng))[-1]
+    for b in (a, with_doubled_entry(a, 64, c), last):
+        assert_matches_scan(b)
+
+
+def test_graded_gram_matches_scan_on_family_frames(gram_path):
+    rng = random.Random(7)
+    for frame in (ap_two_tight(3, 4), ap_two_tight(Fraction(1, 3), 2),
+                  kron(ap_two_tight(1, 2), ExactMatrix.identity(2)),
+                  two_constant_diag(9)):
+        for a in defects(signed_permutation(frame, rng), rng):
+            assert_matches_scan(a)
+
+
+def test_graded_gram_folds_cancelling_pairs_of_radicands(gram_path):
+    # sqrt(2)*sqrt(15) - sqrt(6)*sqrt(5) + sqrt(3)*sqrt(10) - 1*sqrt(30)
+    # is 0: four pairs of radicands fold onto core 30 and cancel
+    u = [make(1, 2), make(1, 6), make(1, 3), make(1, 1)] * 3
+    v = [make(1, 15), make(-1, 5), make(1, 10), make(-1, 30)] * 3
+    zero = [0] * 12
+    m = ExactMatrix([zero, u, zero, v] + [zero] * 8).transpose()
+    assert not graded._Graded(m.transpose()._data).single
+    assert check_orthogonal_columns(m).passed
+    v[-1] = make(1, 30)
+    m = ExactMatrix([zero, u, zero, v] + [zero] * 8).transpose()
+    assert check_orthogonal_columns(m).witness.to_json_dict() == {
+        "kind": "column_inner_product", "i": 2, "j": 4,
+        "residual": "2*sqrt(30)"}
+    assert_matches_scan(m)
+
+
+@pytest.mark.parametrize("over", (False, True))
+def test_graded_gram_object_path_past_the_int64_bound(over, gram_path):
+    """x times a 12 x 12 signed permutation: its columns' Gram is x^2 I,
+    and x is the first value (or the last one before it) whose bound
+    x^2 * 12 columns * 2 reaches 2^63."""
+    x = math.isqrt((2 ** 63 - 1) // 24) + over
+    rng = random.Random(3)
+    a = signed_permutation(ExactMatrix.identity(12).scale(x), rng)
+    cols = a.transpose()._data
+    assert graded._Graded(cols).dtype is (object if over else graded.np.int64)
+    for b in defects(a, rng):
+        report = check_tight_frame(b)
+        assert report.to_json_dict() == reference_report(b, "tight_frame")
+    assert check_tight_frame(a).k_value == x * x
