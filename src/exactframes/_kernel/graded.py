@@ -19,9 +19,16 @@ time: each chunk only against the expanded rows whose columns meet its
 own, over those columns, so the mostly-zero expanded matrix is never
 multiplied whole.  The nonzero products of a block are summed per
 (core, i, j) by sorting, so memory follows one block's entries of the
-Gram, and a check stops after the first block with a mismatch.  When
-every row, or every column, carries at most one radicand, the pairs
-(i, j) and the products map one to one and nothing is summed.
+Gram.  When every row, or every column, carries at most one radicand,
+the pairs (i, j) and the products map one to one and nothing is summed.
+
+Both functions read one stream, :meth:`_Graded.blocks`: for each block
+of rows, every nonzero entry (i, j) with ``i <= j`` of the Gram times a
+rational, as a canonical term tuple, the same tuple the pair scan
+gives.  :func:`gram_terms` writes the entries and their
+mirror images; :func:`gram_mismatch` compares a block's entries, a
+missing diagonal entry counting as 0, and stops after the first block
+with a mismatch, returning the entry itself.
 
 There is no float anywhere.  Arrays are int64 only when a bound proven
 from the inputs keeps every sum below 2^63 (see :func:`_dtype`);
@@ -181,22 +188,52 @@ class _Graded:
             self.core_of[x, y] = self.core_of[y, x] = index[core]
             self.g_of[x, y] = self.g_of[y, x] = g
 
-    def blocks(self):
-        """``(i0, i1, lo, hi)`` per block of rows: rows ``i0 <= i < i1``
-        are the expanded rows ``lo <= e < hi``."""
+    def blocks(self, num: int, den: int):
+        """``(i0, i1, entries)`` per block of rows ``i0 <= i < i1``:
+        ``entries`` yields ``(i, j, terms)`` for every nonzero entry of
+        the Gram matrix times ``num/den`` with ``i`` in the block and
+        ``i <= j``, ``terms`` a canonical term tuple."""
         count = -(-self.n // self.block)
         bounds = np.searchsorted(self.e_row // self.block,
                                  np.arange(count + 1)).tolist()
         for b in range(count):
-            yield (b * self.block, min((b + 1) * self.block, self.n),
-                   bounds[b], bounds[b + 1])
+            i0 = b * self.block
+            yield (i0, min(i0 + self.block, self.n),
+                   self._entries(i0, bounds[b], bounds[b + 1], num, den))
+
+    def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
+        """The entries of the block of rows from ``i0``, which are the
+        expanded rows ``lo <= e < hi`` (see :meth:`blocks`)."""
+        dens, rads = self.dens, self.rads
+
+        def term(core, i, j, v):
+            t_num, t_den = v * num, dens[i] * dens[j] * den
+            g = gcd(t_num, t_den)
+            return core, t_num // g, t_den // g
+
+        if self.single:
+            for a, b, p in self.products(i0, lo, hi):
+                for i, j, x, y, v in zip(
+                        self.e_row[a].tolist(), self.e_row[b].tolist(),
+                        self.e_rad[a].tolist(), self.e_rad[b].tolist(),
+                        p.tolist()):
+                    r, s = rads[x], rads[y]
+                    g = gcd(r, s)
+                    yield i, j, (term((r // g) * (s // g), i, j, g * v),)
+        else:
+            pair, core, sums = self.fold(i0, lo, hi)
+            for k, group in groupby(zip(pair.tolist(), core.tolist(),
+                                        sums.tolist()), key=itemgetter(0)):
+                i, j = divmod(k, self.n)
+                yield i, j, tuple(term(self.cores[c], i, j, v)
+                                  for _, c, v in group)
 
     def products(self, i0: int, lo: int, hi: int):
-        """``(a, b, pair, p)`` arrays over the pairs of an expanded row
-        ``a`` in ``[lo, hi)``, the block of rows from ``i0``, and any
-        ``b`` with ``e_row[a] <= e_row[b]`` whose product ``p = <row a,
-        row b>`` is nonzero; ``pair`` is ``e_row[a] * n + e_row[b]``."""
-        n, row = self.n, self.e_row
+        """``(a, b, p)`` arrays over the pairs of an expanded row ``a``
+        in ``[lo, hi)``, the block of rows from ``i0``, and any ``b``
+        with ``e_row[a] <= e_row[b]`` whose product ``p = <row a, row
+        b>`` is nonzero."""
+        row = self.e_row
         starts = np.searchsorted(self.t_row,
                                  list(range(lo, hi, _CHUNK)) + [hi])
         for c0, t0, t1 in zip(range(lo, hi, _CHUNK), starts[:-1],
@@ -224,10 +261,7 @@ class _Graded:
             keep = prod != 0
             keep &= row[c0:c1, None] <= row[cand]
             a, b = np.nonzero(keep)
-            p = prod[a, b]
-            a += c0
-            b = cand[b]
-            yield a, b, row[a] * n + row[b], p
+            yield a + c0, cand[b], prod[a, b]
 
     def fold(self, i0: int, lo: int, hi: int) -> tuple:
         """``(pair, core, sums)`` for the expanded rows ``[lo, hi)`` of
@@ -252,8 +286,9 @@ class _Graded:
             sums[:] = [v[live]]
 
         pending = 0
-        for a, b, pair, p in self.products(i0, lo, hi):
+        for a, b, p in self.products(i0, lo, hi):
             ra, rb = self.e_rad[a], self.e_rad[b]
+            pair = self.e_row[a] * self.n + self.e_row[b]
             keys.append(pair * ncores + self.core_of[ra, rb])
             sums.append(self.g_of[ra, rb] * p)
             pending += len(p)
@@ -271,49 +306,33 @@ def _small(rows) -> bool:
 
 
 def gram_mismatch(rows, diag: tuple[int, int] | None
-                  ) -> tuple[int, int] | None:
-    """The first ``(i, j)``, 0-based with ``i <= j`` in row-major
-    order, where ``<rows[i], rows[j]>`` differs from ``p/q`` on the
-    diagonal (``diag == (p, q)``, in lowest terms with ``p, q > 0``)
-    and from 0 off it, or None.
+                  ) -> tuple[int, int, tuple] | None:
+    """The first ``(i, j, entry)``, 0-based with ``i <= j`` in
+    row-major order, where ``entry = <rows[i], rows[j]>`` (a canonical
+    term tuple) differs from ``p/q`` on the diagonal (``diag == (p,
+    q)``, in lowest terms with ``p, q > 0``) and from 0 off it, or None.
 
     ``diag=None`` compares only the pairs with ``i < j``.
     """
+    want = () if diag is None else ((1,) + diag,)
     if _small(rows):
-        want = () if diag is None else ((1,) + diag,)
         for i, row in enumerate(rows):
             for j in range(i + (diag is None), len(rows)):
-                if dot_terms(row, rows[j]) != (want if i == j else ()):
-                    return i, j
+                got = dot_terms(row, rows[j])
+                if got != (want if i == j else ()):
+                    return i, j, got
         return None
-    gr = _Graded(rows)
-    n = gr.n
-    bad = np.zeros(n * n, dtype=bool)
-    for i0, i1, lo, hi in gr.blocks():
-        # self_sums[i] / D[i]^2 is the rational part of <row_i, row_i>
-        self_sums = {}
-        if gr.single:
-            for a, b, pair, p in gr.products(i0, lo, hi):
-                on = a == b
-                bad[pair[~on]] = True
-                for i, k, s in zip(gr.e_row[a[on]].tolist(),
-                                   gr.e_rad[a[on]].tolist(), p[on].tolist()):
-                    self_sums[i] = gr.rads[k] * s
-        else:
-            pair, core, sums = gr.fold(i0, lo, hi)
-            # core index 0 is core 1, from each expanded row times itself
-            i, j = np.divmod(pair, n)
-            on = (i == j) & (core == 0)
-            bad[pair[~on]] = True
-            self_sums = dict(zip(i[on].tolist(), sums[on].tolist()))
-        for i in range(i0, i1):
-            if diag is None:
-                bad[i * n + i] = False
-            elif self_sums.get(i, 0) * diag[1] != diag[0] * gr.dens[i] ** 2:
-                bad[i * n + i] = True
-        k = i0 * n + int(bad[i0 * n:i1 * n].argmax())
-        if bad[k]:
-            return divmod(k, n)
+    for i0, i1, entries in _Graded(rows).blocks(1, 1):
+        # a zero row has no diagonal entry in the stream
+        got = {} if diag is None else {(i, i): () for i in range(i0, i1)}
+        for i, j, terms in entries:
+            if i < j or diag is not None:
+                got[i, j] = terms
+        bad = [k for k, terms in got.items()
+               if terms != (want if k[0] == k[1] else ())]
+        if bad:
+            i, j = min(bad)
+            return i, j, got[i, j]
     return None
 
 
@@ -326,35 +345,10 @@ def gram_terms(rows, num: int, den: int) -> tuple:
     if _small(rows):
         for i, row in enumerate(rows):
             for j in range(i, n):
-                out[i][j] = scale_terms(dot_terms(row, rows[j]), num, den)
+                out[i][j] = out[j][i] = scale_terms(
+                    dot_terms(row, rows[j]), num, den)
     else:
-        gr = _Graded(rows)
-        dens = gr.dens
-
-        def term(core, i, j, v):
-            t_num, t_den = v * num, dens[i] * dens[j] * den
-            g = gcd(t_num, t_den)
-            return core, t_num // g, t_den // g
-
-        for i0, _, lo, hi in gr.blocks():
-            if gr.single:
-                for a, b, _, p in gr.products(i0, lo, hi):
-                    for i, j, x, y, v in zip(
-                            gr.e_row[a].tolist(), gr.e_row[b].tolist(),
-                            gr.e_rad[a].tolist(), gr.e_rad[b].tolist(),
-                            p.tolist()):
-                        r, s = gr.rads[x], gr.rads[y]
-                        g = gcd(r, s)
-                        out[i][j] = (term((r // g) * (s // g), i, j, g * v),)
-            else:
-                pair, core, sums = gr.fold(i0, lo, hi)
-                for k, group in groupby(zip(pair.tolist(), core.tolist(),
-                                            sums.tolist()),
-                                        key=itemgetter(0)):
-                    i, j = divmod(k, n)
-                    out[i][j] = tuple(term(gr.cores[c], i, j, v)
-                                      for _, c, v in group)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[j][i] = out[i][j]
+        for _, _, entries in _Graded(rows).blocks(num, den):
+            for i, j, terms in entries:
+                out[i][j] = out[j][i] = terms
     return tuple(map(tuple, out))

@@ -111,8 +111,7 @@ def _read_matrix(path: str) -> ExactMatrix:
     return matrix
 
 
-def _emit(matrix: ExactMatrix, fmt: str, out: str | None) -> None:
-    text = io.serialize(matrix, fmt)
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -202,11 +201,7 @@ def _cmd_construct(args: argparse.Namespace, fail_usage) -> int:
                               separators=(",", ":"), sort_keys=True) + "\n"
         else:
             text = "\n".join(io.serialize(b, args.fmt) for b in bases)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(text, args.out)
         return OK
     matrix, checker = _construct(args, fail_usage)
     if args.normalize:
@@ -217,7 +212,7 @@ def _cmd_construct(args: argparse.Namespace, fail_usage) -> int:
               f"checker: {json.dumps(report.to_json_dict())}",
               file=sys.stderr)
         return BREACH
-    _emit(matrix, args.fmt, args.out)
+    _emit(io.serialize(matrix, args.fmt), args.out)
     return OK
 
 

@@ -15,8 +15,8 @@ matrix with a scaled identity.  The graded Gram
 (:mod:`exactframes._kernel.graded`) finds the first mismatching pair in
 the row-major (1,1), (1,2), ... order with integer matrix products per
 radicand, in int64 only under a bound proven from the input and in
-Python ints otherwise; the term kernel then computes that one pair's
-residual, so witnesses are those of a pair-by-pair scan.
+Python ints otherwise.  The residual is that graded entry itself minus
+the expected value, so witnesses are those of a pair-by-pair scan.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ def _gram_witness(data, kind: str, expected_diag: tuple | None
     Returns the first mismatch in (1,1), (1,2), ... order, or None;
     ``expected_diag`` is a positive rational term tuple, or None to
     compare only the pairs off the diagonal.  The graded Gram finds the
-    position and the term kernel computes its residual.
+    position, and the residual is the graded entry there minus the
+    expected value.
     """
     diag = None if expected_diag is None else expected_diag[0][1:]
     hit = _kernel.gram_mismatch(data, diag)
     if hit is None:
         return None
-    i, j = hit
-    got = _kernel.dot_terms(data[i], data[j])
+    i, j, got = hit
     want = expected_diag if i == j else ()
     diff = _kernel.add_terms(got, _kernel.neg_terms(want))
     return Witness(kind, i + 1, j + 1, _residual_text(diff))

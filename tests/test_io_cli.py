@@ -266,6 +266,17 @@ def test_cli_construct_mub_r4(capsys):
         assert deserialize(text) == expected
 
 
+@pytest.mark.parametrize("fmt", ["exact-json", "csv"])
+def test_cli_construct_mub_r4_out_matches_stdout(tmp_path, capsys, fmt):
+    assert cli_main(["construct", "mub-r4", "--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "mub"
+    assert cli_main(["construct", "mub-r4", "--format", fmt,
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
 def test_cli_construct_block_pair(tmp_path, capsys):
     block = tmp_path / "d4.json"
     write(block, serialize(two_constant_diag(4)))

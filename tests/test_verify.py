@@ -500,7 +500,10 @@ def test_graded_gram_matches_scan_across_blocks(pair):
     assert graded._Graded(a._data).block == 58
     c = next(c for c in range(58, 70) if a.entry(64, c))
     last = list(defects(a, rng))[-1]
-    for b in (a, with_doubled_entry(a, 64, c), last):
+    # a zero row has no diagonal entry in the graded Gram's stream
+    zero_row = ExactMatrix([[0] * a.cols if i == 64 else a.row(i)
+                            for i in range(a.rows)])
+    for b in (a, with_doubled_entry(a, 64, c), last, zero_row):
         assert_matches_scan(b)
 
 
