@@ -7,7 +7,9 @@ re-verification before emission).
 
 Exact scalar parameters are given in the scalar text grammar
 (e.g. ``2/3`` or ``1/2*sqrt(5)``); floats are rejected so nothing
-inexact can enter a construction.
+inexact can enter a construction.  The rational flags (``--a`` and
+``--b`` of ap-two-tight and abcd-outline, ``--c``, ``--d``, ``--m`` and
+each ``--values`` item) take the same grammar and must be rational.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Sequence
 
 from exactframes import errata as errata_mod
 from exactframes import hyperplane, io, paving, two_tight, unitary, verify
-from exactframes.errors import ExactFramesError, ResourceLimitError
+from exactframes.errors import (DomainError, ExactFramesError, ParseError,
+                                ResourceLimitError)
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import parse_scalar
 
@@ -33,12 +36,12 @@ MAX_DIMENSION = 1024
 
 
 def _rational(text: str) -> Fraction:
+    """A rational flag, read in the scalar text grammar."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a rational (use p or p/q; floats are "
-            "not accepted)") from None
+        return parse_scalar(text).as_fraction()
+    except (ParseError, DomainError) as exc:
+        raise ParseError(f"{text!r} is not a rational (use p or p/q; "
+                         f"floats are not accepted): {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--c", help="rational parameter")
     con.add_argument("--d", help="rational parameter")
     con.add_argument("--values", help="comma-separated rationals")
-    con.add_argument("--m", type=_rational, help="table column pair sum")
+    con.add_argument("--m", help="table column pair sum (rational)")
     con.add_argument("--form", choices=["plain", "balanced"],
                      default="balanced", help="block-pair layout")
     con.add_argument("--left", help="file with the first input matrix")
@@ -161,17 +164,16 @@ def _construct(args: argparse.Namespace, fail_usage) -> tuple:
         return matrix, verify.check_unitary
     if fam == "ap-two-tight":
         a_text, b_text = _need(args, fail_usage, "a", "b")
-        return (two_tight.ap_two_tight(Fraction(a_text), Fraction(b_text)),
+        return (two_tight.ap_two_tight(_rational(a_text), _rational(b_text)),
                 verify.check_tight_frame)
     if fam == "weight-in-front":
         values_text, m = _need(args, fail_usage, "values", "m")
-        values = [Fraction(v) for v in values_text.split(",")]
-        table = two_tight.make_two_row_table(values, m)
+        values = [_rational(v) for v in values_text.split(",")]
+        table = two_tight.make_two_row_table(values, _rational(m))
         return two_tight.weight_in_front(table), verify.check_tight_frame
     if fam == "abcd-outline":
         a, b, c, d = _need(args, fail_usage, "a", "b", "c", "d")
-        table = two_tight.abcd_outline(
-            Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        table = two_tight.abcd_outline(*map(_rational, (a, b, c, d)))
         return two_tight.weight_in_front(table), verify.check_tight_frame
     if fam == "iterate-two-tight":
         left, right = _need(args, fail_usage, "left", "right")

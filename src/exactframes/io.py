@@ -187,11 +187,11 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
         row = []
         for colno, cell in enumerate(cells, start=1):
             try:
-                row.append(parse_scalar(cell, notes, splits))
+                row.append(parse_scalar(cell, notes, splits)._terms)
             except ParseError as exc:
                 raise ParseError(
                     f"line {lineno}, cell {colno}: {exc}") from None
-        rows.append(row)
+        rows.append(tuple(row))
     if not rows:
         raise ParseError("no rows found in csv text")
-    return ExactMatrix(rows)
+    return ExactMatrix._raw(len(rows), width, tuple(rows))

@@ -18,6 +18,9 @@ Text form, accepted by :func:`parse_scalar` and produced by ``str()``:
     rational:=  integer ["/" integer]
     root    :=  "sqrt(" integer ")"
 
+Whitespace may lead, trail and separate any two tokens, ``sqrt`` and
+``(`` being two.
+
 Canonical output orders terms by ascending radicand, writes the rational
 part first and omits unit coefficients, e.g. ``1/2 - 1/4*sqrt(7)``.
 """
@@ -188,14 +191,16 @@ ONE = RadicalScalar(1)
 def make(coeff: RationalLike, radicand: int) -> RadicalScalar:
     """The scalar ``coeff * sqrt(radicand)``.
 
-    ``radicand`` must be a positive integer; non-squarefree values are
-    normalized, e.g. ``make(1, 12) == make(2, 3)``.
+    ``radicand`` must be a positive integer of at most MAX_RADICAND_BITS
+    bits; non-squarefree values are normalized, e.g.
+    ``make(1, 12) == make(2, 3)``.
     """
     if not isinstance(radicand, int) or radicand < 1:
         raise DomainError("radicand must be a positive integer")
+    outer, core = split_radicand(radicand, {})
     q = Fraction(coeff)
     return RadicalScalar._raw(
-        _kernel.make_terms(q.numerator, q.denominator, radicand))
+        _kernel.root_terms(q.numerator * outer, q.denominator, core))
 
 
 def sqrt_rational(value: RationalLike) -> RadicalScalar:
@@ -233,25 +238,6 @@ def format_scalar(x: RadicalScalar) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\d+|sqrt|[()*/+-])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(
-                f"unexpected character {rest[0]!r} at position {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
 def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
                    ) -> tuple[int, int]:
     """``(outer, core)`` with ``rad == outer**2 * core``, core squarefree,
@@ -272,6 +258,15 @@ def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
     return split
 
 
+# One term, the sign before it, which only the first term may omit, and
+# the whitespace around it; whitespace may separate any two tokens.
+# Groups: sign, numerator, denominator, the radicand after "*" and the
+# radicand of a bare root.
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?"
+                   r"(?:\s*\*\s*sqrt\s*\(\s*(\d+)\s*\))?"
+                   r"|sqrt\s*\(\s*(\d+)\s*\))\s*")
+
+
 def parse_scalar(text: str, notes: list[str] | None = None,
                  splits: dict[int, tuple[int, int]] | None = None
                  ) -> RadicalScalar:
@@ -282,77 +277,39 @@ def parse_scalar(text: str, notes: list[str] | None = None,
     radicand memo of :func:`split_radicand`, for a caller that parses
     many scalars; by default each call has its own.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty scalar text")
     if splits is None:
         splits = {}
+    terms: tuple = ()
     pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"unexpected end of scalar text {text!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(
-                f"expected {expected!r} but found {tok!r} in {text!r}")
-        pos += 1
-        return tok
-
-    def parse_int() -> int:
-        tok = take()
-        if not tok.isdigit():
-            raise ParseError(f"expected an integer but found {tok!r}"
-                             f" in {text!r}")
-        return int(tok)
-
-    def parse_root() -> tuple[int, int]:
-        take("sqrt")
-        take("(")
-        rad = parse_int()
-        take(")")
-        if rad < 1:
-            raise ParseError(f"radicand must be positive in {text!r}")
-        outer, core = split_radicand(rad, splits)
-        if notes is not None and outer != 1:
-            root = RadicalScalar._raw(_kernel.root_terms(outer, 1, core))
-            notes.append(
-                f"radicand {rad} is not squarefree; normalized to "
-                f"{format_scalar(root)}")
-        return outer, core
-
-    def parse_term(sign: int) -> RadicalScalar:
-        if peek() == "sqrt":
-            outer, core = parse_root()
-            return RadicalScalar._raw(_kernel.root_terms(sign * outer, 1,
-                                                         core))
-        num = parse_int()
-        den = 1
-        if peek() == "/":
-            take("/")
-            den = parse_int()
-            if den == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-        outer, core = 1, 1
-        if peek() == "*":
-            take("*")
-            outer, core = parse_root()
-        return RadicalScalar._raw(
-            _kernel.root_terms(sign * num * outer, den, core))
-
-    sign = 1
-    if peek() in ("+", "-"):
-        if take() == "-":
-            sign = -1
-    result = parse_term(sign)
-    while pos < len(tokens):
-        op = take()
-        if op not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-' but found {op!r}"
-                             f" in {text!r}")
-        result = result + parse_term(-1 if op == "-" else 1)
-    return result
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            rest = text[pos:].lstrip()
+            if not rest:
+                raise ParseError("empty scalar text")
+            want = "a term" if pos == 0 or rest[0] in "+-" else "'+' or '-'"
+            raise ParseError(f"expected {want} at position "
+                             f"{len(text) - len(rest)} in {text!r}")
+        sign, num, den, rad, root = m.groups()
+        n = int(num) if num else 1
+        d = int(den) if den else 1
+        if d == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        outer = core = 1
+        rad = rad or root
+        if rad:
+            rad = int(rad)
+            if rad < 1:
+                raise ParseError(f"radicand must be positive in {text!r}")
+            outer, core = split_radicand(rad, splits)
+            if notes is not None and outer != 1:
+                norm = RadicalScalar._raw(_kernel.root_terms(outer, 1, core))
+                notes.append(f"radicand {rad} is not squarefree; "
+                             f"normalized to {format_scalar(norm)}")
+        if sign == "-":
+            n = -n
+        terms = _kernel.add_terms(terms,
+                                  _kernel.root_terms(n * outer, d, core))
+        pos = m.end()
+        if pos == len(text):
+            return RadicalScalar._raw(terms)

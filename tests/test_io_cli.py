@@ -277,6 +277,68 @@ def test_cli_construct_mub_r4_out_matches_stdout(tmp_path, capsys, fmt):
     assert out.read_bytes() == stdout.encode("utf-8")
 
 
+FAMILY_CASES = [
+    (["hyperplane", "--n", "8"], build(8).matrix),
+    (["constant-first-row", "--n", "5"], constant_first_row(5)),
+    (["constant-two-rows", "--n", "6"], constant_two_rows(6)),
+    (["two-constant-diag", "--n", "4"], two_constant_diag(4)),
+    (["third-case"], third_case()),
+    (["ap-two-tight", "--a", " 1 / 2", "--b", "+3"],
+     ap_two_tight(Fraction(1, 2), 3)),
+    (["weight-in-front", "--values", "15,13,11,9", "--m", "16"],
+     weight_in_front(make_two_row_table([15, 13, 11, 9], 16))),
+    (["abcd-outline", "--a", "1", "--b", "2", "--c", "3", "--d", "4"],
+     weight_in_front(abcd_outline(1, 2, 3, 4))),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FAMILY_CASES,
+                         ids=[argv[0] for argv, _ in FAMILY_CASES])
+def test_cli_construct_family_matches_library(argv, expected, capsys):
+    assert cli_main(["construct", *argv]) == 0
+    assert deserialize(capsys.readouterr().out) == expected
+
+
+ABCD = {"--a": "1", "--b": "2", "--c": "3", "--d": "4"}
+
+
+def abcd(flag, text):
+    return ["abcd-outline"] + [
+        s for k, v in ABCD.items() for s in (k, text if k == flag else v)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ap-two-tight", "--a", "1/0", "--b", "1"],
+    ["ap-two-tight", "--a", "1", "--b", "1/0"],
+    ["ap-two-tight", "--a", "0.5", "--b", "1"],
+    *(abcd(flag, "1/0") for flag in ABCD),
+    abcd("--c", "sqrt(2)"),
+    ["weight-in-front", "--values", "1/0,2", "--m", "3"],
+    ["weight-in-front", "--values", "15,13,11,9", "--m", "1/0"],
+    ["weight-in-front", "--values", "15,13,11,9", "--m", "16.0"],
+], ids=" ".join)
+def test_cli_rational_flags_read_the_scalar_grammar(argv, capsys):
+    # a zero denominator must not escape main as ZeroDivisionError, and
+    # decimal or irrational text is not a rational in the grammar
+    assert cli_main(["construct", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "is not a rational" in captured.err
+
+
+def test_cli_construct_parameters_obey_the_radicand_cap(capsys):
+    # the square roots of the abcd weights have a 62-bit radicand
+    start = time.perf_counter()
+    rc = cli_main(["construct", "abcd-outline", "--a", "1", "--b", "2",
+                   "--c", "3", "--d", "1000000000000000003"])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of {MAX_RADICAND_BITS} bits" in captured.err
+
+
 def test_cli_construct_block_pair(tmp_path, capsys):
     block = tmp_path / "d4.json"
     write(block, serialize(two_constant_diag(4)))
@@ -407,6 +469,26 @@ def test_cli_verify_hyperplane_irrational_row_norm_exits_2(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "row 2 has irrational squared norm" in captured.err
+
+
+def test_cli_verify_orthogonal_columns(tmp_path, capsys):
+    frame = ap_two_tight(1, 2)
+    f = write(tmp_path / "frame.csv", serialize(frame, "csv"))
+    assert cli_main(["verify", f, "--check", "orthogonal-columns"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": True, "property": "orthogonal_columns"}
+    # doubling entry (1, 1) adds its product with entry (1, 2) to the
+    # inner product of columns 1 and 2, the first pair in scan order
+    rows = [[frame.entry(i, j) for j in range(frame.cols)]
+            for i in range(frame.rows)]
+    added = rows[0][0] * rows[0][1]
+    rows[0][0] = 2 * rows[0][0]
+    f = write(tmp_path / "doubled.csv", serialize(ExactMatrix(rows), "csv"))
+    assert cli_main(["verify", f, "--check", "orthogonal-columns"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == {"kind": "column_inner_product", "i": 1,
+                              "j": 2, "residual": "-1/16*sqrt(35)"}
+    assert doc["witness"]["residual"] == str(added)
 
 
 def test_cli_verify_mub(tmp_path, capsys):

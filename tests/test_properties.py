@@ -1,0 +1,125 @@
+"""Property tests of the scalar and matrix text readers (Hypothesis).
+
+The settings are fixed (``derandomize=True``), so every run draws the
+same examples.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exactframes.errors import ParseError, ResourceLimitError
+from exactframes.io import deserialize, serialize
+from exactframes.matrices import ExactMatrix
+from exactframes.radicals import ZERO, format_scalar, make, parse_scalar
+
+FIXED = settings(derandomize=True, max_examples=300, deadline=None)
+
+BIG = 2 ** 80
+
+coefficients = st.fractions(min_value=-BIG, max_value=BIG,
+                            max_denominator=BIG)
+radicands = st.integers(1, 10 ** 6)
+
+
+@st.composite
+def scalars(draw):
+    total = ZERO
+    for _ in range(draw(st.integers(0, 4))):
+        total = total + make(draw(coefficients), draw(radicands))
+    return total
+
+
+@FIXED
+@given(scalars())
+def test_format_then_parse_is_the_identity(x):
+    assert parse_scalar(format_scalar(x)) == x
+
+
+# whitespace that may sit between any two tokens, a no-break space too
+gaps = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\u00a0"])
+
+
+@st.composite
+def term_texts(draw):
+    """One term of the grammar as text, with whitespace before each
+    token, and its signed value and the note its radicand gives; zero
+    denominators and radicands are drawn too, and give value None."""
+    sign = draw(gaps) + draw(st.sampled_from(["+", "-"]))
+    num = draw(st.integers(0, 2 ** 70))
+    den = draw(st.one_of(st.none(), st.integers(0, 2 ** 70)))
+    rad = draw(st.one_of(st.none(), st.integers(0, 2000)))
+    if den is None and rad is not None and draw(st.booleans()):
+        num = None                      # a bare root
+    tokens = []
+    if num is not None:
+        tokens.append(str(num))
+        if den is not None:
+            tokens += ["/", str(den)]
+        if rad is not None:
+            tokens.append("*")
+    if rad is not None:
+        tokens += ["sqrt", "(", str(rad), ")"]
+    text = "".join(draw(gaps) + tok for tok in tokens)
+    if den == 0 or rad == 0:
+        return sign, text, None, None
+    coeff = Fraction(1 if num is None else num, den or 1)
+    value = make(-coeff if sign.endswith("-") else coeff, rad or 1)
+    note = None
+    if rad is not None:
+        root = make(1, rad)
+        if root.terms[0][1] != 1:
+            note = (f"radicand {rad} is not squarefree; normalized to "
+                    f"{format_scalar(root)}")
+    return sign, text, value, note
+
+
+@FIXED
+@given(st.lists(term_texts(), min_size=1, max_size=5), st.booleans(), gaps)
+def test_grammar_shaped_texts(terms, lead_sign, trail):
+    # only the first term may omit its sign, and only a "+"
+    parts = []
+    for k, (sign, text, _, _) in enumerate(terms):
+        if k or lead_sign or sign.endswith("-"):
+            parts.append(sign)
+        parts.append(text)
+    source = "".join(parts) + trail
+    if any(value is None for _, _, value, _ in terms):
+        with pytest.raises(ParseError):
+            parse_scalar(source)
+        return
+    notes = []
+    got = parse_scalar(source, notes)
+    want = ZERO
+    for _, _, value, _ in terms:
+        want = want + value
+    assert got == want
+    assert notes == [note for _, _, _, note in terms if note is not None]
+
+
+TOKENS = list("0123456789()*/+-") + ["sqrt", " ", "\t"]
+# stray characters include a no-break space, which is whitespace, an
+# Arabic-Indic digit, which is a digit, and a superscript two, which is not
+STRAY = list("x.,;e\u00a0\u0663\u00b2") + ["sq", "rt", "\n"]
+
+
+@FIXED
+@given(st.lists(st.sampled_from(TOKENS + STRAY), max_size=24))
+def test_arbitrary_text_raises_only_reader_errors(pieces):
+    text = "".join(pieces)
+    try:
+        parse_scalar(text)
+    except (ParseError, ResourceLimitError):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "exact-json"])
+@settings(FIXED, max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(scalars(), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+def test_exact_formats_round_trip(fmt, rows):
+    m = ExactMatrix(rows)
+    assert deserialize(serialize(m, fmt)) == m

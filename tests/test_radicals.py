@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactframes.errors import DomainError, ParseError
+from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.radicals import (ONE, ZERO, RadicalScalar, format_scalar,
                                   make, parse_scalar, sqrt_rational)
 
@@ -29,6 +29,15 @@ def test_make_rejects_bad_radicand():
         make(1, -3)
     with pytest.raises(DomainError):
         make(1, Fraction(1, 2))
+
+
+def test_make_obeys_the_radicand_cap():
+    # 2^61 - 1 is prime: trial division would take minutes
+    with pytest.raises(ResourceLimitError, match="cap of 40 bits"):
+        make(1, 2 ** 61 - 1)
+    with pytest.raises(ResourceLimitError):
+        sqrt_rational(Fraction(1, 2 ** 61 - 1))
+    assert make(1, 3 * 4 ** 19) == make(2 ** 19, 3)  # 40 bits
 
 
 def test_sqrt_rational():

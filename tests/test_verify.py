@@ -235,6 +235,13 @@ def test_hyperplane_zero_coordinate_fails():
     assert r.normal == (0, 0, 1)
 
 
+def test_hyperplane_zero_row_fails():
+    r = check_hyperplane_basis(ExactMatrix([[1, -1, 0], [0, 0, 0]]))
+    assert not r.passed
+    assert r.witness.to_json_dict() == {
+        "kind": "zero_row", "i": 2, "j": 2, "residual": "0"}
+
+
 def test_hyperplane_nonorthogonal_rows_fail():
     r = check_hyperplane_basis(ExactMatrix([[1, 1, 0], [1, 0, 1]]))
     assert not r.passed
