@@ -188,14 +188,4 @@ def dot_terms(u, v) -> tuple:
 def matmul_terms(a, b) -> list:
     """Row-major matrix product of two nested lists of term tuples."""
     cols = list(zip(*b))
-    out = []
-    for arow in a:
-        orow = []
-        for bcol in cols:
-            acc: dict = {}
-            for ta, tb in zip(arow, bcol):
-                if ta and tb:
-                    _acc_pair(acc, ta, tb)
-            orow.append(_canon(acc))
-        out.append(orow)
-    return out
+    return [[dot_terms(arow, bcol) for bcol in cols] for arow in a]

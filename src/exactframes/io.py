@@ -12,41 +12,52 @@ The exact formats round-trip losslessly:
 
 ``latex`` emits a bmatrix for inspection and ``float-csv`` emits
 nearest-double values with 17 significant digits; these two are one-way.
+The three text formats are one loop over the rows, with a cell writer
+and a separator each; csv and LaTeX cells come from the scalar
+renderer of :mod:`exactframes.radicals`, so their terms appear in the
+same order with the same signs as ``str()``.
+
 Deserialization accepts the two exact formats only, detects them by
 leading character, and normalizes non-squarefree radicands (reporting
-through the optional ``notes`` list rather than rejecting).
+through the optional ``notes`` list rather than rejecting).  Malformed
+input, including an integer past the interpreter's digit limit, raises
+ParseError.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 
 from exactframes import _kernel
 from exactframes.errors import ParseError
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import (RadicalScalar, format_scalar, parse_scalar,
+from exactframes.radicals import (RadicalScalar, _format_terms, parse_scalar,
                                   split_radicand)
 
 FORMATS = ("exact-json", "csv", "latex", "float-csv")
+
+# the cell writer and the cell separator of each text format
+_TEXT_FORMATS = {
+    "csv": (_format_terms, ","),
+    "latex": (lambda t: _format_terms(t, r"\frac{%d}{%d}", r"\sqrt{%d}", ""),
+              " & "),
+    "float-csv": (lambda t: "%.17g" % RadicalScalar._raw(t).to_float(), ","),
+}
 
 
 def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
     """Render a matrix in one of the formats above."""
     if fmt == "exact-json":
         return _to_json(a)
-    if fmt == "csv":
-        return "\n".join(
-            ",".join(format_scalar(a.entry(i, j)) for j in range(a.cols))
-            for i in range(a.rows)) + "\n"
+    if fmt not in _TEXT_FORMATS:
+        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    cell, sep = _TEXT_FORMATS[fmt]
+    lines = [sep.join(map(cell, row)) for row in a._data]
     if fmt == "latex":
-        return _to_latex(a)
-    if fmt == "float-csv":
-        return "\n".join(
-            ",".join("%.17g" % a.entry(i, j).to_float()
-                     for j in range(a.cols))
-            for i in range(a.rows)) + "\n"
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        return ("\\begin{bmatrix}\n" + " \\\\\n".join(lines)
+                + "\n\\end{bmatrix}\n")
+    return "\n".join(lines) + "\n"
 
 
 def _to_json(a: ExactMatrix) -> str:
@@ -60,41 +71,6 @@ def _to_json(a: ExactMatrix) -> str:
             for entry in row) + "]"
         for row in a._data)
     return f'{{"cols":{a.cols},"entries":[{rows}],"rows":{a.rows}}}\n'
-
-
-def _latex_scalar(x: RadicalScalar) -> str:
-    terms = x.terms
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for rad, coeff in terms:
-        mag = abs(coeff)
-        if parts:
-            parts.append(" - " if coeff < 0 else " + ")
-        elif coeff < 0:
-            parts.append("-")
-        if mag.denominator == 1:
-            body = str(mag.numerator)
-        else:
-            body = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if rad == 1:
-            parts.append(body)
-        elif mag == 1:
-            parts.append(rf"\sqrt{{{rad}}}")
-        else:
-            parts.append(body + rf"\sqrt{{{rad}}}")
-    return "".join(parts)
-
-
-def _to_latex(a: ExactMatrix) -> str:
-    lines = [r"\begin{bmatrix}"]
-    for i in range(a.rows):
-        row = " & ".join(_latex_scalar(a.entry(i, j))
-                         for j in range(a.cols))
-        tail = r" \\" if i < a.rows - 1 else ""
-        lines.append(row + tail)
-    lines.append(r"\end{bmatrix}")
-    return "\n".join(lines) + "\n"
 
 
 def deserialize(text: str, notes: list[str] | None = None) -> ExactMatrix:
@@ -117,6 +93,15 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        # the decoder converts integer text with int(), which refuses
+        # more digits than the interpreter's limit
+        raise ParseError(
+            "invalid JSON: an integer has more digits than the "
+            f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too "
+                         "deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     for key in ("rows", "cols", "entries"):

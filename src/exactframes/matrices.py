@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from exactframes import _kernel
 from exactframes.errors import DimensionError, DomainError
-from exactframes.radicals import RadicalScalar, sqrt_rational
+from exactframes.radicals import RadicalScalar, _format_terms, sqrt_rational
 
 EntryLike = RadicalScalar | Fraction | int
 
@@ -190,7 +190,7 @@ class ExactMatrix:
 
     def _cell_rows(self) -> Iterator[list[str]]:
         for row in self._data:
-            yield [str(RadicalScalar._raw(t)) for t in row]
+            yield list(map(_format_terms, row))
 
     def _text_lines(self, for_widths: Iterable[list[str]],
                     for_lines: Iterable[list[str]]) -> Iterator[str]:

@@ -34,7 +34,7 @@ from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import ZERO
+from exactframes.radicals import RadicalScalar
 from exactframes.verify import check_tight_frame
 
 EXHAUSTIVE_LIMIT = 24
@@ -82,14 +82,9 @@ def weight_profile(a: ExactMatrix) -> tuple[Fraction, ...]:
     allocation of a frame).  Raises DomainError if any column's squared
     sum is irrational, which cannot happen for frame constructions
     whose Gram entries are rational."""
-    out = []
-    for j in range(a.cols):
-        total = ZERO
-        for i in range(a.rows):
-            e = a.entry(i, j)
-            total = total + e * e
-        out.append(total.as_fraction())
-    return tuple(out)
+    return tuple(
+        RadicalScalar._raw(_kernel.dot_terms(col, col)).as_fraction()
+        for col in a.transpose()._data)
 
 
 @dataclass(frozen=True)

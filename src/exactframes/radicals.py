@@ -21,13 +21,20 @@ Text form, accepted by :func:`parse_scalar` and produced by ``str()``:
 Whitespace may lead, trail and separate any two tokens, ``sqrt`` and
 ``(`` being two.
 
+An integer of more digits than the interpreter converts
+(``sys.get_int_max_str_digits()``) is a ParseError naming that limit.
+
 Canonical output orders terms by ascending radicand, writes the rational
 part first and omits unit coefficients, e.g. ``1/2 - 1/4*sqrt(7)``.
+One renderer of canonical term tuples writes it for ``str()``, csv
+cells, witness residuals and the ``matrix_id`` digest, and with
+``\\frac``, ``\\sqrt`` and no product sign the LaTeX cells.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
@@ -216,26 +223,32 @@ def sqrt_rational(value: RationalLike) -> RadicalScalar:
 
 def format_scalar(x: RadicalScalar) -> str:
     """Canonical text form; round-trips through :func:`parse_scalar`."""
-    terms = x._terms
+    return _format_terms(x._terms)
+
+
+def _format_terms(terms: tuple, frac: str = "%d/%d", root: str = "sqrt(%d)",
+                  times: str = "*") -> str:
+    """Render canonical kernel terms, the rational part first, with a
+    sign between terms and unit coefficients omitted.  ``frac`` spells a
+    coefficient ``n/d`` from ``(n, d)``, ``root`` a square root from its
+    radicand, and ``times`` joins a coefficient to its root."""
     if not terms:
         return "0"
-    parts: list[str] = []
+    out = ""
     for r, n, d in terms:
-        if parts:
-            parts.append(" - " if n < 0 else " + ")
-            mag = -n if n < 0 else n
-        else:
-            mag = n if n > 0 else -n
-            if n < 0:
-                parts.append("-")
-        coeff = str(mag) if d == 1 else f"{mag}/{d}"
+        if n < 0:
+            out += " - " if out else "-"
+            n = -n
+        elif out:
+            out += " + "
+        coeff = str(n) if d == 1 else frac % (n, d)
         if r == 1:
-            parts.append(coeff)
-        elif mag == 1 and d == 1:
-            parts.append(f"sqrt({r})")
+            out += coeff
+        elif coeff == "1":
+            out += root % r
         else:
-            parts.append(f"{coeff}*sqrt({r})")
-    return "".join(parts)
+            out += coeff + times + root % r
+    return out
 
 
 def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
@@ -267,6 +280,24 @@ _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?"
                    r"|sqrt\s*\(\s*(\d+)\s*\))\s*")
 
 
+# Integer texts shorter than this always convert: it is the smallest
+# digit limit the interpreter can be given (sys.set_int_max_str_digits).
+_DIGITS_CHECKED_FROM = getattr(sys.int_info, "str_digits_check_threshold",
+                               float("inf"))
+
+
+def _check_digit_runs(m: re.Match) -> None:
+    """Refuse an integer of more digits than ``int()`` converts, before
+    the conversion raises a ValueError that names no position."""
+    limit = sys.get_int_max_str_digits()
+    for k in range(2, 6):
+        run = m.group(k)
+        if limit and run and len(run) > limit:
+            raise ParseError(
+                f"integer at position {m.start(k)} has {len(run)} digits, "
+                f"beyond the interpreter's limit of {limit} digits")
+
+
 def parse_scalar(text: str, notes: list[str] | None = None,
                  splits: dict[int, tuple[int, int]] | None = None
                  ) -> RadicalScalar:
@@ -290,6 +321,8 @@ def parse_scalar(text: str, notes: list[str] | None = None,
             want = "a term" if pos == 0 or rest[0] in "+-" else "'+' or '-'"
             raise ParseError(f"expected {want} at position "
                              f"{len(text) - len(rest)} in {text!r}")
+        if m.end() - pos > _DIGITS_CHECKED_FROM:
+            _check_digit_runs(m)
         sign, num, den, rad, root = m.groups()
         n = int(num) if num else 1
         d = int(den) if den else 1
@@ -303,9 +336,9 @@ def parse_scalar(text: str, notes: list[str] | None = None,
                 raise ParseError(f"radicand must be positive in {text!r}")
             outer, core = split_radicand(rad, splits)
             if notes is not None and outer != 1:
-                norm = RadicalScalar._raw(_kernel.root_terms(outer, 1, core))
+                norm = _format_terms(_kernel.root_terms(outer, 1, core))
                 notes.append(f"radicand {rad} is not squarefree; "
-                             f"normalized to {format_scalar(norm)}")
+                             f"normalized to {norm}")
         if sign == "-":
             n = -n
         terms = _kernel.add_terms(terms,

@@ -30,7 +30,7 @@ from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import RadicalScalar
+from exactframes.radicals import _format_terms
 
 _ONE = _kernel.make_terms(1, 1, 1)
 
@@ -86,10 +86,6 @@ class VerifyReport:
         return out
 
 
-def _residual_text(terms: tuple) -> str:
-    return str(RadicalScalar._raw(terms))
-
-
 def _gram_witness(data, kind: str, expected_diag: tuple | None
                   ) -> Witness | None:
     """Compare the Gram matrix of ``data`` rows with a scaled identity.
@@ -107,7 +103,7 @@ def _gram_witness(data, kind: str, expected_diag: tuple | None
     i, j, got = hit
     want = expected_diag if i == j else ()
     diff = _kernel.add_terms(got, _kernel.neg_terms(want))
-    return Witness(kind, i + 1, j + 1, _residual_text(diff))
+    return Witness(kind, i + 1, j + 1, _format_terms(diff))
 
 
 def check_unitary(a: ExactMatrix) -> VerifyReport:
@@ -141,7 +137,7 @@ def check_equal_norm_rows(a: ExactMatrix) -> VerifyReport:
             diff = _kernel.add_terms(got, _kernel.neg_terms(first))
             return VerifyReport(
                 False, MatrixProperty.EQUAL_NORM_ROWS,
-                Witness("row_norm_squared", 1, i + 1, _residual_text(diff)))
+                Witness("row_norm_squared", 1, i + 1, _format_terms(diff)))
     return VerifyReport(True, MatrixProperty.EQUAL_NORM_ROWS)
 
 
@@ -160,7 +156,7 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
     if len(k_terms) != 1 or k_terms[0][0] != 1 or k_terms[0][1] <= 0:
         return VerifyReport(
             False, MatrixProperty.TIGHT_FRAME,
-            Witness("column_norm_squared", 1, 1, _residual_text(k_terms)))
+            Witness("column_norm_squared", 1, 1, _format_terms(k_terms)))
     k = Fraction(k_terms[0][1], k_terms[0][2])
     witness = _gram_witness(cols, "column_inner_product", k_terms)
     if witness is not None:
@@ -192,7 +188,7 @@ def _row_overlap_witness(data, support, rows_at) -> Witness | None:
             got = _kernel.dot_terms(row[lo:hi], data[j][lo:hi])
             if got:
                 return Witness("row_inner_product", i + 1, j + 1,
-                               _residual_text(got))
+                               _format_terms(got))
     return None
 
 
@@ -214,7 +210,7 @@ def _projected_normal(data, support, rows_at) -> list[tuple]:
         if len(nsq) != 1 or nsq[0][0] != 1:
             raise DomainError(
                 f"row {i + 1} has irrational squared norm "
-                f"{_residual_text(nsq)}; the hyperplane check needs "
+                f"{_format_terms(nsq)}; the hyperplane check needs "
                 "rational squared row norms")
         inv_norms.append((-nsq[0][2], nsq[0][1]))
     for k, rows in enumerate(rows_at):
@@ -319,7 +315,7 @@ def check_unbiased_pair(b1: ExactMatrix, b2: ExactMatrix) -> VerifyReport:
             if csq != target:
                 diff = _kernel.add_terms(csq, _kernel.neg_terms(target))
                 witness = Witness("cross_product_squared", i + 1, j + 1,
-                                  _residual_text(diff))
+                                  _format_terms(diff))
                 break
         if witness is not None:
             break

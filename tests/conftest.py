@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import sys
+
 import pytest
 
 from exactframes._kernel import graded
@@ -12,3 +14,19 @@ def gram_path(request, monkeypatch):
     if request.param == "graded_only":
         monkeypatch.setattr(graded, "_SCAN_BELOW", 0)
     return request.param
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on the digits ``int()`` converts from
+    text.  With no limit (0) there is nothing to refuse, so the test
+    runs under the default limit instead, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(0)

@@ -539,6 +539,50 @@ def test_cli_verify_json_booleans_are_rejected(tmp_path, capsys, field):
     assert "must be" in captured.err and "integers" in captured.err
 
 
+def oversized_inputs(digits: str) -> dict:
+    """A matrix text of each reader with one integer of ``digits``."""
+    term = '{"num":%s,"den":1,"rad":1}'
+    return {"csv": "1,2\n3,1/" + digits + "\n",
+            "exact-json": '{"rows":1,"cols":1,"entries":[[[%s]]]}'
+                          % (term % digits)}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "exact-json"))
+def test_readers_refuse_integers_past_the_digit_limit(digit_limit, fmt):
+    text = oversized_inputs("7" * (digit_limit + 1))[fmt]
+    with pytest.raises(ParseError) as exc:
+        deserialize(text)
+    assert f"limit of {digit_limit}" in str(exc.value)
+    assert "set_int_max_str_digits" not in str(exc.value)
+    if fmt == "csv":
+        assert str(exc.value).startswith("line 2, cell 2: ")
+    deserialize(oversized_inputs("7" * digit_limit)[fmt])
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    # the decoder recurses once per level and would raise RecursionError
+    with pytest.raises(ParseError, match="nested too deeply"):
+        deserialize('{"rows":' + "[" * 100_000)
+
+
+@pytest.mark.parametrize("where", ("csv", "exact-json", "flag"))
+def test_cli_refuses_integers_past_the_digit_limit(digit_limit, where,
+                                                   tmp_path, capsys):
+    digits = "7" * (digit_limit + 1)
+    if where == "flag":
+        rc = cli_main(["construct", "ap-two-tight", "--a", digits,
+                       "--b", "1"])
+    else:
+        f = write(tmp_path / "big.txt", oversized_inputs(digits)[where])
+        rc = cli_main(["verify", f, "--check", "unitary"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"limit of {digit_limit}" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 def test_cli_sparsity(tmp_path, capsys):
     f = write(tmp_path / "h8.json", serialize(build(8).matrix))
     rc = cli_main(["sparsity", f])

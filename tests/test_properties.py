@@ -4,6 +4,7 @@ The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -115,11 +116,77 @@ def test_arbitrary_text_raises_only_reader_errors(pieces):
         pass
 
 
+matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(scalars(), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)).map(ExactMatrix)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "exact-json"])
 @settings(FIXED, max_examples=100)
-@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
-    st.lists(scalars(), min_size=cols, max_size=cols),
-    min_size=1, max_size=4)))
-def test_exact_formats_round_trip(fmt, rows):
-    m = ExactMatrix(rows)
+@given(matrices)
+def test_exact_formats_round_trip(fmt, m):
     assert deserialize(serialize(m, fmt)) == m
+
+
+@pytest.mark.parametrize("fmt", ["csv", "exact-json"])
+@settings(FIXED, max_examples=100)
+@given(matrices)
+def test_written_bytes_are_canonical(fmt, m):
+    text = serialize(m, fmt)
+    assert serialize(deserialize(text), fmt) == text
+
+
+# a placeholder for an integer json.dumps cannot write past the
+# interpreter's digit limit; it is spliced into the text afterwards
+HUGE = "<5000 digits>"
+WRONG_TYPES = [True, False, 1.0, 0.5, -2.0, float("inf"), float("nan"),
+               "1", None, [], {}, HUGE]
+
+
+@st.composite
+def mutated_json(draw):
+    """An exact-json document that serialize wrote, with one mutation:
+    a wrong type, a missing or extra key, a wrong row or entry count, a
+    zero denominator, a radicand below 1 or past the cap, or an integer
+    of 5,000 digits."""
+    doc = json.loads(serialize(draw(matrices), "exact-json"))
+    entries = doc["entries"]
+    if not any(entry for row in entries for entry in row):
+        entries[0][0] = [{"den": 1, "num": 1, "rad": 1}]
+    terms = [t for row in entries for entry in row for t in entry]
+    term = draw(st.sampled_from(terms))
+    kind = draw(st.sampled_from(["type", "missing", "extra", "count",
+                                 "den", "rad", "digits"]))
+    if kind in ("type", "digits"):
+        owner, key = draw(st.sampled_from(
+            [(doc, "rows"), (doc, "cols"), (doc, "entries")]
+            + [(term, k) for k in ("num", "den", "rad")]))
+        owner[key] = HUGE if kind == "digits" else draw(
+            st.sampled_from(WRONG_TYPES))
+    elif kind == "missing":
+        owner = draw(st.sampled_from([doc, term]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif kind == "extra":
+        draw(st.sampled_from([doc, term]))["extra"] = 1
+    elif kind == "count":
+        row = draw(st.sampled_from(entries))
+        target = draw(st.sampled_from([entries, row]))
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(target[-1])
+    elif kind == "den":
+        term["den"] = 0
+    else:
+        term["rad"] = draw(st.one_of(st.integers(-2 ** 40, 0),
+                                     st.integers(2 ** 40, 2 ** 80)))
+    return json.dumps(doc).replace(json.dumps(HUGE), "7" * 5000)
+
+
+@settings(FIXED, max_examples=300)
+@given(mutated_json())
+def test_mutated_exact_json_raises_only_reader_errors(text):
+    try:
+        deserialize(text)
+    except (ParseError, ResourceLimitError):
+        pass

@@ -139,6 +139,16 @@ def test_parse_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("template", ("{}", "-1/{}", "{}*sqrt(2)",
+                                      "1 + sqrt({})"))
+def test_parse_refuses_integers_past_the_digit_limit(digit_limit, template):
+    # int() would raise a ValueError telling the user to raise the limit
+    text = template.format("7" * (digit_limit + 1))
+    with pytest.raises(ParseError, match=f"limit of {digit_limit} digits"):
+        parse_scalar(text)
+    assert parse_scalar("7" * digit_limit) == int("7" * digit_limit)
+
+
 def random_scalar(rng, max_terms=4):
     total = ZERO
     for _ in range(rng.randint(0, max_terms)):
