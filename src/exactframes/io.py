@@ -12,10 +12,8 @@ The exact formats round-trip losslessly:
 
 ``latex`` emits a bmatrix for inspection and ``float-csv`` emits
 nearest-double values with 17 significant digits; these two are one-way.
-The three text formats are one loop over the rows, with a cell writer
-and a separator each; csv and LaTeX cells come from the scalar
-renderer of :mod:`exactframes.radicals`, so their terms appear in the
-same order with the same signs as ``str()``.
+csv and LaTeX cells come from the scalar renderer of
+:mod:`exactframes.radicals`, so their terms read as in ``str()``.
 
 Deserialization accepts the two exact formats only, detects them by
 leading character, and normalizes non-squarefree radicands (reporting

@@ -26,9 +26,8 @@ An integer of more digits than the interpreter converts
 
 Canonical output orders terms by ascending radicand, writes the rational
 part first and omits unit coefficients, e.g. ``1/2 - 1/4*sqrt(7)``.
-One renderer of canonical term tuples writes it for ``str()``, csv
-cells, witness residuals and the ``matrix_id`` digest, and with
-``\\frac``, ``\\sqrt`` and no product sign the LaTeX cells.
+One renderer writes it for ``str()``, csv cells, witness residuals and
+``matrix_id``, and, spelled with ``\\frac`` and ``\\sqrt``, LaTeX cells.
 """
 
 from __future__ import annotations
