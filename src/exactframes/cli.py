@@ -1,9 +1,16 @@
 """Command line interface.
 
-Subcommands: construct, verify, sparsity, pave, errata.  Exit codes:
-0 success / property holds, 1 verification failure, 2 usage error,
-3 internal invariant breach (a constructed matrix failed its own
-re-verification before emission).
+Subcommands: construct, verify, sparsity, pave, errata; each
+subparser names the function that runs it.  Exit codes: 0 success /
+property holds, 1 verification failure, 2 usage error, 3 internal
+invariant breach (a constructed matrix failed its own re-verification
+before emission).
+
+``_FAMILIES`` gives each construct family its builder and the verify
+check that re-certifies what it builds; ``_CHECKS`` gives each
+``--check`` name its verify check.  The argparse choices are read from
+these two tables.  Every construction, the three bases of mub-r4
+included, is built, row-normalized on request, re-checked and written.
 
 Exact scalar parameters are given in the scalar text grammar
 (e.g. ``2/3`` or ``1/2*sqrt(5)``); floats are rejected so nothing
@@ -18,6 +25,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from exactframes import errata as errata_mod
@@ -53,11 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser(
         "construct", help="build a matrix family member and emit it")
-    con.add_argument("family", choices=[
-        "hyperplane", "constant-first-row", "constant-two-rows",
-        "two-constant-diag", "third-case", "block-pair", "mub-r4",
-        "ap-two-tight", "weight-in-front", "abcd-outline",
-        "iterate-two-tight", "weave"])
+    con.set_defaults(run=_cmd_construct)
+    con.add_argument("family", choices=list(_FAMILIES))
     con.add_argument("--n", type=int, help="dimension for sized families")
     con.add_argument("--a", help="scalar parameter (text grammar)")
     con.add_argument("--b", help="scalar parameter (text grammar)")
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--d", help="rational parameter")
     con.add_argument("--values", help="comma-separated rationals")
     con.add_argument("--m", help="table column pair sum (rational)")
-    con.add_argument("--form", choices=["plain", "balanced"],
+    con.add_argument("--form", choices=[f.value for f in unitary.BlockForm],
                      default="balanced", help="block-pair layout")
     con.add_argument("--left", help="file with the first input matrix")
     con.add_argument("--right", help="file with the second input matrix")
@@ -79,18 +84,19 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--out", help="output file (default stdout)")
 
     ver = sub.add_parser("verify", help="certify a matrix property")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("file", help="matrix file (exact-json or csv)")
-    ver.add_argument("--check", required=True,
-                     choices=["unitary", "tight", "hyperplane",
-                              "orthogonal-columns", "mub"])
+    ver.add_argument("--check", required=True, choices=list(_CHECKS))
     ver.add_argument("--against",
                      help="second matrix file for the mub check")
 
     spa = sub.add_parser("sparsity", help="count nonzero entries")
+    spa.set_defaults(run=_cmd_sparsity)
     spa.add_argument("file")
 
     pav = sub.add_parser(
         "pave", help="search 2-pavings of a tight frame's Gram projection")
+    pav.set_defaults(run=_cmd_pave)
     pav.add_argument("file", help="frame matrix file")
     pav.add_argument("--gram", action="store_true",
                      help="treat the input as the projection itself")
@@ -98,9 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="random partitions to try instead of all")
     pav.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("errata", help="print the verified discrepancies "
-                                  "between the published constructions "
-                                  "and exact arithmetic")
+    era = sub.add_parser("errata", help="print the verified discrepancies "
+                                        "between the published "
+                                        "constructions and exact arithmetic")
+    era.set_defaults(run=_cmd_errata)
     return parser
 
 
@@ -130,114 +137,118 @@ def _need(args: argparse.Namespace, parser_error, *names: str) -> list:
     return [getattr(args, n) for n in names]
 
 
-_SIZED = ("hyperplane", "constant-first-row", "constant-two-rows",
-          "two-constant-diag")
-
-
-def _construct(args: argparse.Namespace, fail_usage) -> tuple:
-    """Build the requested family member; returns (matrix, checker)."""
-    fam = args.family
-    if fam in _SIZED:
-        (n,) = _need(args, fail_usage, "n")
+def _sized(build):
+    """The builder of a family sized by ``--n``, under MAX_DIMENSION."""
+    def sized(args: argparse.Namespace, need):
+        (n,) = need("n")
         if n > MAX_DIMENSION:
             raise ResourceLimitError(
                 f"--n {n} is beyond the dimension cap of {MAX_DIMENSION}")
-    if fam == "hyperplane":
-        basis = hyperplane.build(n)
-        return basis.matrix, verify.check_hyperplane_basis
-    if fam == "constant-first-row":
-        return unitary.constant_first_row(n), verify.check_unitary
-    if fam == "constant-two-rows":
-        return unitary.constant_two_rows(n), verify.check_unitary
-    if fam == "two-constant-diag":
-        return unitary.two_constant_diag(n), verify.check_unitary
-    if fam == "third-case":
-        return unitary.third_case(), verify.check_unitary
-    if fam == "block-pair":
-        a_text, b_text, left, right = _need(
-            args, fail_usage, "a", "b", "left", "right")
-        form = (unitary.BlockForm.PLAIN if args.form == "plain"
-                else unitary.BlockForm.BALANCED)
-        matrix = unitary.block_pair(
-            _read_matrix(left), _read_matrix(right),
-            parse_scalar(a_text), parse_scalar(b_text), form)
-        return matrix, verify.check_unitary
-    if fam == "ap-two-tight":
-        a_text, b_text = _need(args, fail_usage, "a", "b")
-        return (two_tight.ap_two_tight(_rational(a_text), _rational(b_text)),
-                verify.check_tight_frame)
-    if fam == "weight-in-front":
-        values_text, m = _need(args, fail_usage, "values", "m")
-        values = [_rational(v) for v in values_text.split(",")]
-        table = two_tight.make_two_row_table(values, _rational(m))
-        return two_tight.weight_in_front(table), verify.check_tight_frame
-    if fam == "abcd-outline":
-        a, b, c, d = _need(args, fail_usage, "a", "b", "c", "d")
-        table = two_tight.abcd_outline(*map(_rational, (a, b, c, d)))
-        return two_tight.weight_in_front(table), verify.check_tight_frame
-    if fam == "iterate-two-tight":
-        left, right = _need(args, fail_usage, "left", "right")
-        matrix = two_tight.iterate_two_tight(
-            _read_matrix(left), _read_matrix(right))
-        return matrix, verify.check_tight_frame
-    if fam == "weave":
-        coeffs_path, blocks = _need(args, fail_usage, "coeffs", "blocks")
-        coeffs = unitary.WeaveCoefficients(_read_matrix(coeffs_path))
-        matrix = unitary.weave(coeffs, [_read_matrix(p) for p in blocks])
-        return matrix, verify.check_orthogonal_columns
-    raise AssertionError(fam)
+        return build(n)
+    return sized
+
+
+def _block_pair(args: argparse.Namespace, need) -> ExactMatrix:
+    a, b, left, right = need("a", "b", "left", "right")
+    return unitary.block_pair(_read_matrix(left), _read_matrix(right),
+                              parse_scalar(a), parse_scalar(b),
+                              unitary.BlockForm(args.form))
+
+
+def _weight_in_front(args: argparse.Namespace, need) -> ExactMatrix:
+    values, m = need("values", "m")
+    return two_tight.weight_in_front(two_tight.make_two_row_table(
+        [_rational(v) for v in values.split(",")], _rational(m)))
+
+
+def _weave(args: argparse.Namespace, need) -> ExactMatrix:
+    coeffs, blocks = need("coeffs", "blocks")
+    return unitary.weave(unitary.WeaveCoefficients(_read_matrix(coeffs)),
+                         [_read_matrix(p) for p in blocks])
+
+
+# Each construct family, in --help order: its builder, called with the
+# arguments and the reader of required options, and the name of the
+# verify check that re-certifies what it built.  Builders and checks
+# look module functions up when called, so that rebinding a module
+# attribute (a tracer, a test's stand-in) reaches them.
+_FAMILIES = {
+    "hyperplane": (_sized(lambda n: hyperplane.build(n).matrix),
+                   "check_hyperplane_basis"),
+    "constant-first-row": (_sized(lambda n: unitary.constant_first_row(n)),
+                           "check_unitary"),
+    "constant-two-rows": (_sized(lambda n: unitary.constant_two_rows(n)),
+                          "check_unitary"),
+    "two-constant-diag": (_sized(lambda n: unitary.two_constant_diag(n)),
+                          "check_unitary"),
+    "third-case": (lambda args, need: unitary.third_case(), "check_unitary"),
+    "block-pair": (_block_pair, "check_unitary"),
+    # a bundle of three bases, each re-certified and emitted
+    "mub-r4": (lambda args, need: unitary.mub_r4(), "check_unitary"),
+    "ap-two-tight": (lambda args, need: two_tight.ap_two_tight(
+        *map(_rational, need("a", "b"))), "check_tight_frame"),
+    "weight-in-front": (_weight_in_front, "check_tight_frame"),
+    "abcd-outline": (lambda args, need: two_tight.weight_in_front(
+        two_tight.abcd_outline(*map(_rational, need("a", "b", "c", "d")))),
+        "check_tight_frame"),
+    "iterate-two-tight": (lambda args, need: two_tight.iterate_two_tight(
+        *map(_read_matrix, need("left", "right"))), "check_tight_frame"),
+    "weave": (_weave, "check_orthogonal_columns"),
+}
+
+# Each --check, in --help order: the name of its verify check, and
+# whether that check compares the file with the --against file.
+_CHECKS = {"unitary": ("check_unitary", False),
+           "tight": ("check_tight_frame", False),
+           "hyperplane": ("check_hyperplane_basis", False),
+           "orthogonal-columns": ("check_orthogonal_columns", False),
+           "mub": ("check_unbiased_pair", True)}
 
 
 def _cmd_construct(args: argparse.Namespace, fail_usage) -> int:
-    if args.family == "mub-r4":
-        bases = unitary.mub_r4()
-        for b in bases:
-            report = verify.check_unitary(b)
-            if not report.passed:
-                print("internal invariant breach: a constructed basis "
-                      "failed re-verification", file=sys.stderr)
-                return BREACH
-        if args.fmt == "exact-json":
-            docs = [json.loads(io.serialize(b, "exact-json")) for b in bases]
-            text = json.dumps({"matrices": docs},
-                              separators=(",", ":"), sort_keys=True) + "\n"
-        else:
-            text = "\n".join(io.serialize(b, args.fmt) for b in bases)
-        _emit(text, args.out)
-        return OK
-    matrix, checker = _construct(args, fail_usage)
+    build, check = _FAMILIES[args.family]
+    built = build(args, partial(_need, args, fail_usage))
+    bundle = isinstance(built, tuple)
+    matrices = built if bundle else (built,)
     if args.normalize:
-        matrix = matrix.normalize_rows()
-    report = checker(matrix)
-    if not report.passed:
-        print("internal invariant breach: construction failed its own "
-              f"checker: {json.dumps(report.to_json_dict())}",
-              file=sys.stderr)
-        return BREACH
-    _emit(io.serialize(matrix, args.fmt), args.out)
+        matrices = tuple(m.normalize_rows() for m in matrices)
+    for matrix in matrices:
+        report = getattr(verify, check)(matrix)
+        if not report.passed:
+            print("internal invariant breach: construction failed its own "
+                  f"checker: {json.dumps(report.to_json_dict())}",
+                  file=sys.stderr)
+            return BREACH
+    texts = [io.serialize(m, args.fmt) for m in matrices]
+    if not bundle:
+        (text,) = texts
+    elif args.fmt == "exact-json":
+        text = json.dumps({"matrices": [json.loads(t) for t in texts]},
+                          separators=(",", ":"), sort_keys=True) + "\n"
+    else:
+        text = "\n".join(texts)
+    _emit(text, args.out)
     return OK
 
 
 def _cmd_verify(args: argparse.Namespace, fail_usage) -> int:
-    matrix = _read_matrix(args.file)
-    if args.check == "unitary":
-        report = verify.check_unitary(matrix)
-    elif args.check == "tight":
-        report = verify.check_tight_frame(matrix)
-    elif args.check == "hyperplane":
-        report = verify.check_hyperplane_basis(matrix)
-    elif args.check == "orthogonal-columns":
-        report = verify.check_orthogonal_columns(matrix)
-    else:
+    check, paired = _CHECKS[args.check]
+    matrices = [_read_matrix(args.file)]
+    if paired:
         if not args.against:
-            fail_usage("--check mub needs --against FILE")
-        report = verify.check_unbiased_pair(matrix,
-                                            _read_matrix(args.against))
+            fail_usage(f"--check {args.check} needs --against FILE")
+        matrices.append(_read_matrix(args.against))
+    report = getattr(verify, check)(*matrices)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     return OK if report.passed else FAILED
 
 
-def _cmd_pave(args: argparse.Namespace) -> int:
+def _cmd_sparsity(args: argparse.Namespace, fail_usage) -> int:
+    print(_read_matrix(args.file).sparsity())
+    return OK
+
+
+def _cmd_pave(args: argparse.Namespace, fail_usage) -> int:
     matrix = _read_matrix(args.file)
     if args.gram:
         gram = matrix
@@ -252,7 +263,7 @@ def _cmd_pave(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_errata() -> int:
+def _cmd_errata(args: argparse.Namespace, fail_usage) -> int:
     all_reproduced = True
     for finding in errata_mod.findings():
         all_reproduced &= finding.reproduced
@@ -267,26 +278,11 @@ def _cmd_errata() -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    def fail_usage(message: str) -> None:
-        parser.error(message)
-
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, fail_usage)
-        if args.command == "verify":
-            return _cmd_verify(args, fail_usage)
-        if args.command == "sparsity":
-            print(_read_matrix(args.file).sparsity())
-            return OK
-        if args.command == "pave":
-            return _cmd_pave(args)
-        if args.command == "errata":
-            return _cmd_errata()
+        return args.run(args, parser.error)
     except (ExactFramesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

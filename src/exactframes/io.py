@@ -18,8 +18,8 @@ csv and LaTeX cells come from the scalar renderer of
 Deserialization accepts the two exact formats only, detects them by
 leading character, and normalizes non-squarefree radicands (reporting
 through the optional ``notes`` list rather than rejecting).  Malformed
-input, including an integer past the interpreter's digit limit, raises
-ParseError.
+input, including an unknown key and an integer past the interpreter's
+digit limit, raises ParseError.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import sys
 
 from exactframes import _kernel
-from exactframes.errors import ParseError
+from exactframes.errors import ParseError, ResourceLimitError
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import (RadicalScalar, _format_terms, parse_scalar,
                                   split_radicand)
@@ -45,11 +45,21 @@ _TEXT_FORMATS = {
 
 
 def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
-    """Render a matrix in one of the formats above."""
-    if fmt == "exact-json":
-        return _to_json(a)
-    if fmt not in _TEXT_FORMATS:
+    """Render a matrix in one of the formats above.  A coefficient with
+    more digits than the interpreter's limit on integer text raises
+    ResourceLimitError."""
+    if fmt != "exact-json" and fmt not in _TEXT_FORMATS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    try:
+        return _to_json(a) if fmt == "exact-json" else _to_text(a, fmt)
+    except ValueError:
+        # str() and %d refuse an int past the limit
+        raise ResourceLimitError(
+            "a coefficient has more digits than the interpreter's limit "
+            f"of {sys.get_int_max_str_digits()} for integer text") from None
+
+
+def _to_text(a: ExactMatrix, fmt: str) -> str:
     cell, sep = _TEXT_FORMATS[fmt]
     lines = [sep.join(map(cell, row)) for row in a._data]
     if fmt == "latex":
@@ -105,6 +115,10 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
     for key in ("rows", "cols", "entries"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
+    for key in doc:
+        if key not in ("rows", "cols", "entries"):
+            raise ParseError(f"unknown key {key!r}; a matrix has only the "
+                             "keys rows, cols, entries")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     # JSON true and false load as bool, a subclass of int
     if not (type(rows) is int and type(cols) is int

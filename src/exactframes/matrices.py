@@ -239,9 +239,3 @@ def block_diag(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
                         + ((),) * (total_cols - offset - b.cols))
         offset += b.cols
     return ExactMatrix._raw(len(data), total_cols, tuple(data))
-
-
-def from_fraction_rows(rows: Sequence[Sequence[Fraction | int]]
-                       ) -> ExactMatrix:
-    """Convenience constructor from nested rationals."""
-    return ExactMatrix(rows)

@@ -149,8 +149,8 @@ def _block_norms(base: np.ndarray, member: np.ndarray) -> np.ndarray:
     return out
 
 
-def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
-                   matrix_id: str | None = None) -> PavingResult:
+def paving_epsilon(g: ExactMatrix, sample: int | None = None,
+                   seed: int = 0) -> PavingResult:
     """Search 2-pavings of a symmetric matrix ``G``.
 
     Enumerates every unordered partition (fixing index 0 in the first
@@ -227,10 +227,8 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None, seed: int = 0,
             if best is None or low < best[0] or s < best[1]:
                 best = (low, s, tuple(np.flatnonzero(~member[r]).tolist()))
     assert best is not None
-    if matrix_id is None:
-        matrix_id = f"{m}x{m}-{g._text_digest()[:12]}"
     return PavingResult(
-        matrix_id=matrix_id,
+        matrix_id=f"{m}x{m}-{g._text_digest()[:12]}",
         matrix_size=m,
         best_partition=(best[1], best[2]),
         best_value=best[0],

@@ -263,8 +263,10 @@ def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
     split = splits.get(rad)
     if split is None:
         if rad.bit_length() > MAX_RADICAND_BITS:
+            # the radicand may have more digits than str() may write,
+            # so the message gives its size only
             raise ResourceLimitError(
-                f"radicand {rad} has {rad.bit_length()} bits, beyond the "
+                f"a radicand of {rad.bit_length()} bits is beyond the "
                 f"cap of {MAX_RADICAND_BITS} bits")
         split = splits[rad] = _kernel.squarefree_split(rad)
     return split

@@ -16,7 +16,7 @@ from exactframes import _kernel
 from exactframes.errata import findings, published_third_basis
 from exactframes.errors import BlockFormError, TableValidationError
 from exactframes.hyperplane import build, predicted_sparsity
-from exactframes.matrices import ExactMatrix, from_fraction_rows
+from exactframes.matrices import ExactMatrix
 from exactframes.paving import gram_projection, paving_epsilon
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import (TwoRowTable, ap_two_tight,
@@ -47,8 +47,8 @@ ROTATIONS = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
 
 def rotation_coeffs(rng):
     p, q, r = rng.choice(ROTATIONS)
-    return from_fraction_rows([[Fraction(p, r), Fraction(q, r)],
-                               [Fraction(-q, r), Fraction(p, r)]])
+    return ExactMatrix([[Fraction(p, r), Fraction(q, r)],
+                        [Fraction(-q, r), Fraction(p, r)]])
 
 
 def test_criterion_1_exact_display_reproduction():
@@ -91,7 +91,7 @@ def test_criterion_1_exact_display_reproduction():
     ])
 
     # doubled staircases with two constant-modulus rows
-    assert constant_two_rows(4) == from_fraction_rows(
+    assert constant_two_rows(4) == ExactMatrix(
         [[-half if i == j else half for j in range(4)] for i in range(4)])
     assert constant_two_rows(6) == ExactMatrix([
         [s6] * 6,
@@ -115,12 +115,12 @@ def test_criterion_1_exact_display_reproduction():
 
     # two-constant unitaries
     third = Fraction(1, 3)
-    assert two_constant_diag(3) == from_fraction_rows([
+    assert two_constant_diag(3) == ExactMatrix([
         [-third, 2 * third, 2 * third],
         [2 * third, -third, 2 * third],
         [2 * third, 2 * third, -third],
     ])
-    assert two_constant_diag(6) == from_fraction_rows(
+    assert two_constant_diag(6) == ExactMatrix(
         [[Fraction(-2, 3) if i == j else third for j in range(6)]
          for i in range(6)])
     a, b = sq(1, 12), RadicalScalar(half)
@@ -193,7 +193,7 @@ def test_criterion_1_exact_display_reproduction():
     # first two unbiased bases of R^4
     b1, b2, _ = mub_r4()
     assert b1 == ExactMatrix.identity(4)
-    assert b2 == from_fraction_rows(
+    assert b2 == ExactMatrix(
         [[-half if i == j else half for j in range(4)] for i in range(4)])
 
     elapsed = time.monotonic() - start

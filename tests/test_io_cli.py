@@ -10,10 +10,10 @@ from exactframes import _kernel, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
-from exactframes.errors import ParseError
+from exactframes.errors import ParseError, ResourceLimitError
 from exactframes.hyperplane import build
 from exactframes.io import FORMATS, deserialize, serialize
-from exactframes.matrices import ExactMatrix, from_fraction_rows
+from exactframes.matrices import ExactMatrix
 from exactframes.paving import gram_projection
 from exactframes.radicals import MAX_RADICAND_BITS, sqrt_rational
 from exactframes.two_tight import ap_two_tight
@@ -48,7 +48,7 @@ ROUND_TRIP_MATRICES = [
     weight_in_front(make_two_row_table(range(1, 33), 33)),
     weight_in_front(abcd_outline(1, 2, 3, 4)),
     iterate_two_tight(ap_two_tight(1, 2), ap_two_tight(3, 4)),
-    weave(WeaveCoefficients(from_fraction_rows(
+    weave(WeaveCoefficients(ExactMatrix(
         [[Fraction(3, 5), Fraction(4, 5)],
          [Fraction(-4, 5), Fraction(3, 5)]])),
         [two_constant_diag(3), constant_first_row(3)]),
@@ -190,6 +190,7 @@ def test_deserialize_accepts_leading_whitespace():
     ("{not json", "invalid JSON"),
     ("[1,2]", "line 1, cell 1"),
     ('{"rows":1,"cols":1}', "missing key 'entries'"),
+    ('{"rows":1,"cols":1,"entries":[[[]]],"rowz":5}', "unknown key 'rowz'"),
     ('{"rows":0,"cols":1,"entries":[]}', "positive integers"),
     ('{"rows":2,"cols":1,"entries":[[[]]]}', "list of 2 rows"),
     ('{"rows":1,"cols":2,"entries":[[[]]]}', "list of 2 entries"),
@@ -373,7 +374,7 @@ def test_cli_construct_weave(tmp_path, capsys):
                    "--blocks", str(b1), str(b2)])
     assert rc == 0
     expected = weave(
-        WeaveCoefficients(from_fraction_rows(
+        WeaveCoefficients(ExactMatrix(
             [[Fraction(3, 5), Fraction(4, 5)],
              [Fraction(-4, 5), Fraction(3, 5)]])),
         [two_constant_diag(3), constant_first_row(3)])
@@ -424,7 +425,7 @@ def test_cli_verify_unitary_pass(tmp_path, capsys):
 
 
 def test_cli_verify_unitary_failure(tmp_path, capsys):
-    published = from_fraction_rows([
+    published = ExactMatrix([
         [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
         [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)],
         [Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)],
@@ -580,6 +581,41 @@ def test_cli_refuses_integers_past_the_digit_limit(digit_limit, where,
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert f"limit of {digit_limit}" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_writers_refuse_integers_past_the_digit_limit(digit_limit, fmt):
+    tiny = ExactMatrix([[Fraction(1, 10 ** digit_limit)]])
+    if fmt == "float-csv":
+        assert serialize(tiny, fmt) == "0\n"
+        return
+    with pytest.raises(ResourceLimitError) as exc:
+        serialize(tiny, fmt)
+    assert f"limit of {digit_limit}" in str(exc.value)
+    serialize(ExactMatrix([[Fraction(1, 10 ** (digit_limit - 1))]]), fmt)
+
+
+@pytest.mark.parametrize("family", ("block-pair", "ap-two-tight"))
+def test_cli_refuses_results_past_the_digit_limit(digit_limit, family,
+                                                   tmp_path, capsys):
+    # every input integer is within the limit; what is built from them
+    # is not: the products of block-pair, the radicands of ap-two-tight
+    m = 10 ** (digit_limit * 3 // 8)
+    a, b = Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)
+    if family == "block-pair":
+        rot = write(tmp_path / "rot.csv", f"{a},{b}\n{-b},{a}\n")
+        argv = ["--a", str(a), "--b", str(b), "--left", rot, "--right", rot]
+        limit = f"interpreter's limit of {digit_limit}"
+    else:
+        argv = ["--a", str(1 / a), "--b", "1"]
+        limit = f"cap of {MAX_RADICAND_BITS} bits"
+    rc = cli_main(["construct", family, *argv, "--format", "csv"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert limit in captured.err
     assert "set_int_max_str_digits" not in captured.err
 
 

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exactframes.errors import DimensionError, DomainError
-from exactframes.matrices import (ExactMatrix, block_diag, from_fraction_rows,
-                                  hstack, vstack)
+from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
 from exactframes.radicals import ZERO, RadicalScalar, make, sqrt_rational
 
 
@@ -112,7 +111,7 @@ def test_scale_and_sparsity():
     assert m.scale(Fraction(1, 2)).sparsity() == 3
     assert m.scale(make(1, 2)).entry(0, 2) == make(2, 2)
     assert m.scale(0).sparsity() == 0
-    assert from_fraction_rows([[0, 0], [0, 0]]).sparsity() == 0
+    assert ExactMatrix([[0, 0], [0, 0]]).sparsity() == 0
 
 
 def test_row_norm_and_normalize():

@@ -10,7 +10,7 @@ import pytest
 from exactframes._kernel import dot_terms, graded, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
-from exactframes.matrices import ExactMatrix, from_fraction_rows
+from exactframes.matrices import ExactMatrix
 from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT, PavingResult,
                                 gram_projection, paving_epsilon,
                                 scaled_gram, weight_profile)
@@ -153,8 +153,8 @@ def test_paving_json_shape():
 
 def test_paving_of_half_identity_is_trivial():
     half = Fraction(1, 2)
-    g = from_fraction_rows([[half if i == j else 0 for j in range(6)]
-                            for i in range(6)])
+    g = ExactMatrix([[half if i == j else 0 for j in range(6)]
+                     for i in range(6)])
     result = paving_epsilon(g)
     assert result.best_value == 0.0
     assert result.best_partition == ((0,), (1, 2, 3, 4, 5))
@@ -163,18 +163,12 @@ def test_paving_of_half_identity_is_trivial():
 
 def test_paving_of_rank_one_projection():
     half = Fraction(1, 2)
-    g = from_fraction_rows([[half, half], [half, half]])
+    g = ExactMatrix([[half, half], [half, half]])
     result = paving_epsilon(g)
     assert result.best_partition == ((0,), (1,))
     assert result.best_value == 0.0
     assert result.per_size_histogram[0] == pytest.approx(1.0)
     assert result.partitions_examined == 2
-
-
-def test_paving_custom_matrix_id_passthrough():
-    g = gram_projection(ap_two_tight(1, 2), 2)
-    result = paving_epsilon(g, matrix_id="example")
-    assert result.matrix_id == "example"
 
 
 def test_paving_rejects_non_square_and_asymmetric():
@@ -187,8 +181,8 @@ def test_paving_rejects_non_square_and_asymmetric():
 def test_paving_large_matrix_needs_sampling():
     m = EXHAUSTIVE_LIMIT + 2
     half = Fraction(1, 2)
-    g = from_fraction_rows([[half if i == j else 0 for j in range(m)]
-                            for i in range(m)])
+    g = ExactMatrix([[half if i == j else 0 for j in range(m)]
+                     for i in range(m)])
     with pytest.raises(ResourceLimitError, match="pass sample="):
         paving_epsilon(g)
 
@@ -202,7 +196,7 @@ def test_paving_sampling_is_seeded_and_reproducible():
             v = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
             rows[i][j] = v
             rows[j][i] = v
-    g = from_fraction_rows(rows)
+    g = ExactMatrix(rows)
     first = paving_epsilon(g, sample=40, seed=7)
     second = paving_epsilon(g, sample=40, seed=7)
     assert first == second
@@ -215,8 +209,8 @@ def test_paving_sampling_is_seeded_and_reproducible():
 @pytest.mark.parametrize("m", (66, 128))
 def test_paving_sampling_past_64_bit_masks(m):
     half = Fraction(1, 2)
-    g = from_fraction_rows([[half if i == j else 0 for j in range(m)]
-                            for i in range(m)])
+    g = ExactMatrix([[half if i == j else 0 for j in range(m)]
+                     for i in range(m)])
     result = paving_epsilon(g, sample=50, seed=3)
     assert result == paving_epsilon(g, sample=50, seed=3)
     assert result.partitions_examined == 50 and not result.exhaustive
@@ -228,7 +222,7 @@ def test_paving_sampling_past_64_bit_masks(m):
 
 
 def test_paving_rejects_entries_beyond_float_range():
-    g = from_fraction_rows([[10 ** 400, 0], [0, 1]])
+    g = ExactMatrix([[10 ** 400, 0], [0, 1]])
     with pytest.raises(DomainError, match="overflows a float64"):
         paving_epsilon(g)
 
@@ -259,8 +253,8 @@ def test_paving_result_matrix_ids_distinguish_inputs():
 
 def _half_identity(m):
     half = Fraction(1, 2)
-    return from_fraction_rows([[half if i == j else 0 for j in range(m)]
-                               for i in range(m)])
+    return ExactMatrix([[half if i == j else 0 for j in range(m)]
+                        for i in range(m)])
 
 
 def _random_symmetric(m, rng, values):
@@ -269,7 +263,7 @@ def _random_symmetric(m, rng, values):
         for j in range(i, m):
             v = Fraction(rng.choice(values), rng.randrange(1, 4))
             rows[i][j] = rows[j][i] = v
-    return from_fraction_rows(rows)
+    return ExactMatrix(rows)
 
 
 def _reference_paving(g, sample=None, seed=0):

@@ -9,7 +9,7 @@ import pytest
 
 from exactframes.errors import (BlockFormError, DimensionError, DomainError,
                                 PreconditionError)
-from exactframes.matrices import ExactMatrix, block_diag, from_fraction_rows
+from exactframes.matrices import ExactMatrix, block_diag
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight
 from exactframes.unitary import (BlockForm, WeaveCoefficients, block_pair,
@@ -37,8 +37,8 @@ ROTATIONS = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
 
 
 def rotation_coeffs(p, q, r):
-    return from_fraction_rows([[Fraction(p, r), Fraction(q, r)],
-                               [Fraction(-q, r), Fraction(p, r)]])
+    return ExactMatrix([[Fraction(p, r), Fraction(q, r)],
+                        [Fraction(-q, r), Fraction(p, r)]])
 
 
 def test_constant_first_row_one_by_one():
@@ -93,7 +93,7 @@ def test_constant_first_row_rejects_nonpositive():
 
 def test_constant_two_rows_four_is_normalized_sign_core():
     h = Fraction(1, 2)
-    expected = from_fraction_rows([
+    expected = ExactMatrix([
         [-h, h, h, h],
         [h, -h, h, h],
         [h, h, -h, h],
@@ -153,7 +153,7 @@ def test_constant_two_rows_rejects_bad_sizes(bad):
 
 def test_two_constant_diag_three_display():
     third = Fraction(1, 3)
-    expected = from_fraction_rows([
+    expected = ExactMatrix([
         [-third, 2 * third, 2 * third],
         [2 * third, -third, 2 * third],
         [2 * third, 2 * third, -third],
@@ -164,7 +164,7 @@ def test_two_constant_diag_three_display():
 def test_two_constant_diag_six_display():
     d = Fraction(-2, 3)
     o = Fraction(1, 3)
-    expected = from_fraction_rows(
+    expected = ExactMatrix(
         [[d if i == j else o for j in range(6)] for i in range(6)])
     assert two_constant_diag(6) == expected
 
@@ -383,13 +383,13 @@ def test_mub_r4_bases():
     b1, b2, b3 = mub_r4()
     h = Fraction(1, 2)
     assert b1 == ExactMatrix.identity(4)
-    assert b2 == from_fraction_rows([
+    assert b2 == ExactMatrix([
         [-h, h, h, h],
         [h, -h, h, h],
         [h, h, -h, h],
         [h, h, h, -h],
     ])
-    assert b3 == from_fraction_rows([
+    assert b3 == ExactMatrix([
         [h, h, h, h],
         [h, -h, h, -h],
         [h, h, -h, -h],

@@ -12,8 +12,7 @@ from exactframes._kernel import (add_terms, dot_terms, graded, make_terms,
                                  neg_terms)
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
-from exactframes.matrices import (ExactMatrix, block_diag, from_fraction_rows,
-                                  vstack)
+from exactframes.matrices import ExactMatrix, block_diag, vstack
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight
 from exactframes.unitary import constant_first_row, two_constant_diag
@@ -198,7 +197,7 @@ def test_hyperplane_normal_matches_sympy_nullspace():
             if all(any(row) for row in rows) and \
                     sympy.Matrix(rows).rank() == n - 1:
                 break
-        r = check_hyperplane_basis(from_fraction_rows(rows))
+        r = check_hyperplane_basis(ExactMatrix(rows))
         rows_orthogonal = all(
             sum(a * b for a, b in zip(rows[i], rows[j])) == 0
             for i in range(n - 1) for j in range(i + 1, n - 1))
@@ -212,17 +211,17 @@ def test_hyperplane_normal_matches_sympy_nullspace():
         # generic orthogonal rows, mostly passing
         rows = orthogonal_rows(rng, n - 1, n)
         assert_primitive_normal(
-            check_hyperplane_basis(from_fraction_rows(rows)), rows)
+            check_hyperplane_basis(ExactMatrix(rows)), rows)
         # first column zero in every row: the normal is e_1
         rows = orthogonal_rows(rng, n - 1, n, lead_zero=True)
-        r = check_hyperplane_basis(from_fraction_rows(rows))
+        r = check_hyperplane_basis(ExactMatrix(rows))
         assert r.normal == (1,) + (0,) * (n - 1)
         assert_primitive_normal(r, rows)
         # e_1 is a row: the normal's first coordinate is 0, so the
         # projection of e_1 vanishes and a later coordinate is used
         rows = [[1] + [0] * (n - 1)] + orthogonal_rows(rng, n - 2, n,
                                                        lead_zero=True)
-        r = check_hyperplane_basis(from_fraction_rows(rows))
+        r = check_hyperplane_basis(ExactMatrix(rows))
         assert r.normal[0] == 0 and (r.witness.i, r.witness.j) == (1, 1)
         assert_primitive_normal(r, rows)
 
