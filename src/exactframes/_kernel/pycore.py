@@ -15,7 +15,8 @@ given canonical input, so tuple equality is exact scalar equality.
 Products of roots need no factoring: for squarefree ``ra`` and ``rb``
 with ``g = gcd(ra, rb)``, ``sqrt(ra) * sqrt(rb) == g * sqrt(ra/g * rb/g)``,
 and the two cofactors are coprime and squarefree, so their product is
-squarefree.  Only :func:`make_terms` factors, at the input boundary.
+squarefree.  The package factors only in ``radicals.split_radicand``,
+at the input boundary; :func:`make_terms` is the tests' reference.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ from exactframes import hyperplane, io, paving, two_tight, unitary, verify
 from exactframes.errors import (DomainError, ExactFramesError, ParseError,
                                 ResourceLimitError)
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import parse_scalar
+from exactframes.radicals import _quote, parse_scalar
 
 OK, FAILED, USAGE, BREACH = 0, 1, 2, 3
 
 # Largest --n of the sized families.  two-constant-diag, the costliest,
-# takes about 20 s and 530 MiB to construct, re-check and write at
-# n = 1024 (Python 3.11, 2-CPU Xeon), and time grows about as n^2.
+# takes about 11 s and 154 MiB to construct, re-check and write at
+# n = 1024 (Python 3.11, 2-CPU Xeon), against 1.2 s at n = 512.
 MAX_DIMENSION = 1024
 
 
@@ -48,7 +48,7 @@ def _rational(text: str) -> Fraction:
     try:
         return parse_scalar(text).as_fraction()
     except (ParseError, DomainError) as exc:
-        raise ParseError(f"{text!r} is not a rational (use p or p/q; "
+        raise ParseError(f"{_quote(text)} is not a rational (use p or p/q; "
                          f"floats are not accepted): {exc}") from None
 
 

@@ -28,10 +28,10 @@ import json
 import sys
 
 from exactframes import _kernel
-from exactframes.errors import ParseError, ResourceLimitError
+from exactframes.errors import DomainError, ParseError
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import (RadicalScalar, _format_terms, parse_scalar,
-                                  split_radicand)
+from exactframes.radicals import (RadicalScalar, _digit_limit_error,
+                                  _format_terms, parse_scalar, split_radicand)
 
 FORMATS = ("exact-json", "csv", "latex", "float-csv")
 
@@ -47,25 +47,28 @@ _TEXT_FORMATS = {
 def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
     """Render a matrix in one of the formats above.  A coefficient with
     more digits than the interpreter's limit on integer text raises
-    ResourceLimitError."""
-    if fmt != "exact-json" and fmt not in _TEXT_FORMATS:
+    ResourceLimitError; an entry beyond the float64 range in float-csv
+    raises DomainError."""
+    if fmt == "exact-json":
+        try:
+            return _to_json(a)
+        except ValueError:
+            # an f-string refuses an int past the limit
+            raise _digit_limit_error() from None
+    if fmt not in _TEXT_FORMATS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    try:
-        return _to_json(a) if fmt == "exact-json" else _to_text(a, fmt)
-    except ValueError:
-        # str() and %d refuse an int past the limit
-        raise ResourceLimitError(
-            "a coefficient has more digits than the interpreter's limit "
-            f"of {sys.get_int_max_str_digits()} for integer text") from None
-
-
-def _to_text(a: ExactMatrix, fmt: str) -> str:
     cell, sep = _TEXT_FORMATS[fmt]
     lines = [sep.join(map(cell, row)) for row in a._data]
     if fmt == "latex":
         return ("\\begin{bmatrix}\n" + " \\\\\n".join(lines)
                 + "\n\\end{bmatrix}\n")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if fmt == "float-csv" and "inf" in text:
+        i, j = next((i, j) for i, line in enumerate(lines)
+                    for j, c in enumerate(line.split(",")) if "inf" in c)
+        raise DomainError(f"entry ({i + 1}, {j + 1}) is beyond the range of "
+                          "a float64; float-csv cannot write it")
+    return text
 
 
 def _to_json(a: ExactMatrix) -> str:

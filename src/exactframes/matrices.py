@@ -17,16 +17,10 @@ from typing import Iterable, Iterator, Sequence
 
 from exactframes import _kernel
 from exactframes.errors import DimensionError, DomainError
-from exactframes.radicals import RadicalScalar, _format_terms, sqrt_rational
+from exactframes.radicals import (RadicalScalar, _format_terms, _terms_of,
+                                  sqrt_rational)
 
 EntryLike = RadicalScalar | Fraction | int
-
-
-def _entry_terms(value: EntryLike) -> tuple:
-    if isinstance(value, RadicalScalar):
-        return value._terms
-    q = Fraction(value)
-    return _kernel.make_terms(q.numerator, q.denominator, 1)
 
 
 class ExactMatrix:
@@ -35,7 +29,7 @@ class ExactMatrix:
     __slots__ = ("_rows", "_cols", "_data")
 
     def __init__(self, rows: Iterable[Iterable[EntryLike]]) -> None:
-        data = tuple(tuple(_entry_terms(v) for v in row) for row in rows)
+        data = tuple(tuple(map(_terms_of, row)) for row in rows)
         if not data:
             raise DimensionError("matrix needs at least one row")
         width = len(data[0])
@@ -59,7 +53,7 @@ class ExactMatrix:
     def identity(cls, n: int) -> ExactMatrix:
         if n < 1:
             raise DimensionError("identity needs n >= 1")
-        one = _kernel.make_terms(1, 1, 1)
+        one = _terms_of(1)
         return cls._raw(n, n, tuple(
             tuple(one if i == j else () for j in range(n)) for i in range(n)))
 
@@ -106,7 +100,7 @@ class ExactMatrix:
 
     def scale(self, factor: EntryLike) -> ExactMatrix:
         """Multiply every entry by an exact scalar."""
-        f = _entry_terms(factor)
+        f = _terms_of(factor)
         if len(f) == 1 and f[0][0] == 1:
             _, num, den = f[0]
             data = tuple(tuple(_kernel.scale_terms(t, num, den)

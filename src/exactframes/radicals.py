@@ -52,17 +52,24 @@ _DEC_PRECISION = 40
 _DEC_SQRT: dict[int, Decimal] = {}
 
 
+def _operator(op):
+    """The arithmetic method that applies the kernel's ``op`` to the
+    terms of the scalar and of the other operand."""
+    def method(self, other: object) -> RadicalScalar:
+        t = _coerce(other)
+        if t is None:
+            return NotImplemented
+        return RadicalScalar._raw(op(self._terms, t))
+    return method
+
+
 class RadicalScalar:
     """Immutable exact sum of rational multiples of square roots."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, value: RationalLike | RadicalScalar = 0) -> None:
-        if isinstance(value, RadicalScalar):
-            self._terms = value._terms
-        else:
-            q = Fraction(value)
-            self._terms = _kernel.make_terms(q.numerator, q.denominator, 1)
+        self._terms = _terms_of(value)
 
     @classmethod
     def _raw(cls, terms: tuple) -> RadicalScalar:
@@ -89,10 +96,11 @@ class RadicalScalar:
             len(self._terms) == 1 and self._terms[0][0] == 1)
 
     def coefficient(self, radicand: int) -> Fraction:
-        """Coefficient of ``sqrt(radicand)``; radicand need not be squarefree."""
+        """Coefficient of ``sqrt(radicand)``; the radicand need not be
+        squarefree, but has at most MAX_RADICAND_BITS bits."""
         if radicand < 1:
             raise DomainError("radicand must be a positive integer")
-        outer, core = _kernel.squarefree_split(radicand)
+        outer, core = split_radicand(radicand, {})
         for r, n, d in self._terms:
             if r == core:
                 return Fraction(n, d) / outer
@@ -100,11 +108,9 @@ class RadicalScalar:
 
     def as_fraction(self) -> Fraction:
         """The exact rational value; raises DomainError if irrational."""
-        if not self._terms:
-            return Fraction(0)
-        if len(self._terms) == 1 and self._terms[0][0] == 1:
-            return Fraction(self._terms[0][1], self._terms[0][2])
-        raise DomainError(f"scalar {self} is not rational")
+        if not self.is_rational:
+            raise DomainError(f"scalar {self} is not rational")
+        return Fraction(*self._terms[0][1:]) if self._terms else Fraction(0)
 
     def to_float(self) -> float:
         """Nearest binary float, via 40-digit decimal evaluation."""
@@ -120,44 +126,21 @@ class RadicalScalar:
                 total += c
             return float(total)
 
-    def __add__(self, other: object) -> RadicalScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RadicalScalar._raw(_kernel.add_terms(self._terms, other._terms))
-
-    __radd__ = __add__
-
     def __neg__(self) -> RadicalScalar:
         return RadicalScalar._raw(_kernel.neg_terms(self._terms))
 
-    def __sub__(self, other: object) -> RadicalScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RadicalScalar._raw(
-            _kernel.add_terms(self._terms, _kernel.neg_terms(other._terms)))
-
-    def __rsub__(self, other: object) -> RadicalScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
-
-    def __mul__(self, other: object) -> RadicalScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RadicalScalar._raw(_kernel.mul_terms(self._terms, other._terms))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _operator(_kernel.add_terms)
+    __sub__ = _operator(
+        lambda a, b: _kernel.add_terms(a, _kernel.neg_terms(b)))
+    __rsub__ = _operator(
+        lambda a, b: _kernel.add_terms(b, _kernel.neg_terms(a)))
+    __mul__ = __rmul__ = _operator(_kernel.mul_terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RadicalScalar):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == RadicalScalar(other)._terms
-        return NotImplemented
+        t = _coerce(other)
+        if t is None:
+            return NotImplemented
+        return self._terms == t
 
     def __hash__(self) -> int:
         return hash(self._terms)
@@ -172,12 +155,26 @@ class RadicalScalar:
         return f"RadicalScalar({format_scalar(self)!r})"
 
 
-def _coerce(value: object):
+def _terms_of(value: RationalLike | RadicalScalar) -> tuple:
+    """The canonical kernel terms of a scalar, an int or a rational:
+    the one conversion of a value into the ring.  Only an exact ``int``
+    or ``Fraction`` is read as is; a bool, a subclass or anything else
+    goes through ``Fraction()``, so that numerators are always ints."""
     if isinstance(value, RadicalScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalScalar(value)
-    return NotImplemented
+        return value._terms
+    cls = type(value)
+    if cls is int:
+        return ((1, value, 1),) if value else ()
+    if cls is not Fraction:
+        value = Fraction(value)
+    return ((1, value.numerator, value.denominator),) if value else ()
+
+
+def _coerce(value: object) -> tuple | None:
+    """The terms of an arithmetic operand, or None for another type."""
+    if isinstance(value, (RadicalScalar, int, Fraction)):
+        return _terms_of(value)
+    return None
 
 
 def _dec_sqrt(radicand: int) -> Decimal:
@@ -230,24 +227,35 @@ def _format_terms(terms: tuple, frac: str = "%d/%d", root: str = "sqrt(%d)",
     """Render canonical kernel terms, the rational part first, with a
     sign between terms and unit coefficients omitted.  ``frac`` spells a
     coefficient ``n/d`` from ``(n, d)``, ``root`` a square root from its
-    radicand, and ``times`` joins a coefficient to its root."""
+    radicand, and ``times`` joins a coefficient to its root.  An integer
+    past the interpreter's digit limit raises ResourceLimitError."""
     if not terms:
         return "0"
     out = ""
-    for r, n, d in terms:
-        if n < 0:
-            out += " - " if out else "-"
-            n = -n
-        elif out:
-            out += " + "
-        coeff = str(n) if d == 1 else frac % (n, d)
-        if r == 1:
-            out += coeff
-        elif coeff == "1":
-            out += root % r
-        else:
-            out += coeff + times + root % r
+    try:
+        for r, n, d in terms:
+            if n < 0:
+                out += " - " if out else "-"
+                n = -n
+            elif out:
+                out += " + "
+            coeff = str(n) if d == 1 else frac % (n, d)
+            if r == 1:
+                out += coeff
+            elif coeff == "1":
+                out += root % r
+            else:
+                out += coeff + times + root % r
+    except ValueError:
+        # str() and %d refuse an int past the limit
+        raise _digit_limit_error() from None
     return out
+
+
+def _digit_limit_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        "a coefficient has more digits than the interpreter's limit "
+        f"of {sys.get_int_max_str_digits()} for integer text")
 
 
 def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
@@ -279,6 +287,19 @@ def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?"
                    r"(?:\s*\*\s*sqrt\s*\(\s*(\d+)\s*\))?"
                    r"|sqrt\s*\(\s*(\d+)\s*\))\s*")
+
+
+# Longest input text an error message quotes whole: a longer one is
+# quoted by its first this many characters and its length.
+_QUOTE_CHARS = 64
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, cut to its first _QUOTE_CHARS characters when
+    longer, so that an error message stays short whatever its input."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 # Integer texts shorter than this always convert: it is the smallest
@@ -321,20 +342,21 @@ def parse_scalar(text: str, notes: list[str] | None = None,
                 raise ParseError("empty scalar text")
             want = "a term" if pos == 0 or rest[0] in "+-" else "'+' or '-'"
             raise ParseError(f"expected {want} at position "
-                             f"{len(text) - len(rest)} in {text!r}")
+                             f"{len(text) - len(rest)} in {_quote(text)}")
         if m.end() - pos > _DIGITS_CHECKED_FROM:
             _check_digit_runs(m)
         sign, num, den, rad, root = m.groups()
         n = int(num) if num else 1
         d = int(den) if den else 1
         if d == 0:
-            raise ParseError(f"zero denominator in {text!r}")
+            raise ParseError(f"zero denominator in {_quote(text)}")
         outer = core = 1
         rad = rad or root
         if rad:
             rad = int(rad)
             if rad < 1:
-                raise ParseError(f"radicand must be positive in {text!r}")
+                raise ParseError(
+                    f"radicand must be positive in {_quote(text)}")
             outer, core = split_radicand(rad, splits)
             if notes is not None and outer != 1:
                 norm = _format_terms(_kernel.root_terms(outer, 1, core))

@@ -16,7 +16,7 @@ from typing import Sequence
 from exactframes.errors import (DimensionError, DomainError,
                                 TableValidationError)
 from exactframes.matrices import ExactMatrix, hstack, vstack
-from exactframes.radicals import RadicalScalar, sqrt_rational
+from exactframes.radicals import sqrt_rational
 
 RationalLike = Fraction | int
 
@@ -138,10 +138,14 @@ def sign_matrix(order: int) -> ExactMatrix:
     """
     if order < 2:
         raise DomainError(f"sign matrices start at order 2, got {order}")
-    s = ExactMatrix([[-1 if i == j else 1 for j in range(4)]
-                     for i in range(4)])
+    return ExactMatrix(_signs(order))
+
+
+def _signs(order: int) -> list[list[int]]:
+    """The rows of ``sign_matrix(order)`` as lists of ints."""
+    s = [[-1 if i == j else 1 for j in range(4)] for i in range(4)]
     for _ in range(order - 2):
-        s = vstack(hstack(s, s), hstack(s, s.scale(-1)))
+        s = [row + row for row in s] + [row + [-v for v in row] for row in s]
     return s
 
 
@@ -156,15 +160,14 @@ def weight_in_front(table: TwoRowTable) -> ExactMatrix:
     result is exactly unit-norm and 2-tight.
     """
     k = table.order
-    signs = sign_matrix(k)
+    signs = _signs(k)
     norm = Fraction(2) ** (k - 1) * table.m
-    half = 1 << k
     rows = []
     for weights in (table.top, table.bottom):
         mags = [sqrt_rational(w / norm) for w in weights]
-        for i in range(half):
-            rows.append([signs.entry(i, j) * mags[j]
-                         for j in range(table.width)])
+        negs = [-m for m in mags]
+        rows.extend([m if s > 0 else neg for s, m, neg in zip(row, mags, negs)]
+                    for row in signs)
     return ExactMatrix(rows)
 
 

@@ -16,6 +16,7 @@ from exactframes.errors import (BlockFormError, DimensionError, DomainError,
                                 PreconditionError)
 from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
 from exactframes.radicals import RadicalScalar, sqrt_rational
+from exactframes.two_tight import sign_matrix
 from exactframes.verify import (check_orthogonal_columns, check_unitary)
 
 
@@ -31,14 +32,10 @@ def constant_first_row(n: int) -> ExactMatrix:
     if n == 1:
         return ExactMatrix([[1]])
     rows = [[sqrt_rational(Fraction(1, n))] * n]
-    zero = RadicalScalar(0)
     for i in range(1, n):
         m = n - i + 1
         tail = sqrt_rational(Fraction(1, m * (m - 1)))
-        row = [zero] * (i - 1)
-        row.append(-(m - 1) * tail)
-        row.extend([tail] * (m - 1))
-        rows.append(row)
+        rows.append([0] * (i - 1) + [-(m - 1) * tail] + [tail] * (m - 1))
     return ExactMatrix(rows)
 
 
@@ -53,25 +50,12 @@ def constant_two_rows(two_n: int) -> ExactMatrix:
     if two_n < 4 or two_n % 2:
         raise DomainError(f"dimension must be even and >= 4, got {two_n}")
     if two_n == 4:
-        return _sign_core(4).scale(Fraction(1, 2))
+        return sign_matrix(2).scale(Fraction(1, 2))
     n = two_n // 2
     c = sqrt_rational(Fraction(1, two_n))
-    rows = [[c] * two_n, [-c] * n + [c] * n]
-    zero = RadicalScalar(0)
-    stair = constant_first_row(n)
-    for i in range(1, n):
-        left = list(stair.row(i))
-        rows.append(left + [zero] * n)
-    for i in range(1, n):
-        right = list(stair.row(i))
-        rows.append([zero] * n + right)
-    return ExactMatrix(rows)
-
-
-def _sign_core(n: int) -> ExactMatrix:
-    """The n x n all-ones matrix with -1 on the diagonal (J - 2I)."""
-    return ExactMatrix([[-1 if i == j else 1 for j in range(n)]
-                        for i in range(n)])
+    head = ExactMatrix([[c] * two_n, [-c] * n + [c] * n])
+    tail = ExactMatrix._raw(n - 1, n, constant_first_row(n)._data[1:])
+    return vstack(head, block_diag([tail, tail]))
 
 
 def two_constant_diag(n: int) -> ExactMatrix:
@@ -79,8 +63,9 @@ def two_constant_diag(n: int) -> ExactMatrix:
     off-diagonal ``2/n``.  Symmetric and an involution."""
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
-    diag = Fraction(-(n - 2), n)
-    off = Fraction(2, n)
+    # two scalars, so that all entries share their two term tuples
+    diag = RadicalScalar(Fraction(-(n - 2), n))
+    off = RadicalScalar(Fraction(2, n))
     return ExactMatrix([[diag if i == j else off for j in range(n)]
                         for i in range(n)])
 
@@ -116,12 +101,12 @@ def block_pair(a_mat: ExactMatrix, b_mat: ExactMatrix,
     for name, m in (("first", a_mat), ("second", b_mat)):
         if not check_unitary(m).passed:
             raise PreconditionError(f"{name} block is not unitary")
-    a = RadicalScalar(a) if not isinstance(a, RadicalScalar) else a
-    b = RadicalScalar(b) if not isinstance(b, RadicalScalar) else b
-    if a * a + b * b != RadicalScalar(1):
+    a, b = RadicalScalar(a), RadicalScalar(b)
+    if a * a + b * b != 1:
         raise DomainError(
             f"coefficients must satisfy a^2 + b^2 = 1, got "
             f"a^2 + b^2 = {a * a + b * b}")
+    c, d = b, -a  # the coefficients of the lower half
     if form is BlockForm.PLAIN:
         defect = a * a - b * b
         if not defect.is_zero:
@@ -129,18 +114,15 @@ def block_pair(a_mat: ExactMatrix, b_mat: ExactMatrix,
                 "the plain block form is unitary only when "
                 f"a^2 == b^2 == 1/2; these coefficients leave an exact "
                 f"row Gram defect of {defect}", defect)
-        top = hstack(a_mat.scale(a), b_mat.scale(b))
-        bottom = hstack(a_mat.scale(a), b_mat.scale(-b))
-        return vstack(top, bottom)
-    top = hstack(a_mat.scale(a), b_mat.scale(b))
-    bottom = hstack(a_mat.scale(b), b_mat.scale(-a))
-    return vstack(top, bottom)
+        c, d = a, -b
+    return vstack(hstack(a_mat.scale(a), b_mat.scale(b)),
+                  hstack(a_mat.scale(c), b_mat.scale(d)))
 
 
 def two_constant_block_example() -> ExactMatrix:
     """The 8x8 two-constant unitary ``[[aH, bH], [bH, -aH]]`` with
     ``H = J - 2I`` (4x4), ``b = 1/sqrt(20)`` and ``a = 2b``."""
-    h = _sign_core(4)
+    h = sign_matrix(2)
     b = sqrt_rational(Fraction(1, 20))
     a = 2 * b
     return vstack(hstack(h.scale(a), h.scale(b)),
@@ -151,15 +133,11 @@ def third_case() -> ExactMatrix:
     """The 6x6 two-constant unitary with ``a = sqrt(1/12)``, ``b = 1/2``
     and sign pattern fixed by the requirement ``3a^2 - b^2 == 0``."""
     a = sqrt_rational(Fraction(1, 12))
-    b = RadicalScalar(Fraction(1, 2))
+    b = Fraction(1, 2)
     upper = [[-1, -1, 1], [-1, 1, -1], [1, -1, -1]]
     lower = [[-1, 1, 1], [1, -1, 1], [1, 1, -1]]
-    rows = []
-    for i in range(3):
-        rows.append([a, a, a] + [s * b for s in upper[i]])
-    for i in range(3):
-        rows.append([s * b for s in lower[i]] + [a, a, a])
-    return ExactMatrix(rows)
+    return ExactMatrix([[a] * 3 + [s * b for s in signs] for signs in upper]
+                       + [[s * b for s in signs] + [a] * 3 for signs in lower])
 
 
 @dataclass(frozen=True)
@@ -234,7 +212,7 @@ def mub_r4() -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """
     half = Fraction(1, 2)
     b1 = ExactMatrix.identity(4)
-    b2 = _sign_core(4).scale(half)
+    b2 = sign_matrix(2).scale(half)
     b3 = ExactMatrix([[1, 1, 1, 1],
                       [1, -1, 1, -1],
                       [1, 1, -1, -1],

@@ -30,9 +30,9 @@ from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import _format_terms
+from exactframes.radicals import _format_terms, _terms_of
 
-_ONE = _kernel.make_terms(1, 1, 1)
+_ONE = _terms_of(1)
 
 
 class MatrixProperty(enum.Enum):
@@ -78,11 +78,11 @@ class VerifyReport:
         if self.witness is not None:
             out["witness"] = self.witness.to_json_dict()
         if self.k_value is not None:
-            out["k"] = str(self.k_value)
+            out["k"] = _format_terms(_terms_of(self.k_value))
         if self.unit_rows is not None:
             out["unit_rows"] = self.unit_rows
         if self.normal is not None:
-            out["normal"] = [str(c) for c in self.normal]
+            out["normal"] = [_format_terms(_terms_of(c)) for c in self.normal]
         return out
 
 
@@ -306,18 +306,15 @@ def check_unbiased_pair(b1: ExactMatrix, b2: ExactMatrix) -> VerifyReport:
                 f"{name} basis is not orthonormal: rows ({w.i}, {w.j}) "
                 f"have inner product residual {w.residual}")
     n = b1.rows
-    target = _kernel.make_terms(1, n, 1)
-    witness = None
+    target = _terms_of(Fraction(1, n))
     for i in range(n):
         for j in range(n):
             c = _kernel.dot_terms(b1._data[i], b2._data[j])
             csq = _kernel.mul_terms(c, c)
             if csq != target:
                 diff = _kernel.add_terms(csq, _kernel.neg_terms(target))
-                witness = Witness("cross_product_squared", i + 1, j + 1,
-                                  _format_terms(diff))
-                break
-        if witness is not None:
-            break
-    return VerifyReport(witness is None, MatrixProperty.UNBIASED_PAIR,
-                        witness)
+                return VerifyReport(
+                    False, MatrixProperty.UNBIASED_PAIR,
+                    Witness("cross_product_squared", i + 1, j + 1,
+                            _format_terms(diff)))
+    return VerifyReport(True, MatrixProperty.UNBIASED_PAIR)

@@ -10,7 +10,7 @@ from exactframes import _kernel, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
-from exactframes.errors import ParseError, ResourceLimitError
+from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.hyperplane import build
 from exactframes.io import FORMATS, deserialize, serialize
 from exactframes.matrices import ExactMatrix
@@ -116,6 +116,29 @@ def test_latex_mixed_terms():
         "\\begin{bmatrix}\n"
         "\\frac{1}{2} - \\frac{1}{4}\\sqrt{7}\n"
         "\\end{bmatrix}\n")
+
+
+def test_float_csv_refuses_entries_past_the_float_range(tmp_path, capsys):
+    with pytest.raises(DomainError, match=r"entry \(2, 1\) is beyond"):
+        serialize(ExactMatrix([[1, 2], [-10 ** 400, 10 ** 400]]), "float-csv")
+    # [x x; x -x; x x; x -x] is a tight frame for every x
+    f = write(tmp_path / "big.csv", f"{10 ** 400}\n")
+    rc = cli_main(["construct", "iterate-two-tight", "--left", f,
+                   "--right", f, "--format", "float-csv"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: entry (1, 1) is beyond the range of a "
+                            "float64; float-csv cannot write it\n")
+
+
+def test_cli_errors_quote_a_bounded_prefix_of_flags(capsys):
+    rc = cli_main(["construct", "ap-two-tight", "--a", "x" * 5000,
+                   "--b", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("... (5000 characters)") == 2
+    assert len(err) < 400
 
 
 def test_float_csv_is_shortest_round_trip_double():
@@ -594,6 +617,21 @@ def test_writers_refuse_integers_past_the_digit_limit(digit_limit, fmt):
         serialize(tiny, fmt)
     assert f"limit of {digit_limit}" in str(exc.value)
     serialize(ExactMatrix([[Fraction(1, 10 ** (digit_limit - 1))]]), fmt)
+
+
+@pytest.mark.parametrize("check", ("unitary", "tight"))
+def test_cli_verify_refuses_reports_past_the_digit_limit(digit_limit, check,
+                                                         tmp_path, capsys):
+    # the entry x fits the limit; what the report writes does not: the
+    # unitary residual x^2 - 1, and k = x^2 of the passing tight check
+    f = write(tmp_path / "x.csv", "1/" + "3" * digit_limit + "\n")
+    rc = cli_main(["verify", f, "--check", check])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"limit of {digit_limit}" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("family", ("block-pair", "ap-two-tight"))

@@ -2,13 +2,16 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from exactframes._kernel import make_terms
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
-from exactframes.radicals import (ONE, ZERO, RadicalScalar, format_scalar,
-                                  make, parse_scalar, sqrt_rational)
+from exactframes.radicals import (_QUOTE_CHARS, ONE, ZERO, RadicalScalar,
+                                  _terms_of, format_scalar, make,
+                                  parse_scalar, sqrt_rational)
 
 
 @pytest.mark.parametrize("coeff,rad,expected_terms", (
@@ -128,6 +131,63 @@ def test_parse_notes_nonsquarefree():
     notes = []
     parse_scalar("2*sqrt(7)", notes)
     assert notes == []
+
+
+class Half(Fraction):
+    """A Fraction subclass, which _terms_of must read through Fraction()."""
+
+
+@pytest.mark.parametrize("value", (
+    0, 1, -7, 10 ** 40, -(10 ** 40), True, False, Fraction(3, 6),
+    Fraction(-2, 4), Fraction(0), Half(1, 2), Half(0), 0.5, -2.25, 0.0,
+))
+def test_terms_of_agrees_with_fraction_and_make_terms(value):
+    q = Fraction(value)
+    terms = _terms_of(value)
+    assert terms == make_terms(q.numerator, q.denominator, 1)
+    # a bool would compare equal to its int but write as True or False
+    assert all(type(n) is int and type(d) is int for _, n, d in terms)
+    assert RadicalScalar(value)._terms == terms
+
+
+def test_terms_of_a_scalar_is_its_own_terms():
+    x = make(Fraction(2, 3), 12) - 1
+    assert _terms_of(x) is x._terms
+
+
+def test_coefficient_applies_the_radicand_cap():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap of 40 bits"):
+        make(1, 2).coefficient(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text", (
+    "x" * 5000,
+    "1 " * 2000,
+    "1/0" + " + 1" * 1000,
+    "sqrt(0)" + " + 1" * 1000,
+    ("1" * 300 + " ") * 20,
+))
+def test_parse_errors_quote_a_bounded_prefix(text):
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    message = str(exc.value)
+    assert f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)" in message
+    assert len(message) < 2 * _QUOTE_CHARS + 80
+
+
+@pytest.mark.parametrize("text,message", (
+    ("1/0", "zero denominator in '1/0'"),
+    ("sqrt(0)", "radicand must be positive in 'sqrt(0)'"),
+    ("2 3", "expected '+' or '-' at position 2 in '2 3'"),
+    ("x" * _QUOTE_CHARS, f"expected a term at position 0 in "
+                         f"{'x' * _QUOTE_CHARS!r}"),
+))
+def test_parse_errors_quote_short_texts_whole(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", (

@@ -9,7 +9,8 @@ import pytest
 
 from exactframes.errors import (DimensionError, DomainError,
                                 TableValidationError)
-from exactframes.matrices import ExactMatrix
+from exactframes.io import serialize
+from exactframes.matrices import ExactMatrix, hstack, vstack
 from exactframes.radicals import sqrt_rational
 from exactframes.two_tight import (TwoRowTable, abcd_outline, ap_two_tight,
                                    iterate_two_tight, make_two_row_table,
@@ -261,6 +262,46 @@ def test_sign_matrix_gram(order):
 def test_sign_matrix_rejects_small_orders():
     with pytest.raises(DomainError):
         sign_matrix(1)
+
+
+def doubled_sign_matrix(order):
+    """Reference: the sign matrix doubled as whole exact matrices."""
+    s = ExactMatrix([[-1 if i == j else 1 for j in range(4)]
+                     for i in range(4)])
+    for _ in range(order - 2):
+        s = vstack(hstack(s, s), hstack(s, s.scale(-1)))
+    return s
+
+
+def weight_in_front_by_products(table):
+    """Reference: each entry the product of a sign and a magnitude."""
+    k = table.order
+    signs = doubled_sign_matrix(k)
+    norm = Fraction(2) ** (k - 1) * table.m
+    rows = []
+    for weights in (table.top, table.bottom):
+        mags = [sqrt_rational(w / norm) for w in weights]
+        for i in range(1 << k):
+            rows.append([signs.entry(i, j) * mags[j]
+                         for j in range(table.width)])
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("order", range(2, 8))
+def test_sign_matrix_bytes_match_matrix_doubling(order):
+    assert serialize(sign_matrix(order)) == serialize(
+        doubled_sign_matrix(order))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_weight_in_front_bytes_match_signed_products(seed):
+    rng = random.Random(seed)
+    values = [Fraction(rng.randint(1, 30), rng.randint(1, 4))
+              for _ in range(rng.choice((2, 4, 8)))]
+    # an m of max(values) gives zero weights
+    table = make_two_row_table(values, max(values) + rng.randint(0, 3))
+    assert serialize(weight_in_front(table)) == serialize(
+        weight_in_front_by_products(table))
 
 
 def test_weight_in_front_odd_weights_display():

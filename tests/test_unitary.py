@@ -9,6 +9,8 @@ import pytest
 
 from exactframes.errors import (BlockFormError, DimensionError, DomainError,
                                 PreconditionError)
+from exactframes.io import serialize
+from exactframes.io import serialize
 from exactframes.matrices import ExactMatrix, block_diag
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight
@@ -143,6 +145,30 @@ def test_constant_two_rows_is_unitary(two_n):
         assert all(m.entry(i, j) in (s, -s) for j in range(two_n))
     if two_n > 4:
         assert all(m.entry(0, j) == s for j in range(two_n))
+
+
+def constant_two_rows_by_rows(two_n):
+    """Reference: the header rows, then each staircase row padded with
+    zeros, one row at a time."""
+    if two_n == 4:
+        return ExactMatrix([[-1 if i == j else 1 for j in range(4)]
+                            for i in range(4)]).scale(Fraction(1, 2))
+    n = two_n // 2
+    c = sq(1, two_n)
+    rows = [[c] * two_n, [-c] * n + [c] * n]
+    stair = constant_first_row(n)
+    zero = RadicalScalar(0)
+    for i in range(1, n):
+        rows.append(list(stair.row(i)) + [zero] * n)
+    for i in range(1, n):
+        rows.append([zero] * n + list(stair.row(i)))
+    return ExactMatrix(rows)
+
+
+def test_constant_two_rows_bytes_match_row_by_row_build():
+    for two_n in range(4, 131, 2):
+        assert serialize(constant_two_rows(two_n)) == serialize(
+            constant_two_rows_by_rows(two_n)), two_n
 
 
 @pytest.mark.parametrize("bad", [2, 5, 7, -4, 0])
