@@ -16,7 +16,7 @@ Products of roots need no factoring: for squarefree ``ra`` and ``rb``
 with ``g = gcd(ra, rb)``, ``sqrt(ra) * sqrt(rb) == g * sqrt(ra/g * rb/g)``,
 and the two cofactors are coprime and squarefree, so their product is
 squarefree.  The package factors only in ``radicals.split_radicand``,
-at the input boundary; :func:`make_terms` is the tests' reference.
+at the input boundary.
 """
 
 from __future__ import annotations
@@ -51,18 +51,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
 def is_squarefree(n: int) -> bool:
     """True if no prime square divides ``n`` (``n >= 1``)."""
     return squarefree_split(n)[0] == 1
-
-
-def make_terms(num: int, den: int, rad: int) -> tuple:
-    """Canonical terms for ``num/den * sqrt(rad)``; ``rad >= 1, den != 0``."""
-    if rad < 1:
-        raise ValueError("radicand must be a positive integer")
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if num == 0:
-        return ()
-    outer, core = squarefree_split(rad)
-    return root_terms(num * outer, den, core)
 
 
 def root_terms(num: int, den: int, core: int) -> tuple:

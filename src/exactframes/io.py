@@ -20,6 +20,18 @@ leading character, and normalizes non-squarefree radicands (reporting
 through the optional ``notes`` list rather than rejecting).  Malformed
 input, including an unknown key and an integer past the interpreter's
 digit limit, raises ParseError.
+
+A read parses each distinct cell once.  Its memo lives for one
+:func:`deserialize` call and maps a csv cell's text, or an exact-json
+entry's ``(num, den, rad)`` triples, to the cell's terms and notes; a
+repeat takes the terms and re-emits the notes, an exact-json note at the
+repeat's own ``entries[i][j]``.  An entry is keyed only after each of
+its terms has passed every check a first sight makes (keys, integer
+fields, denominator, radicand, radicand cap, in that order), and a bad
+cell is never remembered, so errors are those of reading every cell
+afresh.  The memo stops growing once it holds ``_MEMO_TRIAL`` cells and
+they are more than half of the cells read: an input of mostly distinct
+cells then costs one dictionary miss a cell.
 """
 
 from __future__ import annotations
@@ -30,10 +42,20 @@ import sys
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import (RadicalScalar, _digit_limit_error,
-                                  _format_terms, parse_scalar, split_radicand)
+from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar,
+                                  _digit_limit_error, _format_terms,
+                                  _radicand_cap_error, parse_scalar,
+                                  split_radicand)
 
 FORMATS = ("exact-json", "csv", "latex", "float-csv")
+
+# Once a read's memo holds this many cells and they are more than half
+# of the cells read, the input is taken to be mostly distinct and the
+# memo stops growing.
+_MEMO_TRIAL = 1024
+
+_LARGEST_RADICAND = (1 << MAX_RADICAND_BITS) - 1
+_KEYS = "must be an object with keys num, den, rad"
 
 # the cell writer and the cell separator of each text format
 _TEXT_FORMATS = {
@@ -131,50 +153,83 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         raise ParseError(f"'entries' must be a list of {rows} rows")
     data = []
     splits: dict[int, tuple[int, int]] = {}
+    # entry key -> (terms, the notes the entry gave, each cut after its
+    # "entries[i][j]" so that a repeat re-emits it at its own position)
+    memo: dict[tuple, tuple] = {}
+    grow = True
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"entries[{i}] must be a list of {cols} entries")
         drow = []
         for j, entry in enumerate(row):
-            drow.append(_entry_from_json(entry, i, j, notes, splits))
+            if not isinstance(entry, list):
+                raise ParseError(f"entries[{i}][{j}] must be a list of terms")
+            # every check of every term, in the order of a first sight:
+            # a repeat is known only once its whole key has passed them
+            key = []
+            for term in entry:
+                if not isinstance(term, dict) or len(term) != 3:
+                    raise _term_error(i, j, len(key), _KEYS)
+                try:
+                    num, den, rad = term["num"], term["den"], term["rad"]
+                except KeyError:
+                    raise _term_error(i, j, len(key), _KEYS) from None
+                if not (type(num) is int and type(den) is int
+                        and type(rad) is int):
+                    raise _term_error(i, j, len(key),
+                                      "fields must be integers")
+                if den == 0:
+                    raise _term_error(i, j, len(key),
+                                      "has a zero denominator")
+                if not 0 < rad <= _LARGEST_RADICAND:
+                    if rad < 1:
+                        raise _term_error(i, j, len(key),
+                                          f"has radicand {rad}; radicands "
+                                          "must be positive")
+                    raise _radicand_cap_error(rad)
+                key.append((num, den, rad))
+            key = tuple(key)
+            hit = memo.get(key)
+            if hit is not None:
+                terms, tails = hit
+                if tails:
+                    where = f"entries[{i}][{j}]"
+                    notes.extend(where + tail for tail in tails)
+                drow.append(terms)
+                continue
+            where = f"entries[{i}][{j}]"
+            start = len(notes) if notes else 0
+            terms = ()
+            for t, (num, den, rad) in enumerate(key):
+                outer, core = split_radicand(rad, splits)
+                if notes is not None and outer != 1:
+                    notes.append(f"{where} term {t}: radicand {rad} is not "
+                                 f"squarefree; normalized to {outer}^2 * "
+                                 f"{core}")
+                terms = _kernel.add_terms(
+                    terms, _kernel.root_terms(num * outer, den, core))
+            if grow:
+                if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= i * cols + j:
+                    made = notes[start:] if notes else ()
+                    memo[key] = terms, tuple(n[len(where):] for n in made)
+                else:
+                    grow = False
+            drow.append(terms)
         data.append(tuple(drow))
     return ExactMatrix._raw(rows, cols, tuple(data))
 
 
-def _entry_from_json(entry: object, i: int, j: int,
-                     notes: list[str] | None,
-                     splits: dict[int, tuple[int, int]]) -> tuple:
-    where = f"entries[{i}][{j}]"
-    if not isinstance(entry, list):
-        raise ParseError(f"{where} must be a list of terms")
-    total: tuple = ()
-    for t, term in enumerate(entry):
-        if (not isinstance(term, dict)
-                or set(term) != {"num", "den", "rad"}):
-            raise ParseError(
-                f"{where} term {t} must be an object with keys "
-                "num, den, rad")
-        num, den, rad = term["num"], term["den"], term["rad"]
-        if not all(type(v) is int for v in (num, den, rad)):
-            raise ParseError(f"{where} term {t} fields must be integers")
-        if den == 0:
-            raise ParseError(f"{where} term {t} has a zero denominator")
-        if rad < 1:
-            raise ParseError(f"{where} term {t} has radicand {rad}; "
-                             "radicands must be positive")
-        outer, core = split_radicand(rad, splits)
-        if notes is not None and outer != 1:
-            notes.append(f"{where} term {t}: radicand {rad} is not "
-                         f"squarefree; normalized to {outer}^2 * {core}")
-        total = _kernel.add_terms(
-            total, _kernel.root_terms(num * outer, den, core))
-    return total
+def _term_error(i: int, j: int, t: int, what: str) -> ParseError:
+    return ParseError(f"entries[{i}][{j}] term {t} {what}")
 
 
 def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
     rows = []
     width = None
     splits: dict[int, tuple[int, int]] = {}
+    # cell text -> (terms, the notes the cell gave)
+    memo: dict[str, tuple] = {}
+    grow = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -186,11 +241,26 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
                 f"line {lineno} has {len(cells)} cells, expected {width}")
         row = []
         for colno, cell in enumerate(cells, start=1):
+            hit = memo.get(cell)
+            if hit is not None:
+                terms, cell_notes = hit
+                if cell_notes:
+                    notes.extend(cell_notes)
+                row.append(terms)
+                continue
+            start = len(notes) if notes else 0
             try:
-                row.append(parse_scalar(cell, notes, splits)._terms)
+                terms = parse_scalar(cell, notes, splits)._terms
             except ParseError as exc:
                 raise ParseError(
                     f"line {lineno}, cell {colno}: {exc}") from None
+            if grow:
+                if (len(memo) < _MEMO_TRIAL
+                        or 2 * len(memo) <= len(rows) * width + colno):
+                    memo[cell] = terms, tuple(notes[start:] if notes else ())
+                else:
+                    grow = False
+            row.append(terms)
         rows.append(tuple(row))
     if not rows:
         raise ParseError("no rows found in csv text")

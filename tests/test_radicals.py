@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from exactframes._kernel import make_terms
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.radicals import (_QUOTE_CHARS, ONE, ZERO, RadicalScalar,
                                   _terms_of, format_scalar, make,
                                   parse_scalar, sqrt_rational)
+
+from kernel_reference import make_terms
 
 
 @pytest.mark.parametrize("coeff,rad,expected_terms", (
@@ -190,6 +191,19 @@ def test_parse_errors_quote_short_texts_whole(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,message", (
+    ("\u0663", "expected a term at position 0 in '\u0663'"),
+    ("1\u00a0+ 2", "expected '+' or '-' at position 1 in '1\\xa0+ 2'"),
+    ("\u00a01", "expected a term at position 0 in '\\xa01'"),
+    ("sqrt(\uff12)", "expected a term at position 0 in 'sqrt(\uff12)'"),
+))
+def test_parse_reads_ascii_digits_and_whitespace_only(text, message):
+    # an Arabic-Indic three, a no-break space and a fullwidth two
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad", (
     "", "sqrt()", "sqrt(-2)", "1//2", "2 +", "sqrt(2", "1.5", "x", "+",
     "sqrt(2)sqrt(3)",
@@ -256,6 +270,22 @@ def test_hash_consistency():
     b = make(2, 2)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("value", (
+    0, 1, -1, 7, 10 ** 40, Fraction(1, 3), Fraction(-5, 2), Fraction(4, 2),
+    Fraction(0),
+))
+def test_rational_scalars_hash_as_their_value(value):
+    x = RadicalScalar(value)
+    assert x == value and hash(x) == hash(value)
+    assert {value: "a"}.get(x) == "a"
+    assert {x: "a"}.get(value) == "a"
+
+
+def test_irrational_scalars_hash_their_terms():
+    x = make(1, 2) + 1
+    assert hash(x) == hash(x._terms)
 
 
 def test_operator_coercion():
