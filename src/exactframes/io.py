@@ -8,7 +8,9 @@ The exact formats round-trip losslessly:
   radicands in ascending order, reduced coefficients), so serializing a
   parsed matrix reproduces the bytes exactly.
 * ``csv``: one row per line, entries in the scalar text grammar
-  separated by commas (the grammar contains no commas).
+  separated by commas (the grammar contains no commas).  A line ends at
+  ``\n``, ``\r\n`` or ``\r`` only, and a line of the grammar's ASCII
+  whitespace is blank and skipped.
 
 ``latex`` emits a bmatrix for inspection and ``float-csv`` emits
 nearest-double values with 17 significant digits; these two are one-way.
@@ -16,10 +18,10 @@ csv and LaTeX cells come from the scalar renderer of
 :mod:`exactframes.radicals`, so their terms read as in ``str()``.
 
 Deserialization accepts the two exact formats only, detects them by
-leading character, and normalizes non-squarefree radicands (reporting
-through the optional ``notes`` list rather than rejecting).  Malformed
-input, including an unknown key and an integer past the interpreter's
-digit limit, raises ParseError.
+the first character after ASCII whitespace, and normalizes
+non-squarefree radicands (reporting through the optional ``notes`` list
+rather than rejecting).  Malformed input, including an unknown key and
+an integer past the interpreter's digit limit, raises ParseError.
 
 A read parses each distinct cell once.  Its memo lives for one
 :func:`deserialize` call and maps a csv cell's text, or an exact-json
@@ -41,18 +43,13 @@ import sys
 
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError
-from exactframes.matrices import ExactMatrix
-from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar,
+from exactframes.matrices import ExactMatrix, _MEMO_TRIAL
+from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar, _SPACE,
                                   _digit_limit_error, _format_terms,
                                   _radicand_cap_error, parse_scalar,
                                   split_radicand)
 
 FORMATS = ("exact-json", "csv", "latex", "float-csv")
-
-# Once a read's memo holds this many cells and they are more than half
-# of the cells read, the input is taken to be mostly distinct and the
-# memo stops growing.
-_MEMO_TRIAL = 1024
 
 _LARGEST_RADICAND = (1 << MAX_RADICAND_BITS) - 1
 _KEYS = "must be an object with keys num, den, rad"
@@ -113,7 +110,7 @@ def deserialize(text: str, notes: list[str] | None = None) -> ExactMatrix:
     non-squarefree radicands are normalized with a message appended to
     ``notes`` when given.
     """
-    stripped = text.lstrip()
+    stripped = text.lstrip(_SPACE)
     if not stripped:
         raise ParseError("empty matrix text")
     if stripped[0] == "{":
@@ -230,8 +227,12 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
     # cell text -> (terms, the notes the cell gave)
     memo: dict[str, tuple] = {}
     grow = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    # lines end at \n, \r\n or \r only, not at the other breaks of
+    # str.splitlines() (form feed, U+2028 and the like)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(_SPACE):
             continue
         cells = line.split(",")
         if width is None:

@@ -22,6 +22,12 @@ from exactframes.radicals import (RadicalScalar, _format_terms, _terms_of,
 
 EntryLike = RadicalScalar | Fraction | int
 
+# A memo of per-cell results (a read's parsed cells, a conversion's
+# floats or texts) stops growing once it holds this many cells and they
+# are more than half of the cells seen: the input is then taken to be
+# mostly distinct, and each further cell costs one dictionary miss.
+_MEMO_TRIAL = 1024
+
 
 class ExactMatrix:
     """Immutable dense matrix with exact radical-scalar entries."""
@@ -156,8 +162,10 @@ class ExactMatrix:
                    for i in range(self._rows) for j in range(i))
 
     def to_float_rows(self) -> list[list[float]]:
-        return [[RadicalScalar._raw(t).to_float() for t in row]
-                for row in self._data]
+        """Nearest floats of the entries; each distinct entry is
+        converted once."""
+        return list(_map_cells(lambda t: RadicalScalar._raw(t).to_float(),
+                               self._data, {}))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -168,23 +176,25 @@ class ExactMatrix:
         return hash(self._data)
 
     def __str__(self) -> str:
-        cells = list(self._cell_rows())
+        cells = list(self._cell_rows({}))
         return "\n".join(self._text_lines(cells, cells))
 
     def _text_digest(self) -> str:
         """Hex sha256 of ``str(self)``, fed line by line so that the
-        text of a large matrix is never held whole; each cell is
-        formatted twice instead, for the column widths and its line."""
+        text of a large matrix is never held whole.  The cells are read
+        twice, for the column widths and for the lines, and one memo
+        serves both passes, so each distinct entry is formatted once."""
         h = hashlib.sha256()
         sep = b""
-        for line in self._text_lines(self._cell_rows(), self._cell_rows()):
+        memo: dict[tuple, str] = {}
+        for line in self._text_lines(self._cell_rows(memo),
+                                     self._cell_rows(memo)):
             h.update(sep + line.encode("utf-8"))
             sep = b"\n"
         return h.hexdigest()
 
-    def _cell_rows(self) -> Iterator[list[str]]:
-        for row in self._data:
-            yield list(map(_format_terms, row))
+    def _cell_rows(self, memo: dict[tuple, str]) -> Iterator[list[str]]:
+        return _map_cells(_format_terms, self._data, memo)
 
     def _text_lines(self, for_widths: Iterable[list[str]],
                     for_lines: Iterable[list[str]]) -> Iterator[str]:
@@ -201,6 +211,28 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self._rows}x{self._cols}>"
+
+
+def _map_cells(fn, rows: Iterable[tuple], memo: dict) -> Iterator[list]:
+    """Yield ``list(map(fn, row))`` for each row, taking ``fn`` of a
+    cell that ``memo`` holds from it.  The memo grows by the rule of
+    ``_MEMO_TRIAL``, counting the cells of this pass."""
+    seen = 0
+    grow = True
+    for row in rows:
+        out = []
+        for cell in row:
+            value = memo.get(cell)
+            if value is None:
+                value = fn(cell)
+                if grow:
+                    if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= seen:
+                        memo[cell] = value
+                    else:
+                        grow = False
+            out.append(value)
+            seen += 1
+        yield out
 
 
 def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:

@@ -162,16 +162,27 @@ class RadicalScalar:
 def _terms_of(value: RationalLike | RadicalScalar) -> tuple:
     """The canonical kernel terms of a scalar, an int or a rational:
     the one conversion of a value into the ring.  Only an exact ``int``
-    or ``Fraction`` is read as is; a bool, a subclass or anything else
-    goes through ``Fraction()``, so that numerators are always ints."""
+    or ``Fraction`` is read as is; a float is refused with TypeError, as
+    arithmetic refuses it and ``==`` never finds it equal, and a bool, a
+    subclass or anything else goes through ``Fraction()``, so that
+    numerators are always ints."""
     if isinstance(value, RadicalScalar):
         return value._terms
     cls = type(value)
     if cls is int:
         return ((1, value, 1),) if value else ()
     if cls is not Fraction:
-        value = Fraction(value)
+        value = _rational(value)
     return ((1, value.numerator, value.denominator),) if value else ()
+
+
+def _rational(value: RationalLike) -> Fraction:
+    """``Fraction(value)``, refusing a float: the scalars are exact, and
+    a float's binary value is rarely the number it was written as."""
+    if isinstance(value, float):
+        raise TypeError(f"a {type(value).__name__} is not an exact "
+                        "scalar; pass an int or a Fraction")
+    return Fraction(value)
 
 
 def _coerce(value: object) -> tuple | None:
@@ -205,7 +216,7 @@ def make(coeff: RationalLike, radicand: int) -> RadicalScalar:
     if not isinstance(radicand, int) or radicand < 1:
         raise DomainError("radicand must be a positive integer")
     outer, core = split_radicand(radicand, {})
-    q = Fraction(coeff)
+    q = _rational(coeff)
     return RadicalScalar._raw(
         _kernel.root_terms(q.numerator * outer, q.denominator, core))
 
@@ -213,7 +224,7 @@ def make(coeff: RationalLike, radicand: int) -> RadicalScalar:
 def sqrt_rational(value: RationalLike) -> RadicalScalar:
     """Exact square root of a nonnegative rational:
     ``sqrt(p/q) == (1/q) * sqrt(p*q)``."""
-    q = Fraction(value)
+    q = _rational(value)
     if q < 0:
         raise DomainError("cannot take a real square root of a negative value")
     if q == 0:

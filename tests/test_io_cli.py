@@ -234,6 +234,32 @@ def test_deserialize_rejects_malformed_text(text, needle):
     assert needle in str(exc.value)
 
 
+def test_csv_lines_end_at_ascii_breaks_only():
+    want = ExactMatrix([[1, 2], [3, 4]])
+    for text in ("1,2\r\n3,4\r\n", "1,2\r3,4", "1,2\n \t\f\v\n3,4\n"):
+        assert deserialize(text) == want
+
+
+@pytest.mark.parametrize("text, needle", [
+    # U+2028 and a form feed are line breaks to str.splitlines() only
+    ("1\u20282\n", "line 1, cell 1"),
+    ("1\f2\n", "line 1, cell 1"),
+    # a line of no-break spaces is not blank
+    ("1\n\xa0\xa0\n2\n", "line 2, cell 1"),
+    # nor does a no-break space lead an exact-json document
+    ("\xa0" + serialize(ExactMatrix.identity(1)), "line 1, cell 1"),
+], ids=["line_separator", "form_feed", "no_break_line", "no_break_json"])
+def test_unicode_breaks_and_spaces_are_not_csv_layout(text, needle, tmp_path,
+                                                      capsys):
+    with pytest.raises(ParseError) as exc:
+        deserialize(text)
+    assert needle in str(exc.value)
+    rc = cli_main(["verify", write(tmp_path / "m.csv", text),
+                   "--check", "unitary"])
+    err = capsys.readouterr().err
+    assert rc == 2 and needle in err and "Traceback" not in err
+
+
 def json_doc(entries):
     """An exact-json text of ``entries``, a list of rows of entries."""
     return json.dumps({"rows": len(entries), "cols": len(entries[0]),

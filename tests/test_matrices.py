@@ -1,10 +1,12 @@
 """Dense exact matrices: structure operators and block assembly."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from exactframes import matrices
 from exactframes.errors import DimensionError, DomainError
 from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
 from exactframes.radicals import ZERO, RadicalScalar, make, sqrt_rational
@@ -143,6 +145,53 @@ def test_to_float_rows():
     got = m.to_float_rows()
     assert got[0][0] == pytest.approx(2 ** 0.5, abs=1e-15)
     assert got[0][1] == 0.25
+
+
+@pytest.fixture
+def converted(monkeypatch):
+    """The term tuples handed to RadicalScalar.to_float and to the cell
+    renderer of matrices, in order."""
+    calls = {"float": [], "text": []}
+    to_float, render = RadicalScalar.to_float, matrices._format_terms
+
+    def counted_float(self):
+        calls["float"].append(self._terms)
+        return to_float(self)
+
+    def counted_text(terms):
+        calls["text"].append(terms)
+        return render(terms)
+
+    monkeypatch.setattr(RadicalScalar, "to_float", counted_float)
+    monkeypatch.setattr(matrices, "_format_terms", counted_text)
+    return calls
+
+
+def test_each_distinct_entry_is_converted_once_per_call(converted):
+    m = ExactMatrix([[make(1, 2), 0, make(1, 2)], [0, Fraction(1, 3), 0]])
+    cells = [RadicalScalar(x)._terms for x in (make(1, 2), 0, Fraction(1, 3))]
+    for _ in range(2):
+        rows = m.to_float_rows()
+        digest = m._text_digest()
+    assert rows == [[2 ** 0.5, 0.0, 2 ** 0.5], [0.0, 1 / 3, 0.0]]
+    assert digest == hashlib.sha256(str(m).encode()).hexdigest()
+    # each call has a memo of its own; the digest's two passes share one
+    assert converted["float"] == cells * 2
+    assert converted["text"][:6] == cells * 2
+
+
+def test_mostly_distinct_entries_stop_the_memo_growing(converted,
+                                                       monkeypatch):
+    monkeypatch.setattr(matrices, "_MEMO_TRIAL", 2)
+    m = ExactMatrix([[1, 2, 3, 4], [1, 2, 3, 4]])
+    assert m.to_float_rows() == [[1.0, 2.0, 3.0, 4.0]] * 2
+    # 1 and 2 fill the memo; 3 finds it mostly distinct, so it and 4
+    # are converted at each sight
+    assert [t[0][1] for t in converted["float"]] == [1, 2, 3, 4, 3, 4]
+    m._text_digest()
+    # the digest's second pass still finds 1 and 2 in the shared memo
+    assert [t[0][1] for t in converted["text"]] == [1, 2, 3, 4, 3, 4,
+                                                    3, 4, 3, 4]
 
 
 def test_str_alignment():

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exactframes import paving
 from exactframes._kernel import dot_terms, graded, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
-from exactframes.matrices import ExactMatrix
+from exactframes.matrices import ExactMatrix, block_diag
 from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT, PavingResult,
                                 gram_projection, paving_epsilon,
                                 scaled_gram, weight_profile)
@@ -331,7 +332,7 @@ def test_batched_search_matches_reference_sampled(m):
                             _reference_paving(g, sample=40, seed=seed))
 
 
-@pytest.mark.parametrize("g, sample", [
+_TIE_CASES = pytest.mark.parametrize("g, sample", [
     (gram_projection(ap_two_tight(1, 2), 2), None),
     (_half_identity(6), None),
     # 512 partitions, every one of value 0: ties across chunks
@@ -341,6 +342,80 @@ def test_batched_search_matches_reference_sampled(m):
     (_half_identity(66), 40),
 ], ids=["ap_two_tight", "half_identity_6", "half_identity_10",
         "half_identity_66_sampled"])
+
+
+@_TIE_CASES
 def test_batched_search_matches_reference_on_exact_ties(g, sample):
     _assert_same_result(paving_epsilon(g, sample=sample, seed=5),
                         _reference_paving(g, sample=sample, seed=5))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """One partition a chunk on 6 rows or more, so that the search's
+    record of each balance can change between any two partitions."""
+    monkeypatch.setattr(paving, "_CHUNK_ENTRIES", 64)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_pruned_search_matches_reference_in_small_chunks(m, small_chunks):
+    test_batched_search_matches_reference_exhaustive(m)
+
+
+@pytest.mark.parametrize("m", (30, 66, 130))
+def test_pruned_sampled_search_matches_reference_in_small_chunks(
+        m, small_chunks):
+    test_batched_search_matches_reference_sampled(m)
+
+
+@_TIE_CASES
+def test_pruned_search_keeps_exact_ties_in_small_chunks(g, sample,
+                                                        small_chunks):
+    # equal values: a partition that ties its record may not be skipped
+    test_batched_search_matches_reference_on_exact_ties(g, sample)
+
+
+def _twelve_row_projection():
+    """The Gram projection of a 12x6 unit-norm 2-tight frame: a
+    weight-in-front frame and a 4x2 frame on the diagonal, its rows
+    permuted and some negated."""
+    s = sqrt_rational(Fraction(1, 2))
+    frame = block_diag([weight_in_front(make_two_row_table((5, 2), 6)),
+                        ExactMatrix([[1, 0], [0, 1], [s, s], [s, -s]])])
+    rng = random.Random(1)
+    order = list(range(frame.rows))
+    rng.shuffle(order)
+    rows = [[-x for x in frame.row(i)] if rng.random() < 0.5
+            else frame.row(i) for i in order]
+    return gram_projection(ExactMatrix(rows), 2)
+
+
+@pytest.mark.parametrize("chunked", (False, True), ids=["default", "small"])
+def test_pruned_search_matches_reference_on_a_projection(chunked,
+                                                         monkeypatch):
+    if chunked:
+        monkeypatch.setattr(paving, "_CHUNK_ENTRIES", 64)
+    g = _twelve_row_projection()
+    _assert_same_result(paving_epsilon(g), _reference_paving(g))
+
+
+def test_pruning_solves_about_one_block_per_partition(small_chunks,
+                                                      monkeypatch):
+    # the larger block of every partition is solved, the smaller one
+    # only where the partition could still set its balance's record.
+    # Small chunks, because the first chunk has no record yet and
+    # solves both blocks throughout (227 partitions on 12 rows by
+    # default).  Most skips here are of unbalanced partitions, whose
+    # larger block has norm exactly 1: one is skipped when the computed
+    # norm lands a rounding above the record.
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(blocks):
+        solved.append(len(blocks))
+        return real(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    result = paving_epsilon(_twelve_row_projection())
+    assert result.partitions_examined == 2048
+    assert sum(solved) < 1.2 * result.partitions_examined

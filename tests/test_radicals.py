@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
+from exactframes.matrices import ExactMatrix
 from exactframes.radicals import (_QUOTE_CHARS, ONE, ZERO, RadicalScalar,
                                   _terms_of, format_scalar, make,
                                   parse_scalar, sqrt_rational)
@@ -140,7 +141,7 @@ class Half(Fraction):
 
 @pytest.mark.parametrize("value", (
     0, 1, -7, 10 ** 40, -(10 ** 40), True, False, Fraction(3, 6),
-    Fraction(-2, 4), Fraction(0), Half(1, 2), Half(0), 0.5, -2.25, 0.0,
+    Fraction(-2, 4), Fraction(0), Half(1, 2), Half(0),
 ))
 def test_terms_of_agrees_with_fraction_and_make_terms(value):
     q = Fraction(value)
@@ -149,6 +150,33 @@ def test_terms_of_agrees_with_fraction_and_make_terms(value):
     # a bool would compare equal to its int but write as True or False
     assert all(type(n) is int and type(d) is int for _, n, d in terms)
     assert RadicalScalar(value)._terms == terms
+
+
+class Float(float):
+    """A float subclass, such as numpy's float64."""
+
+
+@pytest.mark.parametrize("value", (0.5, -2.25, 0.0, Float(0.5)),
+                         ids=("0.5", "-2.25", "0.0", "float_subclass"))
+def test_terms_of_refuses_floats(value):
+    # arithmetic and == refuse floats, so construction does too: an
+    # accepted 0.5 would equal Fraction(1, 2) while 1/2 != 0.5
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=f"a {name} is not an exact scalar"):
+        _terms_of(value)
+    with pytest.raises(TypeError, match=name):
+        RadicalScalar(value)
+    with pytest.raises(TypeError, match=name):
+        ExactMatrix([[1, value]])
+    with pytest.raises(TypeError, match=name):
+        ExactMatrix([[1]]).scale(value)
+    with pytest.raises(TypeError, match=name):
+        make(value, 3)
+    with pytest.raises(TypeError, match=name):
+        sqrt_rational(value)
+    with pytest.raises(TypeError):
+        RadicalScalar(1) + value
+    assert RadicalScalar(Fraction(1, 2)) != 0.5
 
 
 def test_terms_of_a_scalar_is_its_own_terms():
