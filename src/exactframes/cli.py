@@ -38,8 +38,8 @@ from exactframes.radicals import _quote, parse_scalar
 OK, FAILED, USAGE, BREACH = 0, 1, 2, 3
 
 # Largest --n of the sized families.  two-constant-diag, the costliest,
-# takes about 11 s and 154 MiB to construct, re-check and write at
-# n = 1024 (Python 3.11, 2-CPU Xeon), against 1.2 s at n = 512.
+# takes about 5.7 s and 154 MiB to construct, re-check and write at
+# n = 1024 (Python 3.11, 2-CPU Xeon), of which 0.11 s is the writing.
 MAX_DIMENSION = 1024
 
 

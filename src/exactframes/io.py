@@ -15,7 +15,8 @@ The exact formats round-trip losslessly:
 ``latex`` emits a bmatrix for inspection and ``float-csv`` emits
 nearest-double values with 17 significant digits; these two are one-way.
 csv and LaTeX cells come from the scalar renderer of
-:mod:`exactframes.radicals`, so their terms read as in ``str()``.
+:mod:`exactframes.radicals`, so their terms read as in ``str()``.  A
+write renders each distinct cell once, by the cell map of ``str()``.
 
 Deserialization accepts the two exact formats only, detects them by
 the first character after ASCII whitespace, and normalizes
@@ -43,24 +44,37 @@ import sys
 
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError
-from exactframes.matrices import ExactMatrix, _MEMO_TRIAL
+from exactframes.matrices import ExactMatrix, _MEMO_TRIAL, _map_cells
 from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar, _SPACE,
                                   _digit_limit_error, _format_terms,
                                   _radicand_cap_error, parse_scalar,
                                   split_radicand)
 
-FORMATS = ("exact-json", "csv", "latex", "float-csv")
-
 _LARGEST_RADICAND = (1 << MAX_RADICAND_BITS) - 1
 _KEYS = "must be an object with keys num, den, rad"
 
-# the cell writer and the cell separator of each text format
-_TEXT_FORMATS = {
+
+def _json_cell(terms: tuple) -> str:
+    """An exact-json entry as ``json.dumps`` with sorted keys and no
+    whitespace writes it, but without a document of dicts (7 MiB for a
+    dense 128 x 128 matrix)."""
+    try:
+        return "[" + ",".join([f'{{"den":{d},"num":{n},"rad":{r}}}'
+                               for r, n, d in terms]) + "]"
+    except ValueError:
+        # an f-string refuses an int past the limit
+        raise _digit_limit_error() from None
+
+
+# the cell writer and the cell separator of each format
+_WRITERS = {
+    "exact-json": (_json_cell, ","),
     "csv": (_format_terms, ","),
     "latex": (lambda t: _format_terms(t, r"\frac{%d}{%d}", r"\sqrt{%d}", ""),
               " & "),
     "float-csv": (lambda t: "%.17g" % RadicalScalar._raw(t).to_float(), ","),
 }
+FORMATS = tuple(_WRITERS)
 
 
 def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
@@ -68,16 +82,13 @@ def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
     more digits than the interpreter's limit on integer text raises
     ResourceLimitError; an entry beyond the float64 range in float-csv
     raises DomainError."""
-    if fmt == "exact-json":
-        try:
-            return _to_json(a)
-        except ValueError:
-            # an f-string refuses an int past the limit
-            raise _digit_limit_error() from None
-    if fmt not in _TEXT_FORMATS:
+    if fmt not in _WRITERS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    cell, sep = _TEXT_FORMATS[fmt]
-    lines = [sep.join(map(cell, row)) for row in a._data]
+    cell, sep = _WRITERS[fmt]
+    lines = [sep.join(cells) for cells in _map_cells(cell, a._data, {})]
+    if fmt == "exact-json":
+        return (f'{{"cols":{a.cols},"entries":[[{"],[".join(lines)}]],'
+                f'"rows":{a.rows}}}\n')
     if fmt == "latex":
         return ("\\begin{bmatrix}\n" + " \\\\\n".join(lines)
                 + "\n\\end{bmatrix}\n")
@@ -88,19 +99,6 @@ def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
         raise DomainError(f"entry ({i + 1}, {j + 1}) is beyond the range of "
                           "a float64; float-csv cannot write it")
     return text
-
-
-def _to_json(a: ExactMatrix) -> str:
-    """The bytes of ``json.dumps`` with sorted keys and no whitespace,
-    written row by row: a document of dicts costs several times the
-    text in memory (7 MiB for a dense 128 x 128 matrix)."""
-    rows = ",".join(
-        "[" + ",".join(
-            "[" + ",".join(f'{{"den":{d},"num":{n},"rad":{r}}}'
-                           for r, n, d in entry) + "]"
-            for entry in row) + "]"
-        for row in a._data)
-    return f'{{"cols":{a.cols},"entries":[{rows}],"rows":{a.rows}}}\n'
 
 
 def deserialize(text: str, notes: list[str] | None = None) -> ExactMatrix:

@@ -24,8 +24,9 @@ EntryLike = RadicalScalar | Fraction | int
 
 # A memo of per-cell results (a read's parsed cells, a conversion's
 # floats or texts) stops growing once it holds this many cells and they
-# are more than half of the cells seen: the input is then taken to be
-# mostly distinct, and each further cell costs one dictionary miss.
+# are more than half of the cells seen.  A reader still looks up each
+# further cell, which saves a parse; a conversion stops reading its memo
+# for the rest of the pass, as a render costs about one dictionary miss.
 _MEMO_TRIAL = 1024
 
 
@@ -216,20 +217,21 @@ class ExactMatrix:
 def _map_cells(fn, rows: Iterable[tuple], memo: dict) -> Iterator[list]:
     """Yield ``list(map(fn, row))`` for each row, taking ``fn`` of a
     cell that ``memo`` holds from it.  The memo grows by the rule of
-    ``_MEMO_TRIAL``, counting the cells of this pass."""
+    ``_MEMO_TRIAL``, counting the cells of this pass; once that rule
+    stops it, the rest of the pass maps each cell without a lookup."""
+    rows = iter(rows)
     seen = 0
-    grow = True
     for row in rows:
         out = []
         for cell in row:
             value = memo.get(cell)
             if value is None:
                 value = fn(cell)
-                if grow:
-                    if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= seen:
-                        memo[cell] = value
-                    else:
-                        grow = False
+                if len(memo) >= _MEMO_TRIAL and 2 * len(memo) > seen:
+                    yield [*out, value, *map(fn, row[len(out) + 1:])]
+                    yield from (list(map(fn, rest)) for rest in rows)
+                    return
+                memo[cell] = value
             out.append(value)
             seen += 1
         yield out

@@ -162,10 +162,10 @@ class RadicalScalar:
 def _terms_of(value: RationalLike | RadicalScalar) -> tuple:
     """The canonical kernel terms of a scalar, an int or a rational:
     the one conversion of a value into the ring.  Only an exact ``int``
-    or ``Fraction`` is read as is; a float is refused with TypeError, as
-    arithmetic refuses it and ``==`` never finds it equal, and a bool, a
-    subclass or anything else goes through ``Fraction()``, so that
-    numerators are always ints."""
+    or ``Fraction`` is read as is; a float or a str is refused with
+    TypeError (:func:`_rational`), and a bool, a subclass or anything
+    else goes through ``Fraction()``, so that numerators are always
+    ints."""
     if isinstance(value, RadicalScalar):
         return value._terms
     cls = type(value)
@@ -177,11 +177,11 @@ def _terms_of(value: RationalLike | RadicalScalar) -> tuple:
 
 
 def _rational(value: RationalLike) -> Fraction:
-    """``Fraction(value)``, refusing a float: the scalars are exact, and
-    a float's binary value is rarely the number it was written as."""
-    if isinstance(value, float):
-        raise TypeError(f"a {type(value).__name__} is not an exact "
-                        "scalar; pass an int or a Fraction")
+    """``Fraction(value)``, refusing a float (its binary value is rarely
+    the number written) and a str (read outside the scalar grammar)."""
+    if isinstance(value, (float, str)):
+        raise TypeError(f"a {type(value).__name__} is not an exact scalar; "
+                        "pass an int or a Fraction, or use parse_scalar")
     return Fraction(value)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactframes import matrices
+from exactframes import io, matrices
 from exactframes.errors import DimensionError, DomainError
 from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
 from exactframes.radicals import ZERO, RadicalScalar, make, sqrt_rational
@@ -167,7 +167,8 @@ def converted(monkeypatch):
     return calls
 
 
-def test_each_distinct_entry_is_converted_once_per_call(converted):
+def test_each_distinct_entry_is_converted_once_per_call(converted,
+                                                        monkeypatch):
     m = ExactMatrix([[make(1, 2), 0, make(1, 2)], [0, Fraction(1, 3), 0]])
     cells = [RadicalScalar(x)._terms for x in (make(1, 2), 0, Fraction(1, 3))]
     for _ in range(2):
@@ -179,19 +180,32 @@ def test_each_distinct_entry_is_converted_once_per_call(converted):
     assert converted["float"] == cells * 2
     assert converted["text"][:6] == cells * 2
 
+    rendered = []
+    for fmt, (cell, sep) in list(io._WRITERS.items()):
+        def counted(terms, fmt=fmt, cell=cell):
+            rendered.append((fmt, terms))
+            return cell(terms)
+        monkeypatch.setitem(io._WRITERS, fmt, (counted, sep))
+    for fmt in io.FORMATS:
+        for _ in range(2):
+            io.serialize(m, fmt)
+    assert rendered == [(fmt, t) for fmt in io.FORMATS for _ in range(2)
+                        for t in cells]
+
 
 def test_mostly_distinct_entries_stop_the_memo_growing(converted,
                                                        monkeypatch):
     monkeypatch.setattr(matrices, "_MEMO_TRIAL", 2)
     m = ExactMatrix([[1, 2, 3, 4], [1, 2, 3, 4]])
     assert m.to_float_rows() == [[1.0, 2.0, 3.0, 4.0]] * 2
-    # 1 and 2 fill the memo; 3 finds it mostly distinct, so it and 4
-    # are converted at each sight
-    assert [t[0][1] for t in converted["float"]] == [1, 2, 3, 4, 3, 4]
+    # 1 and 2 fill the memo; 3 finds it mostly distinct, so the pass
+    # stops reading it and converts every later cell, repeats included
+    assert [t[0][1] for t in converted["float"]] == [1, 2, 3, 4, 1, 2, 3, 4]
     m._text_digest()
-    # the digest's second pass still finds 1 and 2 in the shared memo
-    assert [t[0][1] for t in converted["text"]] == [1, 2, 3, 4, 3, 4,
-                                                    3, 4, 3, 4]
+    # the digest's second pass finds 1 and 2 in the shared memo, then
+    # stops reading it at 3 as the first pass did
+    assert [t[0][1] for t in converted["text"]] == [1, 2, 3, 4, 1, 2, 3, 4,
+                                                    3, 4, 1, 2, 3, 4]
 
 
 def test_str_alignment():

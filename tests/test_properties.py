@@ -1,10 +1,12 @@
-"""Property tests of the scalar and matrix text readers (Hypothesis).
+"""Property tests of the scalar and matrix text readers and writers
+(Hypothesis).
 
 The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
 """
 
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -13,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactframes import _kernel, io
-from exactframes.errors import ParseError, ResourceLimitError
+from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix
-from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, format_scalar,
-                                  make, parse_scalar, split_radicand)
+from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, RadicalScalar,
+                                  _digit_limit_error, _format_terms,
+                                  format_scalar, make, parse_scalar,
+                                  split_radicand)
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -325,3 +329,68 @@ def test_json_memo_reads_as_each_entry_alone(entries, trial):
     with mock.patch.object(io, "_MEMO_TRIAL", trial):
         got = outcome(lambda t, n: deserialize(t, n)._data, text)
     assert got == outcome(json_reference, entries)
+
+
+# Writers: cells drawn from a small pool again, now and then one past
+# the float64 range or with more digits than the interpreter's default
+# limit on integer text.
+writer_cells = st.one_of(
+    scalars(), scalars(),
+    st.sampled_from([ZERO, make(-10 ** 400, 3), make(10 ** 5000, 1)]))
+
+
+def reference_serialize(m, fmt):
+    """Each cell rendered afresh, with no memo: the writer as it was
+    before the cell map."""
+    if fmt == "exact-json":
+        try:
+            rows = ",".join(
+                "[" + ",".join(
+                    "[" + ",".join(f'{{"den":{d},"num":{n},"rad":{r}}}'
+                                   for r, n, d in entry) + "]"
+                    for entry in row) + "]"
+                for row in m._data)
+        except ValueError:
+            raise _digit_limit_error() from None
+        return f'{{"cols":{m.cols},"entries":[{rows}],"rows":{m.rows}}}\n'
+    if fmt == "float-csv":
+        for i, row in enumerate(m._data):
+            for j, terms in enumerate(row):
+                if math.isinf(RadicalScalar._raw(terms).to_float()):
+                    raise DomainError(
+                        f"entry ({i + 1}, {j + 1}) is beyond the range of "
+                        "a float64; float-csv cannot write it")
+        return "".join(",".join("%.17g" % RadicalScalar._raw(t).to_float()
+                                for t in row) + "\n" for row in m._data)
+    if fmt == "csv":
+        return "".join(",".join(map(_format_terms, row)) + "\n"
+                       for row in m._data)
+    lines = [" & ".join(_format_terms(t, r"\frac{%d}{%d}", r"\sqrt{%d}", "")
+                        for t in row) for row in m._data]
+    return ("\\begin{bmatrix}\n" + " \\\\\n".join(lines)
+            + "\n\\end{bmatrix}\n")
+
+
+def written(write, m, fmt):
+    """The text of a write, or the type and text of its error."""
+    try:
+        return write(m, fmt)
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+@FIXED
+@given(pool_matrix(writer_cells), memo_trials)
+def test_writers_render_as_each_cell_alone(rows, trial):
+    m = ExactMatrix(rows)
+    for fmt in io.FORMATS:
+        with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
+            got = written(serialize, m, fmt)
+        assert got == written(reference_serialize, m, fmt), fmt
+        if fmt == "exact-json" and isinstance(got, str):
+            doc = {"rows": m.rows, "cols": m.cols,
+                   "entries": [[[{"num": n, "den": d, "rad": r}
+                                 for r, n, d in entry] for entry in row]
+                               for row in m._data]}
+            assert got == json.dumps(doc, sort_keys=True,
+                                     separators=(",", ":")) + "\n"

@@ -179,6 +179,21 @@ def test_terms_of_refuses_floats(value):
     assert RadicalScalar(Fraction(1, 2)) != 0.5
 
 
+@pytest.mark.parametrize("build", (
+    lambda: RadicalScalar("\u0663"),
+    lambda: make("1e3", 2),
+    lambda: sqrt_rational("1_000"),
+    lambda: ExactMatrix([["1"]]),
+), ids=("arabic_indic_three", "make_exponent", "sqrt_underscore",
+        "matrix_cell"))
+def test_terms_of_refuses_strings(build):
+    # Fraction() reads text outside the scalar grammar ('1e3' is 1000,
+    # the Arabic-Indic three is 3), so text goes through parse_scalar
+    with pytest.raises(TypeError, match="a str is not an exact scalar; "
+                       ".*parse_scalar"):
+        build()
+
+
 def test_terms_of_a_scalar_is_its_own_terms():
     x = make(Fraction(2, 3), 12) - 1
     assert _terms_of(x) is x._terms
