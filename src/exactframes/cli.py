@@ -17,6 +17,14 @@ Exact scalar parameters are given in the scalar text grammar
 inexact can enter a construction.  The rational flags (``--a`` and
 ``--b`` of ap-two-tight and abcd-outline, ``--c``, ``--d``, ``--m`` and
 each ``--values`` item) take the same grammar and must be rational.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: building it costs about 1 ms, more than the work of
+a small ``verify`` job, and callers such as the benchmark and the tests
+run ``main`` many times in one process.  Each ``parse_args`` starts
+from a fresh namespace, so no option of one call reaches the next.
+The parser holds the ``_cmd_*`` functions, which look their modules'
+functions up when called.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from exactframes import errata as errata_mod
@@ -52,6 +60,7 @@ def _rational(text: str) -> Fraction:
                          f"floats are not accepted): {exc}") from None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactframes",
@@ -116,8 +125,7 @@ def _read_matrix(path: str) -> ExactMatrix:
         text = fh.read()
     notes: list[str] = []
     matrix = io.deserialize(text, notes)
-    for note in notes:
-        print(f"note: {path}: {note}", file=sys.stderr)
+    sys.stderr.write("".join(f"note: {path}: {note}\n" for note in notes))
     return matrix
 
 

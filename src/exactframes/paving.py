@@ -168,7 +168,8 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     Enumerates every unordered partition (fixing index 0 in the first
     block, including the trivial one) when the size is at most
     EXHAUSTIVE_LIMIT; otherwise ``sample`` random partitions, at most
-    SAMPLE_LIMIT, must be requested (seeded, reproducible).  Ties on
+    SAMPLE_LIMIT, must be requested (seeded, reproducible; ``seed`` must
+    be >= 0, and the exhaustive search ignores it).  Ties on
     the value are broken toward the lexicographically smallest first
     block, making the result deterministic.
     """
@@ -189,6 +190,8 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
             f"sample of {sample} partitions is beyond the cap of "
             f"2^{EXHAUSTIVE_LIMIT - 1} = {SAMPLE_LIMIT}, the exhaustive "
             "search's own budget")
+    if sample is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
     if not np.isfinite(base).all():
         raise DomainError("an entry of 2G - I overflows a float64")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactframes import _kernel, io, paving, verify
+from exactframes import _kernel, cli, io, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
@@ -842,12 +842,16 @@ def test_cli_sparsity(tmp_path, capsys):
 
 
 def test_cli_sparsity_reports_normalization_notes(tmp_path, capsys):
-    f = write(tmp_path / "m.csv", "sqrt(8),0\n1,1\n")
+    f = write(tmp_path / "m.csv", "sqrt(8),sqrt(12)\n1,sqrt(8)\n")
     rc = cli_main(["sparsity", f])
     assert rc == 0
     captured = capsys.readouterr()
-    assert captured.out == "3\n"
-    assert "radicand 8 is not squarefree" in captured.err
+    assert captured.out == "4\n"
+    # one line per note, in reading order
+    assert captured.err == "".join(
+        f"note: {f}: radicand {r} is not squarefree; normalized to {n}\n"
+        for r, n in (("8", "2*sqrt(2)"), ("12", "2*sqrt(3)"),
+                     ("8", "2*sqrt(2)")))
 
 
 def test_cli_pave_frame(tmp_path, capsys):
@@ -904,6 +908,23 @@ def test_cli_pave_rejects_samples_past_the_cap(tmp_path, capsys):
     assert f"cap of 2^{paving.EXHAUSTIVE_LIMIT - 1}" in captured.err
 
 
+@pytest.mark.parametrize("gram", (False, True))
+def test_cli_pave_rejects_negative_seeds_only_when_sampling(tmp_path, capsys,
+                                                            gram):
+    frame = ap_two_tight(1, 2)
+    f = write(tmp_path / "in.json",
+              serialize(gram_projection(frame, 2) if gram else frame))
+    flags = ["--gram"] if gram else []
+    rc = cli_main(["pave", f, *flags, "--sample", "4", "--seed", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    # an exhaustive search ignores the seed
+    assert cli_main(["pave", f, *flags, "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["exhaustive"] is True
+
+
 @pytest.mark.parametrize("family", ("hyperplane", "constant-first-row",
                                     "constant-two-rows", "two-constant-diag"))
 def test_cli_construct_rejects_dimensions_past_the_cap(family, capsys):
@@ -945,3 +966,77 @@ def test_cli_errata(capsys):
                   "free-form-table", "hyperplane-5-sparsity"):
         assert f"[{ident}] (reproduced)" in out
     assert "NOT REPRODUCED" not in out
+
+
+def run(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call; a usage error's
+    ``SystemExit`` code stands for the exit code."""
+    try:
+        rc = cli_main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_cli_options_do_not_reach_the_next_call(capsys):
+    argv = ["construct", "constant-first-row", "--n", "4"]
+    rc, out, _ = run([*argv, "--format", "csv", "--normalize"], capsys)
+    assert rc == 0 and out == serialize(
+        constant_first_row(4).normalize_rows(), "csv")
+    assert run(argv, capsys) == (0, serialize(constant_first_row(4)), "")
+    # a unitary's rows are unit already: hyperplane rows show --normalize
+    h4 = build(4).matrix
+    assert h4.normalize_rows() != h4
+    argv = ["construct", "hyperplane", "--n", "4"]
+    assert run([*argv, "--normalize"], capsys) == (
+        0, serialize(h4.normalize_rows()), "")
+    assert run(argv, capsys) == (0, serialize(h4), "")
+    rc, out, err = run(["construct", "constant-first-row"], capsys)
+    assert rc == 2 and out == ""
+    assert "missing required option(s): --n" in err
+
+
+def test_cli_pave_seed_does_not_reach_the_next_call(tmp_path, capsys):
+    f = write(tmp_path / "frame.json", serialize(ap_two_tight(1, 2)))
+    seed0 = run(["pave", f, "--sample", "5", "--seed", "0"], capsys)
+    assert seed0[0] == 0
+    seed7 = run(["pave", f, "--sample", "5", "--seed", "7"], capsys)
+    assert seed7[0] == 0 and seed7 != seed0
+    assert run(["pave", f, "--sample", "5"], capsys) == seed0
+
+
+def test_cli_usage_error_does_not_break_the_next_call(capsys):
+    rc, out, err = run(["construct", "fourier"], capsys)
+    assert rc == 2 and out == "" and "invalid choice" in err
+    rc, out, err = run(["verify"], capsys)
+    assert rc == 2 and "required" in err
+    assert run(["construct", "two-constant-diag", "--n", "3", "--format",
+                "csv"], capsys) == (
+        0, "-1/3,2/3,2/3\n2/3,-1/3,2/3\n2/3,2/3,-1/3\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in (
+        "construct", "verify", "sparsity", "pave", "errata"))],
+    ids=("program", "construct", "verify", "sparsity", "pave", "errata"))
+def test_cli_help_is_the_same_on_every_call(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # a parser built afresh gives the text of a process's first call
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 0
+    first = capsys.readouterr()
+    assert first.out.startswith("usage: exactframes") and first.err == ""
+    for _ in range(2):
+        assert run(argv, capsys) == (0, first.out, "")
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys):
+    f = write(tmp_path / "m.csv", "sqrt(8),0\n1,1\n")
+    parser = cli._build_parser()
+    for argv in (["sparsity", f], ["construct", "third-case"], ["errata"],
+                 ["verify", f, "--check", "unitary"], ["pave", "--help"]):
+        run(argv, capsys)
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1

@@ -244,6 +244,14 @@ def test_paving_rejects_bad_sample_counts():
         paving_epsilon(g, sample=0)
 
 
+def test_paving_rejects_negative_seeds_only_when_sampling():
+    g = gram_projection(ap_two_tight(1, 2), 2)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        paving_epsilon(g, sample=3, seed=-1)
+    # the exhaustive search draws nothing, so it ignores the seed
+    assert paving_epsilon(g, seed=-1) == paving_epsilon(g)
+
+
 def test_paving_result_matrix_ids_distinguish_inputs():
     a = paving_epsilon(gram_projection(ap_two_tight(1, 2), 2))
     b = paving_epsilon(gram_projection(ap_two_tight(1, 4), 2))
