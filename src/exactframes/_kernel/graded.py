@@ -34,8 +34,10 @@ There is no float anywhere.  Arrays are int64 only when a bound proven
 from the inputs keeps every sum below 2^63 (see :func:`_dtype`);
 otherwise the same code runs on arrays of Python ints.
 
-Below a fixed size the pair-by-pair scan of :mod:`pycore` is faster
-than the numpy calls' fixed cost, and both functions take it there.
+The package (:mod:`exactframes._kernel`) scans a Gram below its size
+cut pair by pair and calls the two functions here for the rest; it
+imports this module, and with it numpy, on the first such call.  No
+other kernel module imports numpy.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from exactframes._kernel.pycore import dot_terms, scale_terms
-
-# Inputs with fewer entry products n (n + 1) / 2 * width than this are
-# scanned pair by pair.  Measured on the small tiers of the construct
-# and verify benchmarks (n <= 16), in one process with the cut switched
-# from job to job (Python 3.11, numpy 2.4, 2-CPU Xeon): at 400 their
-# median job took 6.7 % and 7.9 % longer than scanning everything, at
-# 1200 it stayed within 1.2 %, inside the +-3 % noise.  Repeated calls
-# in a tight loop cross over near 300 already.
-_SCAN_BELOW = 1200
 # expanded rows per chunk product
 _CHUNK = 32
 # pairs (i, j) per block of rows, about: the products of one block are
@@ -300,28 +292,11 @@ class _Graded:
         return pair, core, sums[0]
 
 
-def _small(rows) -> bool:
-    n = len(rows)
-    return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
-
-
 def gram_mismatch(rows, diag: tuple[int, int] | None
                   ) -> tuple[int, int, tuple] | None:
-    """The first ``(i, j, entry)``, 0-based with ``i <= j`` in
-    row-major order, where ``entry = <rows[i], rows[j]>`` (a canonical
-    term tuple) differs from ``p/q`` on the diagonal (``diag == (p,
-    q)``, in lowest terms with ``p, q > 0``) and from 0 off it, or None.
-
-    ``diag=None`` compares only the pairs with ``i < j``.
-    """
+    """:func:`exactframes._kernel.gram_mismatch` by the graded Gram,
+    whatever the size of ``rows``."""
     want = () if diag is None else ((1,) + diag,)
-    if _small(rows):
-        for i, row in enumerate(rows):
-            for j in range(i + (diag is None), len(rows)):
-                got = dot_terms(row, rows[j])
-                if got != (want if i == j else ()):
-                    return i, j, got
-        return None
     for i0, i1, entries in _Graded(rows).blocks(1, 1):
         # a zero row has no diagonal entry in the stream
         got = {} if diag is None else {(i, i): () for i in range(i0, i1)}
@@ -337,18 +312,11 @@ def gram_mismatch(rows, diag: tuple[int, int] | None
 
 
 def gram_terms(rows, num: int, den: int) -> tuple:
-    """The Gram matrix of ``rows`` times ``num/den`` (``num != 0``,
-    ``den > 0``) as rows of canonical term tuples: entry (i, j) is
-    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``."""
+    """:func:`exactframes._kernel.gram_terms` by the graded Gram,
+    whatever the size of ``rows``."""
     n = len(rows)
     out = [[()] * n for _ in range(n)]
-    if _small(rows):
-        for i, row in enumerate(rows):
-            for j in range(i, n):
-                out[i][j] = out[j][i] = scale_terms(
-                    dot_terms(row, rows[j]), num, den)
-    else:
-        for _, _, entries in _Graded(rows).blocks(num, den):
-            for i, j, terms in entries:
-                out[i][j] = out[j][i] = terms
+    for _, _, entries in _Graded(rows).blocks(num, den):
+        for i, j, terms in entries:
+            out[i][j] = out[j][i] = terms
     return tuple(map(tuple, out))

@@ -11,7 +11,6 @@ hot paths (Gram matrices, products) free of wrapper objects.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -185,6 +184,10 @@ class ExactMatrix:
         text of a large matrix is never held whole.  The cells are read
         twice, for the column widths and for the lines, and one memo
         serves both passes, so each distinct entry is formatted once."""
+        # imported here, its only use, so that loading the package does
+        # not load it
+        import hashlib
+
         h = hashlib.sha256()
         sep = b""
         memo: dict[tuple, str] = {}

@@ -11,7 +11,9 @@ Partition search is combinatorial: exhaustive enumeration is capped at
 24 indices (2^23 partitions); beyond that a seeded random sample must
 be requested explicitly, of at most as many partitions.  Spectral norms
 are floating point (symmetric eigenvalues via LAPACK); everything up to
-the Gram projection itself is exact.
+the Gram projection itself is exact.  numpy is imported by the search,
+:func:`paving_epsilon`, once a call, so importing this module does not
+load it.
 
 The search is batched.  Partitions are taken a chunk at a time as a
 boolean membership array; the blocks of one size across the chunk are
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
@@ -140,27 +140,6 @@ class PavingResult:
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _block_norms(base: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Spectral norm of ``base`` compressed to each row's member set.
-
-    Rows of the boolean ``member`` with the same count are gathered into
-    one ``(rows, k, k)`` stack and go to a single ``eigvalsh`` call; an
-    empty set has norm 0.0.
-    """
-    sizes = member.sum(axis=1)
-    out = np.zeros(len(member))
-    # np.bincount, not np.unique: the first np.unique call of a process
-    # raises its peak memory by about 1.3 MiB (numpy 2.4)
-    for k in np.flatnonzero(np.bincount(sizes)):
-        if k == 0:
-            continue
-        rows = np.flatnonzero(sizes == k)
-        idx = np.nonzero(member[rows])[1].reshape(len(rows), k)
-        blocks = base[idx[:, :, None], idx[:, None, :]]
-        out[rows] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
-    return out
-
-
 def paving_epsilon(g: ExactMatrix, sample: int | None = None,
                    seed: int = 0) -> PavingResult:
     """Search 2-pavings of a symmetric matrix ``G``.
@@ -192,9 +171,33 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
             "search's own budget")
     if sample is not None and seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    import numpy as np
+
     base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
     if not np.isfinite(base).all():
         raise DomainError("an entry of 2G - I overflows a float64")
+
+    def block_norms(member):
+        """Spectral norm of ``base`` compressed to each row's member
+        set.
+
+        Rows of the boolean ``member`` with the same count are gathered
+        into one ``(rows, k, k)`` stack and go to a single ``eigvalsh``
+        call; an empty set has norm 0.0.
+        """
+        sizes = member.sum(axis=1)
+        out = np.zeros(len(member))
+        # np.bincount, not np.unique: the first np.unique call of a
+        # process raises its peak memory by about 1.3 MiB (numpy 2.4)
+        for k in np.flatnonzero(np.bincount(sizes)):
+            if k == 0:
+                continue
+            rows = np.flatnonzero(sizes == k)
+            idx = np.nonzero(member[rows])[1].reshape(len(rows), k)
+            blocks = base[idx[:, :, None], idx[:, None, :]]
+            out[rows] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+        return out
+
     bits = m - 1
     if sample is None:
         examined = 1 << bits
@@ -233,11 +236,11 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
         # skipped row keeps a lower bound above that record, and can
         # neither lower the histogram nor tie for the best partition
         larger = member ^ (size < m - size)[:, None]
-        v = _block_norms(base, larger)
+        v = block_norms(larger)
         bound = np.full(m // 2 + 1, np.inf)
         bound[list(hist)] = list(hist.values())
         rest = np.flatnonzero(v <= bound[balance])
-        v[rest] = np.maximum(v[rest], _block_norms(base, ~larger[rest]))
+        v[rest] = np.maximum(v[rest], block_norms(~larger[rest]))
         for b in np.flatnonzero(np.bincount(balance)).tolist():
             low = float(v[balance == b].min())
             if b not in hist or low < hist[b]:

@@ -1,11 +1,16 @@
 """Tests for matrix serialization and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import exactframes
 from exactframes import _kernel, cli, io, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
@@ -1040,3 +1045,65 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, capsys):
         run(argv, capsys)
     assert cli._build_parser() is parser
     assert cli._build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# cold start: what a fresh interpreter imports
+
+_SRC = str(Path(exactframes.__file__).resolve().parents[1])
+
+# runs cli.main on its arguments, then writes the exit code and whether
+# numpy is loaded as the last line of stderr
+_FRESH_MAIN = (
+    "import json, sys\n"
+    "from exactframes import cli\n"
+    "try:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n")
+
+
+def fresh(code, *argv):
+    """stdout and stderr of ``python -c code *argv`` in a fresh
+    interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    return proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["exactframes", "exactframes.cli"])
+def test_import_loads_neither_numpy_nor_hashlib(module):
+    out, _ = fresh(f"import sys, {module}\n"
+                   "print(sorted({'numpy', 'hashlib'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["--help"], False),
+    (["errata"], False),
+    (["construct", "constant-first-row", "--n", "8"], False),
+    (["construct", "mub-r4"], False),
+    (["sparsity", "{small}"], False),
+    (["verify", "{small}", "--check", "unitary"], False),
+    (["pave", "{frame}"], True),
+    # its Gram re-check lies above the pair scan's size cut
+    (["construct", "two-constant-diag", "--n", "32"], True),
+], ids=("help", "errata", "constant-first-row", "mub-r4", "sparsity",
+        "verify", "pave", "two-constant-diag-32"))
+def test_cold_start_loads_numpy_only_where_needed(argv, loads_numpy,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"small": write(tmp_path / "small.csv",
+                            serialize(constant_first_row(4), "csv")),
+             "frame": write(tmp_path / "frame.json",
+                            serialize(ap_two_tight(1, 2)))}
+    argv = [arg.format(**files) for arg in argv]
+    out, err = fresh(_FRESH_MAIN, *argv)
+    *err_lines, last = err.splitlines(keepends=True)
+    code, loaded = json.loads(last)
+    assert loaded is loads_numpy
+    assert (code, out, "".join(err_lines)) == run(argv, capsys)

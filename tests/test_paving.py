@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exactframes import paving
-from exactframes._kernel import dot_terms, graded, scale_terms
+from exactframes import _kernel, paving
+from exactframes._kernel import dot_terms, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix, block_diag
@@ -107,7 +107,7 @@ def test_scaled_gram_matches_reference_on_random_matrices(seed, gram_path):
 ], ids=["wif_32x16", "wif_32x16_big", "cfr_24"])
 def test_scaled_gram_matches_reference_on_frames(frame):
     # the graded path, not the pair scan used below its size cut
-    assert not graded._small(frame._data)
+    assert not _kernel._small(frame._data)
     for k in (2, Fraction(-3, 7)):
         assert scaled_gram(frame, k) == _reference_scaled_gram(frame, k)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from exactframes import _kernel
 from exactframes._kernel import add_terms, dot_terms, graded, neg_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
@@ -471,6 +472,27 @@ def defects(a, rng):
             yield with_doubled_entry(a, r, rng.choice(nonzero))
     yield ExactMatrix([a.row(i) for i in range(a.rows - 1)]
                       + [[2 * x for x in a.row(a.rows - 1)]])
+
+
+def test_gram_path_reaches_the_size_cut(gram_path, monkeypatch):
+    # graded_only must force the graded Gram on a 2 x 2 input, or the
+    # tests that take gram_path run the scan twice
+    built = []
+
+    class Counted(graded._Graded):
+        def __init__(self, rows) -> None:
+            built.append(len(rows))
+            super().__init__(rows)
+
+    monkeypatch.setattr(graded, "_Graded", Counted)
+    rows = ExactMatrix([[1, make(1, 2)], [make(1, 2), -1]])._data
+    want = [2] if gram_path == "graded_only" else []
+    assert _kernel.gram_mismatch(rows, (3, 1)) is None
+    assert built == want
+    built.clear()
+    three = ((1, 3, 1),)
+    assert _kernel.gram_terms(rows, 1, 1) == ((three, ()), ((), three))
+    assert built == want
 
 
 @pytest.mark.parametrize("seed", range(6))
