@@ -16,25 +16,32 @@ the Gram projection itself is exact.  numpy is imported by the search,
 load it.
 
 The search is batched.  Partitions are taken a chunk at a time as a
-boolean membership array; the blocks of one size across the chunk are
-gathered into a ``(batch, k, k)`` stack, and one ``eigvalsh`` call
-covers the stack.  LAPACK sees the same entries as it would one block at
-a time, so every value is the same to the bit.
+boolean membership array and grouped by their balance
+``b = min(|S|, M - |S|)``: within a balance every larger block has
+``M - b`` indices and every smaller one ``b``.  The blocks of one size
+are gathered into ``(batch, k, k)`` stacks, and one ``eigvalsh`` call
+covers a stack.  LAPACK sees the same entries as it would one block at a
+time, so every value is the same to the bit.
 
-The larger block of each partition is solved first, and the smaller one
-only where the larger block's norm is at most the best value recorded
-for the partition's balance when the chunk began.  A partition's value
-is at least either norm, so one skipped has a value above that record,
-which is itself at least the best value: it could neither lower the
-histogram nor tie for the best partition.  Only computed values are
-compared, with no slack, so every result is the same to the bit as
-solving both blocks, on any symmetric input.  On a projection the
-larger block of an unbalanced partition has norm 1, and its computed
-norm, 1 give or take a rounding, mostly lies above the record, so about
-one block a partition is solved.  On the Gram projections of
-weight-in-front frames a partition of the exhaustive search costs about
-9 us on 16 rows and 12 us on 24 rows (numpy 2.4, one core of a 2-CPU
-Xeon), most of it in LAPACK, so the search of 24 rows takes about 100 s.
+The larger block of each partition is solved first.  A balance's
+partitions are then taken in ascending order of that norm, and their
+smaller blocks solved in batches of growing size while the larger norm
+is at most the balance's record, which each batch can lower.  A
+partition's value is at least either norm, so one skipped has a value
+above that record, which is itself at least the best value: it could
+neither lower the histogram nor tie for the best partition.  The
+histogram is a minimum and the tie-break is lexicographic on the first
+block, so neither depends on the order in which partitions are solved.
+Only computed values are compared, with no slack, so every result is the
+same to the bit as solving both blocks of every partition, on any
+symmetric input.  On a projection the larger block of an unbalanced
+partition has norm 1, and its computed norm, 1 give or take a rounding,
+mostly lies above the record, so about one block a partition is solved.
+On the Gram projections of weight-in-front frames the search makes one
+``eigvalsh`` call per 160 partitions on 16 rows and per 90 on 24, and a
+partition costs about 6.3 us on 16 rows and 12 us on 24, sampled or
+exhaustive (process time, numpy 2.4, one core of a 2-CPU Xeon), most of
+it in LAPACK, so the exhaustive search of 24 rows takes about 100 s.
 """
 
 from __future__ import annotations
@@ -134,9 +141,11 @@ class PavingResult:
         }
 
 
-# Bound on the float64 entries of one chunk's block stacks, which hold
-# at most ``chunk * m * m``: about 256 KiB, so that peak memory stays
-# flat.  On 16 rows, chunks of 1 MiB were not measurably faster.
+# Bound on the entries of the search's arrays: a chunk's membership
+# array holds at most this many booleans (``chunk * m``), and a block
+# stack at most this many float64s (256 KiB), so that peak memory stays
+# flat.  Chunks of this many partitions, a whole 16-row search in one,
+# were not measurably faster on 16 rows or on 32 rows sampled.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -177,25 +186,17 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     if not np.isfinite(base).all():
         raise DomainError("an entry of 2G - I overflows a float64")
 
-    def block_norms(member):
-        """Spectral norm of ``base`` compressed to each row's member
-        set.
-
-        Rows of the boolean ``member`` with the same count are gathered
-        into one ``(rows, k, k)`` stack and go to a single ``eigvalsh``
-        call; an empty set has norm 0.0.
-        """
-        sizes = member.sum(axis=1)
-        out = np.zeros(len(member))
-        # np.bincount, not np.unique: the first np.unique call of a
-        # process raises its peak memory by about 1.3 MiB (numpy 2.4)
-        for k in np.flatnonzero(np.bincount(sizes)):
-            if k == 0:
-                continue
-            rows = np.flatnonzero(sizes == k)
-            idx = np.nonzero(member[rows])[1].reshape(len(rows), k)
+    def norms(sets, k):
+        """Spectral norm of ``base`` compressed to each row's member set
+        of the boolean ``sets``, every one of ``k`` members: one
+        ``eigvalsh`` call per ``(rows, k, k)`` stack of at most
+        ``_CHUNK_ENTRIES`` entries."""
+        out = np.empty(len(sets))
+        step = max(1, _CHUNK_ENTRIES // (k * k))
+        for lo in range(0, len(sets), step):
+            idx = np.nonzero(sets[lo:lo + step])[1].reshape(-1, k)
             blocks = base[idx[:, :, None], idx[:, None, :]]
-            out[rows] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+            out[lo:lo + step] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
         return out
 
     bits = m - 1
@@ -216,7 +217,7 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
 
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     hist: dict[int, float] = {}
-    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    chunk = max(1, _CHUNK_ENTRIES // m)
     for lo in range(0, examined, chunk):
         hi = min(lo + chunk, examined)
         if words is None:
@@ -231,18 +232,37 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
             count=bits, bitorder="little")
         size = member.sum(axis=1)
         balance = np.minimum(size, m - size)
-        # the larger block first, the smaller one only where the value
-        # could still reach its balance's record: v >= either norm, so a
-        # skipped row keeps a lower bound above that record, and can
-        # neither lower the histogram nor tie for the best partition
-        larger = member ^ (size < m - size)[:, None]
-        v = block_norms(larger)
-        bound = np.full(m // 2 + 1, np.inf)
-        bound[list(hist)] = list(hist.values())
-        rest = np.flatnonzero(v <= bound[balance])
-        v[rest] = np.maximum(v[rest], block_norms(~larger[rest]))
+        # the larger block is the second one where the first is
+        # smaller, and the first where the two are of a size
+        flip = size < m - size
+        v = np.empty(hi - lo)
+        # np.bincount, not np.unique: the first np.unique call of a
+        # process raises its peak memory by about 1.3 MiB (numpy 2.4)
         for b in np.flatnonzero(np.bincount(balance)).tolist():
-            low = float(v[balance == b].min())
+            rows = np.flatnonzero(balance == b)
+            larger = member[rows] ^ flip[rows, None]
+            top = norms(larger, m - b)
+            v[rows] = top
+            # then the smaller blocks, in the order of the larger norms
+            # and in batches of growing size, while the larger norm is
+            # at most the balance's record.  A batch takes every larger
+            # norm tied with its first, which the record cannot fall
+            # below: every value left is at least that norm.  A balance
+            # of 0 has an empty smaller block, of norm 0.0.
+            record = hist.get(b, np.inf)
+            order = np.argsort(top)
+            ranked = top[order]
+            done, step = 0, 1
+            while b and done < len(rows) and ranked[done] <= record:
+                tie, cut = np.searchsorted(ranked, [ranked[done], record],
+                                           side="right").tolist()
+                stop = min(max(done + step, tie), cut)
+                take = order[done:stop]
+                both = np.maximum(top[take], norms(~larger[take], b))
+                v[rows[take]] = both
+                record = min(record, float(both.min()))
+                done, step = stop, 2 * step
+            low = float(v[rows].min())
             if b not in hist or low < hist[b]:
                 hist[b] = low
         low = float(v.min())

@@ -15,7 +15,8 @@ import pytest
 from exactframes.cli import main as cli_main
 from exactframes.hyperplane import build
 from exactframes.io import FORMATS, serialize
-from exactframes.two_tight import ap_two_tight
+from exactframes.two_tight import (ap_two_tight, make_two_row_table,
+                                   weight_in_front)
 from exactframes.unitary import mub_r4
 
 INPUTS = {
@@ -32,6 +33,11 @@ INPUTS = {
     "h6.json": serialize(build(6).matrix),
     "mub2.json": serialize(mub_r4()[1]),
     "mub3.json": serialize(mub_r4()[2]),
+    # 16x8 frames of construct weight-in-front --values V --m M
+    "wif7531.json": serialize(weight_in_front(
+        make_two_row_table((7, 5, 3, 1), 8))),
+    "wif11642.json": serialize(weight_in_front(
+        make_two_row_table((11, 6, 4, 2), 13))),
 }
 
 CONSTRUCT = {
@@ -144,6 +150,11 @@ RUNS = {
     "pave": (["pave", "ap12.json"], 0, "dca7f00050e463b4"),
     "pave sampled": (["pave", "ap12.json", "--sample", "5", "--seed", "3"],
                      0, "a1d33471d30e3f44"),
+    # exhaustive on 16 rows: the histogram's floats near 1 differ in
+    # their last bits between balances
+    "pave 16 rows": (["pave", "wif7531.json"], 0, "3c343e295c174f02"),
+    "pave 16 rows uneven": (
+        ["pave", "wif11642.json"], 0, "f94dee7f6ebc8abd"),
     "pave not tight": (["pave", "bad.csv"], 1, "dfb75cfe22714725"),
     "errata": (["errata"], 0, "b10c199b19d3a9c5"),
 }

@@ -12,13 +12,14 @@ from exactframes._kernel import dot_terms, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix, block_diag
-from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT, PavingResult,
+from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT,
                                 gram_projection, paving_epsilon,
                                 scaled_gram, weight_profile)
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight, make_two_row_table, \
     weight_in_front
 from exactframes.unitary import constant_first_row
+from paving_reference import assert_same_result, reference_paving
 
 
 def test_gram_projection_of_two_tight_frame():
@@ -275,69 +276,20 @@ def _random_symmetric(m, rng, values):
     return ExactMatrix(rows)
 
 
-def _reference_paving(g, sample=None, seed=0):
-    """The search one partition at a time, with masks as Python ints
-    and two eigvalsh calls per partition: the oracle for the batched
-    search, which must agree bit for bit."""
-    m = g.rows
-    base = 2.0 * np.array(g.to_float_rows()) - np.eye(m)
-
-    def norm(idx):
-        if not idx:
-            return 0.0
-        idx = np.array(idx, dtype=np.intp)
-        return float(np.max(np.abs(np.linalg.eigvalsh(
-            base[np.ix_(idx, idx)]))))
-
-    if sample is None:
-        masks = range(1 << (m - 1))
-        examined = 1 << (m - 1)
-    else:
-        bits = m - 1
-        words = np.random.default_rng(seed).integers(
-            0, 1 << min(bits, 64), size=(sample, max(1, -(-bits // 64))),
-            dtype=np.uint64)
-        masks = [sum(int(w) << (64 * i) for i, w in enumerate(row))
-                 & ((1 << bits) - 1) for row in words]
-        examined = sample
-    best = None
-    hist = {}
-    for mask in masks:
-        s = tuple(i for i in range(m) if i == 0 or (mask >> (i - 1)) & 1)
-        sc = tuple(i for i in range(1, m) if not (mask >> (i - 1)) & 1)
-        v = max(norm(s), norm(sc))
-        balance = min(len(s), len(sc))
-        if balance not in hist or v < hist[balance]:
-            hist[balance] = v
-        if best is None or v < best[0] or (v == best[0] and s < best[1]):
-            best = (v, s, sc)
-    return PavingResult(
-        matrix_id=f"{m}x{m}-{g._text_digest()[:12]}", matrix_size=m,
-        best_partition=(best[1], best[2]), best_value=best[0],
-        per_size_histogram=hist, partitions_examined=examined,
-        exhaustive=sample is None)
-
-
-def _assert_same_result(got, want):
-    # dataclass equality compares best_value and the histogram with ==
-    assert got == want
-    assert got.best_value.hex() == want.best_value.hex()
-
-
 @pytest.mark.parametrize("m", range(1, 11))
 def test_batched_search_matches_reference_exhaustive(m):
     rng = random.Random(400 + m)
     for values in (range(-3, 4), (0, 0, 0, 1, -1)):
         g = _random_symmetric(m, rng, values)
-        _assert_same_result(paving_epsilon(g), _reference_paving(g))
+        assert_same_result(paving_epsilon(g), reference_paving(g))
 
 
 @pytest.mark.parametrize("m", (30, 66, 130))
 def test_batched_search_matches_reference_sampled(m):
     g = _random_symmetric(m, random.Random(m), range(-3, 4))
     for seed in (0, 11):
-        _assert_same_result(paving_epsilon(g, sample=40, seed=seed),
-                            _reference_paving(g, sample=40, seed=seed))
+        assert_same_result(paving_epsilon(g, sample=40, seed=seed),
+                           reference_paving(g, sample=40, seed=seed))
 
 
 _TIE_CASES = pytest.mark.parametrize("g, sample", [
@@ -354,14 +306,17 @@ _TIE_CASES = pytest.mark.parametrize("g, sample", [
 
 @_TIE_CASES
 def test_batched_search_matches_reference_on_exact_ties(g, sample):
-    _assert_same_result(paving_epsilon(g, sample=sample, seed=5),
-                        _reference_paving(g, sample=sample, seed=5))
+    assert_same_result(paving_epsilon(g, sample=sample, seed=5),
+                       reference_paving(g, sample=sample, seed=5))
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """One partition a chunk on 6 rows or more, so that the search's
-    record of each balance can change between any two partitions."""
+    """Chunks of ``64 // m`` partitions (10 on 6 rows, 6 on 10, one
+    from 33 rows on) and stacks of at most 64 entries (one matrix a
+    stack for blocks of 6 rows or more), so that a search of 5 rows or
+    more takes several chunks, and each balance's record carries from
+    one chunk to the next."""
     monkeypatch.setattr(paving, "_CHUNK_ENTRIES", 64)
 
 
@@ -404,18 +359,18 @@ def test_pruned_search_matches_reference_on_a_projection(chunked,
     if chunked:
         monkeypatch.setattr(paving, "_CHUNK_ENTRIES", 64)
     g = _twelve_row_projection()
-    _assert_same_result(paving_epsilon(g), _reference_paving(g))
+    assert_same_result(paving_epsilon(g), reference_paving(g))
 
 
-def test_pruning_solves_about_one_block_per_partition(small_chunks,
-                                                      monkeypatch):
+def test_pruning_solves_about_one_block_per_partition(monkeypatch):
     # the larger block of every partition is solved, the smaller one
     # only where the partition could still set its balance's record.
-    # Small chunks, because the first chunk has no record yet and
-    # solves both blocks throughout (227 partitions on 12 rows by
-    # default).  Most skips here are of unbalanced partitions, whose
-    # larger block has norm exactly 1: one is skipped when the computed
-    # norm lands a rounding above the record.
+    # The 12 rows are one chunk, and the record tightens within it.
+    # Most skips are of unbalanced partitions, whose larger block has
+    # norm exactly 1: one is skipped when the computed norm lands a
+    # rounding above the record.  Each block size goes to eigvalsh in a
+    # few stacks: one or two of larger blocks a balance, and a few
+    # batches of smaller ones.
     solved = []
     real = np.linalg.eigvalsh
 
@@ -426,4 +381,5 @@ def test_pruning_solves_about_one_block_per_partition(small_chunks,
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     result = paving_epsilon(_twelve_row_projection())
     assert result.partitions_examined == 2048
-    assert sum(solved) < 1.2 * result.partitions_examined
+    assert sum(solved) < 1.05 * result.partitions_examined
+    assert len(solved) < 40

@@ -1,5 +1,5 @@
-"""Property tests of the scalar and matrix text readers and writers
-(Hypothesis).
+"""Property tests of the scalar and matrix text readers and writers,
+and of the paving search (Hypothesis).
 
 The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactframes import _kernel, io
+from exactframes import _kernel, io, paving
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix
@@ -22,6 +22,7 @@ from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, RadicalScalar,
                                   _digit_limit_error, _format_terms,
                                   format_scalar, make, parse_scalar,
                                   split_radicand)
+from paving_reference import assert_same_result, reference_paving
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -394,3 +395,29 @@ def test_writers_render_as_each_cell_alone(rows, trial):
                                for row in m._data]}
             assert got == json.dumps(doc, sort_keys=True,
                                      separators=(",", ":")) + "\n"
+
+
+@st.composite
+def tied_symmetric(draw):
+    """A symmetric matrix of at most 9 rows whose entries come from a
+    pool of at most 3 distinct values, so that blocks and partitions
+    tie exactly."""
+    m = draw(st.integers(1, 9))
+    pool = draw(st.lists(st.fractions(-2, 2, max_denominator=3),
+                         min_size=1, max_size=3, unique=True))
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(pool))
+    return ExactMatrix(rows)
+
+
+@FIXED
+@given(tied_symmetric(), st.sampled_from([1, 4, 64, 1 << 15]),
+       st.one_of(st.none(), st.integers(1, 300)), st.integers(0, 2 ** 32))
+def test_paving_search_matches_reference(g, chunk, sample, seed):
+    # every chunk size from one partition and one matrix a stack to the
+    # shipped budget, on the exhaustive search and on samples
+    with mock.patch.object(paving, "_CHUNK_ENTRIES", chunk):
+        got = paving.paving_epsilon(g, sample=sample, seed=seed)
+    assert_same_result(got, reference_paving(g, sample=sample, seed=seed))
