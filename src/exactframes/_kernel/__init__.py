@@ -34,18 +34,21 @@ def _small(rows) -> bool:
     return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
 
 
-def gram_mismatch(rows, diag: tuple[int, int] | None
+def gram_mismatch(rows, diag: tuple[int, int] | None, int_rows=None
                   ) -> tuple[int, int, tuple] | None:
     """The first ``(i, j, entry)``, 0-based with ``i <= j`` in
     row-major order, where ``entry = <rows[i], rows[j]>`` (a canonical
     term tuple) differs from ``p/q`` on the diagonal (``diag == (p,
     q)``, in lowest terms with ``p, q > 0``) and from 0 off it, or None.
 
-    ``diag=None`` compares only the pairs with ``i < j``.
+    ``diag=None`` compares only the pairs with ``i < j``.  ``int_rows``
+    is None or the same rows as ``(rads, ints, dens)``, one radicand
+    per row (``ExactMatrix._int_rows``); the graded Gram then reads
+    them instead of splitting the term tuples.
     """
     if not _small(rows):
         from exactframes._kernel import graded
-        return graded.gram_mismatch(rows, diag)
+        return graded.gram_mismatch(rows, diag, int_rows)
     want = () if diag is None else ((1,) + diag,)
     for i, row in enumerate(rows):
         for j in range(i + (diag is None), len(rows)):
@@ -55,13 +58,14 @@ def gram_mismatch(rows, diag: tuple[int, int] | None
     return None
 
 
-def gram_terms(rows, num: int, den: int) -> tuple:
+def gram_terms(rows, num: int, den: int, int_rows=None) -> tuple:
     """The Gram matrix of ``rows`` times ``num/den`` (``num != 0``,
     ``den > 0``) as rows of canonical term tuples: entry (i, j) is
-    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``."""
+    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``.  ``int_rows``
+    is as in :func:`gram_mismatch`."""
     if not _small(rows):
         from exactframes._kernel import graded
-        return graded.gram_terms(rows, num, den)
+        return graded.gram_terms(rows, num, den, int_rows)
     n = len(rows)
     out = [[()] * n for _ in range(n)]
     for i, row in enumerate(rows):

@@ -2,7 +2,13 @@
 
 Each row is written as ``sum_r sqrt(r) * V_r[i] / D[i]``: ``D[i]`` is
 the least common denominator of row ``i`` and ``V_r`` is the integer
-matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  Then
+matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  These arrays
+come from one of two front ends.  A matrix read from a file, or
+transformed, gives only its term tuples, and they are split term by
+term.  A matrix built from integer rows of one radicand each (the
+unitary families, through ``ExactMatrix._from_int_rows``) keeps those
+rows, and the nonzero entries of their dense array are the terms
+directly.  Everything after the front end is shared.  Then
 
     <row_i, row_j> = sum_{r, s} g * (V_r V_s^T)[i, j]
                      * sqrt((r/g) * (s/g)) / (D[i] D[j]),   g = gcd(r, s),
@@ -90,8 +96,58 @@ def _dtype(top: int, width: int, maxrad: int, most: int):
     return object
 
 
+def _split_terms(rows) -> tuple:
+    """The parts of :class:`_Graded` taken from term-tuple rows, term
+    by term: ``(dens, rads, t_i, t_k, t_c, vals, top, most)``.  The
+    term at row ``t_i``, column ``t_c`` and radicand ``rads[t_k]`` is
+    ``sqrt(rads[t_k]) * vals / dens[t_i]``, in row-major order; ``top``
+    is the largest ``|vals|`` and ``most`` the most radicands one row
+    carries."""
+    dens = []
+    rad_ids: dict[int, int] = {}
+    at, rad, cols, vals = [], [], [], []
+    for i, row in enumerate(rows):
+        d = lcm(*[t[2] for e in row for t in e])
+        dens.append(d)
+        for c, e in enumerate(row):
+            for r, num, den in e:
+                at.append(i)
+                rad.append(rad_ids.setdefault(r, len(rad_ids)))
+                cols.append(c)
+                vals.append(num * (d // den))
+    t_i, t_k, t_c = (np.array(x, dtype=np.intp) for x in (at, rad, cols))
+    top = max(map(abs, vals), default=0)
+    return (dens, list(rad_ids), t_i, t_k, t_c, vals, top,
+            _most(t_i, t_k, len(rad_ids)))
+
+
+def _read_ints(rads, ints, dens) -> tuple:
+    """The parts of :func:`_split_terms` read from integer rows of one
+    radicand each, row ``i`` being ``sqrt(rads[i]) * ints[i] /
+    dens[i]`` with ``dens[i]`` its least common denominator (as
+    :meth:`exactframes.matrices.ExactMatrix._from_int_rows` keeps them):
+    the nonzero entries of the dense rows, in the same order and with
+    the same values as the terms split from the rows' term tuples."""
+    try:
+        dense = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        dense = np.array(ints, dtype=object)
+    t_i, t_c = np.nonzero(dense)
+    vals = dense[t_i, t_c]
+    del dense
+    top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+    # radicands numbered in the order the term split meets them
+    rad_ids: dict[int, int] = {}
+    live = t_i[_starts(t_i)]
+    k_of_row = np.zeros(len(rads), dtype=np.intp)
+    k_of_row[live] = [rad_ids.setdefault(rads[i], len(rad_ids))
+                      for i in live.tolist()]
+    return (list(dens), list(rad_ids), t_i, k_of_row[t_i], t_c, vals, top,
+            min(len(vals), 1))
+
+
 class _Graded:
-    """The rows of a term-tuple matrix as expanded integer rows.
+    """The rows of a matrix as expanded integer rows.
 
     ``rads`` lists the radicands; expanded row ``e`` is the
     ``sqrt(rads[e_rad[e]])`` part of row ``e_row[e]`` times
@@ -102,29 +158,18 @@ class _Graded:
     Expanded rows are sorted by block of rows, then radicand, then row.
     The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
     with ``i <= j`` are numbered in the order of the pair scan.
+
+    The terms come from one of two front ends: the term tuples of the
+    rows, split term by term (:func:`_split_terms`), or, for a matrix
+    built from integer rows of one radicand each, those rows
+    (:func:`_read_ints`).  Everything after them is shared.
     """
 
-    def __init__(self, rows) -> None:
+    def __init__(self, rows, int_rows=None) -> None:
         self.n = n = len(rows)
         self.width = width = len(rows[0])
-        self.dens = []
-        rad_ids: dict[int, int] = {}
-        at, rad, cols, vals = [], [], [], []
-        for i, row in enumerate(rows):
-            d = lcm(*[t[2] for e in row for t in e])
-            self.dens.append(d)
-            for c, e in enumerate(row):
-                for r, num, den in e:
-                    at.append(i)
-                    rad.append(rad_ids.setdefault(r, len(rad_ids)))
-                    cols.append(c)
-                    vals.append(num * (d // den))
-        rads = list(rad_ids)
-        t_i, t_k, t_c = (np.array(x, dtype=np.intp) for x in (at, rad, cols))
-        top = max(map(abs, vals), default=0)
-        # the lists cost more than the arrays: drop them early
-        del at, rad, cols
-        most = _most(t_i, t_k, len(rads))
+        (self.dens, rads, t_i, t_k, t_c, vals, top, most) = (
+            _split_terms(rows) if int_rows is None else _read_ints(*int_rows))
         weight = None
         # one radicand per row: the products map one to one onto the
         # pairs (i, j)
@@ -152,7 +197,7 @@ class _Graded:
         self.e_row, self.e_rad = t_i[by][first], t_k[by][first]
         self.t_row = np.cumsum(first) - 1
         self.t_col = t_c[by]
-        self.t_val = np.array(vals, dtype=self.dtype)[by]
+        self.t_val = np.asarray(vals, dtype=self.dtype)[by]
         del vals
         self.t_left = self.t_val if weight is None else (
             self.t_val * weight[by])
@@ -292,12 +337,12 @@ class _Graded:
         return pair, core, sums[0]
 
 
-def gram_mismatch(rows, diag: tuple[int, int] | None
+def gram_mismatch(rows, diag: tuple[int, int] | None, int_rows=None
                   ) -> tuple[int, int, tuple] | None:
     """:func:`exactframes._kernel.gram_mismatch` by the graded Gram,
     whatever the size of ``rows``."""
     want = () if diag is None else ((1,) + diag,)
-    for i0, i1, entries in _Graded(rows).blocks(1, 1):
+    for i0, i1, entries in _Graded(rows, int_rows).blocks(1, 1):
         # a zero row has no diagonal entry in the stream
         got = {} if diag is None else {(i, i): () for i in range(i0, i1)}
         for i, j, terms in entries:
@@ -311,12 +356,12 @@ def gram_mismatch(rows, diag: tuple[int, int] | None
     return None
 
 
-def gram_terms(rows, num: int, den: int) -> tuple:
+def gram_terms(rows, num: int, den: int, int_rows=None) -> tuple:
     """:func:`exactframes._kernel.gram_terms` by the graded Gram,
     whatever the size of ``rows``."""
     n = len(rows)
     out = [[()] * n for _ in range(n)]
-    for _, _, entries in _Graded(rows).blocks(num, den):
+    for _, _, entries in _Graded(rows, int_rows).blocks(num, den):
         for i, j, terms in entries:
             out[i][j] = out[j][i] = terms
     return tuple(map(tuple, out))

@@ -6,12 +6,15 @@ a frame is the transpose.  Matrices are immutable; all arithmetic is
 exact and ``==`` is exact entrywise equality.
 
 Internally each entry is a canonical kernel term tuple, which keeps the
-hot paths (Gram matrices, products) free of wrapper objects.
+hot paths (Gram matrices, products) free of wrapper objects.  A matrix
+built from integer rows of one radicand each keeps those rows too, for
+the graded Gram of its re-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from exactframes import _kernel
@@ -32,7 +35,7 @@ _MEMO_TRIAL = 1024
 class ExactMatrix:
     """Immutable dense matrix with exact radical-scalar entries."""
 
-    __slots__ = ("_rows", "_cols", "_data")
+    __slots__ = ("_rows", "_cols", "_data", "_int_rows")
 
     def __init__(self, rows: Iterable[Iterable[EntryLike]]) -> None:
         data = tuple(tuple(map(_terms_of, row)) for row in rows)
@@ -46,6 +49,7 @@ class ExactMatrix:
         self._rows = len(data)
         self._cols = width
         self._data = data
+        self._int_rows = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, data: tuple) -> ExactMatrix:
@@ -53,6 +57,40 @@ class ExactMatrix:
         self._rows = rows
         self._cols = cols
         self._data = data
+        self._int_rows = None
+        return self
+
+    @classmethod
+    def _from_int_rows(cls, rads, ints, dens) -> ExactMatrix:
+        """The matrix whose row ``i`` is ``sqrt(rads[i]) * ints[i][c] /
+        dens[i]``, from Python ints with ``rads[i]`` squarefree and
+        ``dens[i] > 0``.
+
+        The term tuple of each distinct cell is built once.  The rows
+        are kept as ``_int_rows``, each divided by the gcd of its
+        entries and denominator, so that ``dens[i]`` is the least common
+        denominator of row ``i``; the graded Gram of the unitary check
+        reads them (:func:`exactframes._kernel.gram_mismatch`).  Every
+        other reader uses the term tuples, and every transform leaves
+        ``_int_rows`` empty.
+        """
+        data, int_rows, int_dens = [], [], []
+        cells: dict = {}
+        for r, row, d in zip(rads, ints, dens):
+            values = set(row)
+            g = gcd(d, *values)
+            if g > 1:
+                d //= g
+                row = [v // g for v in row]
+                values = {v // g for v in values}
+            memo = cells.setdefault((r, d), {})
+            for v in values.difference(memo):
+                memo[v] = _kernel.root_terms(v, d, r)
+            data.append(tuple(map(memo.__getitem__, row)))
+            int_rows.append(tuple(row))
+            int_dens.append(d)
+        self = cls._raw(len(data), len(data[0]), tuple(data))
+        self._int_rows = (tuple(rads), tuple(int_rows), tuple(int_dens))
         return self
 
     @classmethod

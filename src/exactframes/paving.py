@@ -54,7 +54,7 @@ from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import RadicalScalar
-from exactframes.verify import check_tight_frame
+from exactframes.verify import _tight_report
 
 EXHAUSTIVE_LIMIT = 24
 # the most partitions one search examines, sampled or exhaustive
@@ -64,12 +64,13 @@ SAMPLE_LIMIT = 1 << (EXHAUSTIVE_LIMIT - 1)
 def gram_projection(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
     """The exact projection ``A A^T / k`` of a certified k-tight frame.
 
-    Verifies tightness with :func:`check_tight_frame` first and insists
-    the certified constant equals ``k``; the result is then exactly
-    idempotent and symmetric, with diagonal ``1/k`` on unit-norm input.
+    Verifies tightness as :func:`exactframes.verify.check_tight_frame`
+    does, without its unit-norm check, and insists the certified
+    constant equals ``k``; the result is then exactly idempotent and
+    symmetric, with diagonal ``1/k`` on unit-norm input.
     """
     k = Fraction(k)
-    report = check_tight_frame(a)
+    report = _tight_report(a)
     if not report.passed:
         w = report.witness
         raise PreconditionError(
@@ -93,7 +94,7 @@ def scaled_gram(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
     """
     inv = 1 / Fraction(k)
     return ExactMatrix._raw(a.rows, a.rows, _kernel.gram_terms(
-        a._data, inv.numerator, inv.denominator))
+        a._data, inv.numerator, inv.denominator, a._int_rows))
 
 
 def weight_profile(a: ExactMatrix) -> tuple[Fraction, ...]:

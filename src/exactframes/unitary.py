@@ -12,12 +12,32 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from exactframes import _kernel
 from exactframes.errors import (BlockFormError, DimensionError, DomainError,
                                 PreconditionError)
-from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
+from exactframes.matrices import ExactMatrix, hstack, vstack
 from exactframes.radicals import RadicalScalar, sqrt_rational
 from exactframes.two_tight import sign_matrix
 from exactframes.verify import (check_orthogonal_columns, check_unitary)
+
+
+def _root(p: int) -> tuple[int, int]:
+    """``(core, den)`` with ``sqrt(1/p) == sqrt(core) / den`` and
+    ``core`` squarefree: for ``p == outer**2 * core``, ``den == p /
+    outer``."""
+    outer, core = _kernel.squarefree_split(p)
+    return core, p // outer
+
+
+def _staircase(n: int) -> list[tuple[int, list[int], int]]:
+    """Rows 2 to n of :func:`constant_first_row` as ``(radicand,
+    integer row, denominator)``."""
+    out = []
+    for i in range(1, n):
+        m = n - i + 1
+        core, den = _root(m * (m - 1))
+        out.append((core, [0] * (i - 1) + [1 - m] + [1] * (m - 1), den))
+    return out
 
 
 def constant_first_row(n: int) -> ExactMatrix:
@@ -31,12 +51,9 @@ def constant_first_row(n: int) -> ExactMatrix:
         raise DomainError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return ExactMatrix([[1]])
-    rows = [[sqrt_rational(Fraction(1, n))] * n]
-    for i in range(1, n):
-        m = n - i + 1
-        tail = sqrt_rational(Fraction(1, m * (m - 1)))
-        rows.append([0] * (i - 1) + [-(m - 1) * tail] + [tail] * (m - 1))
-    return ExactMatrix(rows)
+    core, den = _root(n)
+    rows = [(core, [1] * n, den), *_staircase(n)]
+    return ExactMatrix._from_int_rows(*zip(*rows))
 
 
 def constant_two_rows(two_n: int) -> ExactMatrix:
@@ -52,10 +69,13 @@ def constant_two_rows(two_n: int) -> ExactMatrix:
     if two_n == 4:
         return sign_matrix(2).scale(Fraction(1, 2))
     n = two_n // 2
-    c = sqrt_rational(Fraction(1, two_n))
-    head = ExactMatrix([[c] * two_n, [-c] * n + [c] * n])
-    tail = ExactMatrix._raw(n - 1, n, constant_first_row(n)._data[1:])
-    return vstack(head, block_diag([tail, tail]))
+    core, den = _root(two_n)
+    stair = _staircase(n)
+    zeros = [0] * n
+    rows = [(core, [1] * two_n, den), (core, [-1] * n + [1] * n, den),
+            *((r, row + zeros, d) for r, row, d in stair),
+            *((r, zeros + row, d) for r, row, d in stair)]
+    return ExactMatrix._from_int_rows(*zip(*rows))
 
 
 def two_constant_diag(n: int) -> ExactMatrix:
@@ -63,11 +83,14 @@ def two_constant_diag(n: int) -> ExactMatrix:
     off-diagonal ``2/n``.  Symmetric and an involution."""
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
-    # two scalars, so that all entries share their two term tuples
-    diag = RadicalScalar(Fraction(-(n - 2), n))
-    off = RadicalScalar(Fraction(2, n))
-    return ExactMatrix([[diag if i == j else off for j in range(n)]
-                        for i in range(n)])
+    # over the least denominator, n / gcd(n, 2)
+    g = 2 - n % 2
+    rows = []
+    for i in range(n):
+        row = [2 // g] * n
+        row[i] = -(n - 2) // g
+        rows.append(row)
+    return ExactMatrix._from_int_rows([1] * n, rows, [n // g] * n)
 
 
 class BlockForm(enum.Enum):

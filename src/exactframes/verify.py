@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from exactframes import _kernel
@@ -86,18 +86,19 @@ class VerifyReport:
         return out
 
 
-def _gram_witness(data, kind: str, expected_diag: tuple | None
-                  ) -> Witness | None:
+def _gram_witness(data, kind: str, expected_diag: tuple | None,
+                  int_rows=None) -> Witness | None:
     """Compare the Gram matrix of ``data`` rows with a scaled identity.
 
     Returns the first mismatch in (1,1), (1,2), ... order, or None;
     ``expected_diag`` is a positive rational term tuple, or None to
     compare only the pairs off the diagonal.  The graded Gram finds the
     position, and the residual is the graded entry there minus the
-    expected value.
+    expected value.  ``int_rows`` is the rows' integer form, if they
+    have one (see :func:`exactframes._kernel.gram_mismatch`).
     """
     diag = None if expected_diag is None else expected_diag[0][1:]
-    hit = _kernel.gram_mismatch(data, diag)
+    hit = _kernel.gram_mismatch(data, diag, int_rows)
     if hit is None:
         return None
     i, j, got = hit
@@ -111,12 +112,14 @@ def check_unitary(a: ExactMatrix) -> VerifyReport:
 
     For square matrices the row Gram ``A A^T`` equals the identity
     exactly when the column Gram ``A^T A`` does, so one scan certifies
-    unitarity; witnesses point at row pairs.
+    unitarity; witnesses point at row pairs.  A matrix built from
+    integer rows hands them to the graded Gram.
     """
     if not a.is_square:
         raise DimensionError(
             f"unitarity applies to square matrices, got {a.shape}")
-    witness = _gram_witness(a._data, "row_inner_product", _ONE)
+    witness = _gram_witness(a._data, "row_inner_product", _ONE,
+                            a._int_rows)
     return VerifyReport(witness is None, MatrixProperty.UNITARY, witness)
 
 
@@ -148,6 +151,16 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
     ``k_value``.  ``unit_rows`` records whether every row additionally
     has exact unit norm.  Needs at least as many rows as columns.
     """
+    report = _tight_report(a)
+    if not report.passed:
+        return report
+    unit = all(_kernel.dot_terms(row, row) == _ONE for row in a._data)
+    return replace(report, unit_rows=unit)
+
+
+def _tight_report(a: ExactMatrix) -> VerifyReport:
+    """:func:`check_tight_frame` without ``unit_rows``, which is left
+    None: for callers that need only ``k`` and the witness."""
     if a.rows < a.cols:
         raise DimensionError(
             f"a frame needs rows >= cols, got {a.shape}")
@@ -159,12 +172,8 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
             Witness("column_norm_squared", 1, 1, _format_terms(k_terms)))
     k = Fraction(k_terms[0][1], k_terms[0][2])
     witness = _gram_witness(cols, "column_inner_product", k_terms)
-    if witness is not None:
-        return VerifyReport(False, MatrixProperty.TIGHT_FRAME, witness,
-                            k_value=k)
-    unit = all(_kernel.dot_terms(row, row) == _ONE for row in a._data)
-    return VerifyReport(True, MatrixProperty.TIGHT_FRAME, k_value=k,
-                        unit_rows=unit)
+    return VerifyReport(witness is None, MatrixProperty.TIGHT_FRAME, witness,
+                        k_value=k)
 
 
 def _row_overlap_witness(data, support, rows_at) -> Witness | None:

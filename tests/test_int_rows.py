@@ -1,0 +1,151 @@
+"""Matrices built from integer rows of one radicand each: the unitary
+families build their term tuples from such rows and keep the rows for
+the graded Gram of their re-check.  Everything here is compared with a
+tuple-built reference (``unitary_reference``) and with the graded
+Gram's other front end, the split of the term tuples."""
+
+import random
+
+import numpy as np
+import pytest
+
+import unitary_reference as reference
+from exactframes import _kernel, unitary
+from exactframes._kernel import graded
+from exactframes.io import FORMATS, serialize
+from exactframes.matrices import ExactMatrix, hstack, vstack
+from exactframes.verify import check_unitary
+
+FAMILIES = ("constant_first_row", "constant_two_rows", "two_constant_diag")
+
+
+def sizes(family):
+    """Every valid n from 2 to 70 and 128; constant_two_rows(4) is the
+    sign matrix, built without integer rows."""
+    if family == "constant_two_rows":
+        return [*range(6, 71, 2), 128]
+    return [*range(2, 71), 128]
+
+
+def with_entry(m, i, j, value):
+    """``m`` rebuilt from its integer rows with entry (i, j) of the
+    rows replaced by ``value``."""
+    rads, ints, dens = m._int_rows
+    ints = [list(row) for row in ints]
+    ints[i][j] = value
+    return ExactMatrix._from_int_rows(rads, ints, dens)
+
+
+def assert_graded_front_ends_agree(m, diag=(1, 1)):
+    """Both front ends of the graded Gram, and the pair scan, find the
+    same mismatch and the same scaled Gram."""
+    rows, ints = m._data, m._int_rows
+    want = graded.gram_mismatch(rows, diag)
+    assert graded.gram_mismatch(rows, diag, ints) == want
+    assert _kernel.gram_mismatch(rows, diag, ints) == want
+    assert _kernel.gram_mismatch(rows, diag) == want
+    terms = graded.gram_terms(rows, 3, 7)
+    assert graded.gram_terms(rows, 3, 7, ints) == terms
+    assert _kernel.gram_terms(rows, 3, 7, ints) == terms
+    return want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_match_the_tuple_reference(family):
+    build, ref = getattr(unitary, family), getattr(reference, family)
+    for n in sizes(family):
+        m, want = build(n), ref(n)
+        assert m._int_rows is not None
+        assert m._data == want._data
+        assert m == want and hash(m) == hash(want)
+        for fmt in FORMATS:
+            assert serialize(m, fmt) == serialize(want, fmt)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_int_rows_give_the_graded_gram_of_the_tuples(family):
+    build = getattr(unitary, family)
+    for n in sizes(family):
+        assert assert_graded_front_ends_agree(build(n)) is None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_changed_int_entry_gives_the_same_witness(family):
+    rng = random.Random(family)
+    build = getattr(unitary, family)
+    for n in sizes(family):
+        m = build(n)
+        i, j = rng.randrange(n), rng.randrange(n)
+        # (v + d)^2 != v^2 for odd d: row i's norm changes
+        bad = with_entry(m, i, j, m._int_rows[1][i][j] + rng.choice((1, -3)))
+        hit = assert_graded_front_ends_agree(bad)
+        assert hit is not None and hit[0] <= i <= hit[1]
+        # the same matrix read back without its integer rows
+        plain = ExactMatrix._raw(n, n, bad._data)
+        assert check_unitary(bad) == check_unitary(plain)
+        assert not check_unitary(bad).passed
+
+
+def test_the_unitary_check_reads_the_int_rows(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("split the term tuples")
+
+    monkeypatch.setattr(graded, "_split_terms", refuse)
+    for family in FAMILIES:
+        assert check_unitary(getattr(unitary, family)(128)).passed
+    with pytest.raises(AssertionError, match="split the term tuples"):
+        check_unitary(ExactMatrix._raw(
+            128, 128, unitary.two_constant_diag(128)._data))
+
+
+def test_transforms_leave_the_int_rows_empty():
+    m = unitary.constant_first_row(6)
+    assert m._int_rows is not None
+    copy = ExactMatrix(m.row(i) for i in range(m.rows))
+    for t in (m.transpose(), m.scale(2), m.reverse_rows(), m.reverse_cols(),
+              m.reverse_both(), vstack(m, m), hstack(m, m),
+              m.normalize_rows(), copy):
+        assert t._int_rows is None
+
+
+def test_int_rows_are_kept_over_their_least_denominator():
+    m = ExactMatrix._from_int_rows((1, 2, 3), ((2, 4, 0), (0, 0, 0),
+                                               (-3, 6, 9)), (6, 5, 3))
+    assert m._int_rows == ((1, 2, 3), ((1, 2, 0), (0, 0, 0), (-1, 2, 3)),
+                           (3, 1, 1))
+    assert m._data == tuple(tuple(_kernel.root_terms(v, d, r) for v in row)
+                            for r, row, d in zip(*m._int_rows))
+
+
+def random_int_rows(rng, n, width):
+    """Rows of random radicands and denominators, one of them zero; the
+    entries fit int64 with room for the Gram, fit int64 without it, or
+    do not fit int64."""
+    rads = [rng.choice((1, 2, 3, 5, 6, 7, 10, 30)) for _ in range(n)]
+    top = rng.choice((40, 1 << 40, 1 << 70))
+    ints = [[rng.choice((0, 0, rng.randint(-top, top))) for _ in range(width)]
+            for _ in range(n)]
+    if n > 1:
+        ints[rng.randrange(n)] = [0] * width
+    dens = [rng.randint(1, 12) for _ in range(n)]
+    return rads, ints, dens
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_both_front_ends_fill_the_same_arrays(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        n, width = rng.randint(1, 9), rng.randint(1, 9)
+        m = ExactMatrix._from_int_rows(*random_int_rows(rng, n, width))
+        split = graded._Graded(m._data)
+        read = graded._Graded(m._data, m._int_rows)
+        assert (split.dens, split.rads, split.single, split.dtype) == (
+            read.dens, read.rads, read.single, read.dtype)
+        for name in ("e_row", "e_rad", "t_row", "t_col", "t_val",
+                     "t_left"):
+            a, b = getattr(split, name), getattr(read, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            if a.dtype == object:
+                assert all(type(v) is int for v in b.tolist())
+        for diag in ((1, 1), (2, 3), None):
+            assert_graded_front_ends_agree(m, diag)

@@ -888,15 +888,18 @@ def test_cli_pave_rejects_non_tight_frame(tmp_path, capsys):
 
 
 def test_cli_pave_checks_tightness_once(tmp_path, capsys, monkeypatch):
+    # pave, gram_projection and check_tight_frame share one tight check,
+    # which leaves out the unit-norm rows that pave does not print
     calls = []
-    real = verify.check_tight_frame
+    real = verify._tight_report
 
     def counted(a):
         calls.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(verify, "check_tight_frame", counted)
-    monkeypatch.setattr(paving, "check_tight_frame", counted)
+    monkeypatch.setattr(verify, "_tight_report", counted)
+    monkeypatch.setattr(paving, "_tight_report", counted)
+    monkeypatch.setattr(verify, "check_tight_frame", None)
     f = write(tmp_path / "frame.json", serialize(ap_two_tight(1, 2)))
     assert cli_main(["pave", f]) == 0
     assert calls == [(8, 4)]
