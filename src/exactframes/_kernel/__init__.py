@@ -1,12 +1,14 @@
 """The exact arithmetic kernel on radical-term tuples (see ``pycore``)
 and the Gram matrices of term-tuple rows.
 
-A Gram below a fixed size is scanned pair by pair with
-:func:`dot_terms`, which is faster there than the fixed cost of the
-numpy calls.  At or above it the Gram is computed by integer matrix
-products in ``graded``, the only kernel module that imports numpy.  It
-is imported on the first such Gram, so a command whose Grams all stay
-below the cut never loads numpy.
+A Gram is read as one stream of ``(i, j, terms)`` in row-major order:
+every diagonal entry and every nonzero entry above the diagonal.  Below
+a fixed size the rows are scanned pair by pair (:func:`_scan`), which is
+faster there than the fixed cost of the numpy calls; at or above it the
+entries come from integer matrix products in ``graded``, the only
+kernel module that imports numpy.  It is imported on the first such
+Gram, so a command whose Grams all stay below the cut never loads numpy.
+Rows that are an :class:`IntRows` carry their integer form to ``graded``.
 """
 
 from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
@@ -14,9 +16,9 @@ from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         root_terms, scale_terms,
                                         squarefree_split)
 
-__all__ = ["add_terms", "dot_terms", "gram_mismatch", "gram_terms",
-           "is_squarefree", "matmul_terms", "mul_terms", "neg_terms",
-           "root_terms", "scale_terms", "squarefree_split"]
+__all__ = ["IntRows", "add_terms", "dot_terms", "gram_mismatch",
+           "gram_terms", "is_squarefree", "matmul_terms", "mul_terms",
+           "neg_terms", "root_terms", "scale_terms", "squarefree_split"]
 
 # Inputs with fewer entry products n (n + 1) / 2 * width than this are
 # scanned pair by pair.  Measured on the small tiers of the construct
@@ -29,47 +31,58 @@ __all__ = ["add_terms", "dot_terms", "gram_mismatch", "gram_terms",
 _SCAN_BELOW = 1200
 
 
+class IntRows(tuple):
+    """Rows of term tuples that are also ``ints = (rads, ints, dens)``:
+    row ``i`` is ``sqrt(rads[i]) * ints[i][c] / dens[i]``, with
+    ``dens[i]`` its least common denominator.  The graded Gram reads
+    ``ints`` instead of splitting the term tuples.  Slicing, adding or
+    rebuilding the rows gives a plain tuple, without ``ints``."""
+
+
 def _small(rows) -> bool:
     n = len(rows)
     return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
 
 
-def gram_mismatch(rows, diag: tuple[int, int] | None, int_rows=None
+def _scan(rows, num: int, den: int, diagonal: bool):
+    """The Gram stream of ``rows`` times ``num/den``, pair by pair;
+    without the diagonal entries unless ``diagonal``."""
+    for i, row in enumerate(rows):
+        for j in range(i + (not diagonal), len(rows)):
+            terms = dot_terms(row, rows[j])
+            if terms or i == j:
+                yield i, j, scale_terms(terms, num, den)
+
+
+def _stream(rows, num: int, den: int, diagonal: bool):
+    if _small(rows):
+        return _scan(rows, num, den, diagonal)
+    from exactframes._kernel import graded
+    return graded.entries(rows, num, den)
+
+
+def gram_mismatch(rows, diag: tuple[int, int] | None
                   ) -> tuple[int, int, tuple] | None:
     """The first ``(i, j, entry)``, 0-based with ``i <= j`` in
     row-major order, where ``entry = <rows[i], rows[j]>`` (a canonical
     term tuple) differs from ``p/q`` on the diagonal (``diag == (p,
     q)``, in lowest terms with ``p, q > 0``) and from 0 off it, or None.
 
-    ``diag=None`` compares only the pairs with ``i < j``.  ``int_rows``
-    is None or the same rows as ``(rads, ints, dens)``, one radicand
-    per row (``ExactMatrix._int_rows``); the graded Gram then reads
-    them instead of splitting the term tuples.
+    ``diag=None`` compares only the pairs with ``i < j``.
     """
-    if not _small(rows):
-        from exactframes._kernel import graded
-        return graded.gram_mismatch(rows, diag, int_rows)
-    want = () if diag is None else ((1,) + diag,)
-    for i, row in enumerate(rows):
-        for j in range(i + (diag is None), len(rows)):
-            got = dot_terms(row, rows[j])
-            if got != (want if i == j else ()):
-                return i, j, got
+    want = ((1,) + diag,) if diag else None
+    for i, j, terms in _stream(rows, 1, 1, diag is not None):
+        if i < j or diag and terms != want:
+            return i, j, terms
     return None
 
 
-def gram_terms(rows, num: int, den: int, int_rows=None) -> tuple:
+def gram_terms(rows, num: int, den: int) -> tuple:
     """The Gram matrix of ``rows`` times ``num/den`` (``num != 0``,
     ``den > 0``) as rows of canonical term tuples: entry (i, j) is
-    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``.  ``int_rows``
-    is as in :func:`gram_mismatch`."""
-    if not _small(rows):
-        from exactframes._kernel import graded
-        return graded.gram_terms(rows, num, den, int_rows)
+    ``scale_terms(dot_terms(rows[i], rows[j]), num, den)``."""
     n = len(rows)
     out = [[()] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = scale_terms(
-                dot_terms(row, rows[j]), num, den)
+    for i, j, terms in _stream(rows, num, den, True):
+        out[i][j] = out[j][i] = terms
     return tuple(map(tuple, out))

@@ -3,12 +3,12 @@
 Each row is written as ``sum_r sqrt(r) * V_r[i] / D[i]``: ``D[i]`` is
 the least common denominator of row ``i`` and ``V_r`` is the integer
 matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  These arrays
-come from one of two front ends.  A matrix read from a file, or
-transformed, gives only its term tuples, and they are split term by
-term.  A matrix built from integer rows of one radicand each (the
-unitary families, through ``ExactMatrix._from_int_rows``) keeps those
-rows, and the nonzero entries of their dense array are the terms
-directly.  Everything after the front end is shared.  Then
+come from one of two front ends, picked by the type of the rows.  Rows
+that are an :class:`~exactframes._kernel.IntRows` (the unitary
+families, through ``ExactMatrix._from_int_rows``) carry integer rows of
+one radicand each, and the nonzero entries of their dense array are the
+terms directly.  Other rows (read from a file, or transformed) are
+split term by term.  Everything after the front end is shared.  Then
 
     <row_i, row_j> = sum_{r, s} g * (V_r V_s^T)[i, j]
                      * sqrt((r/g) * (s/g)) / (D[i] D[j]),   g = gcd(r, s),
@@ -28,22 +28,20 @@ multiplied whole.  The nonzero products of a block are summed per
 Gram.  When every row, or every column, carries at most one radicand,
 the pairs (i, j) and the products map one to one and nothing is summed.
 
-Both functions read one stream, :meth:`_Graded.blocks`: for each block
-of rows, every nonzero entry (i, j) with ``i <= j`` of the Gram times a
-rational, as a canonical term tuple, the same tuple the pair scan
-gives.  :func:`gram_terms` writes the entries and their
-mirror images; :func:`gram_mismatch` compares a block's entries, a
-missing diagonal entry counting as 0, and stops after the first block
-with a mismatch, returning the entry itself.
+:func:`entries` gives the Gram stream of :mod:`exactframes._kernel`
+times a rational: for each block of rows, every nonzero entry (i, j)
+with ``i <= j`` as a canonical term tuple, the same tuple the pair scan
+gives, sorted into row-major order, and the zero diagonal entry of each
+zero row.  A reader that stops early stops after the block it stops in.
 
 There is no float anywhere.  Arrays are int64 only when a bound proven
 from the inputs keeps every sum below 2^63 (see :func:`_dtype`);
 otherwise the same code runs on arrays of Python ints.
 
 The package (:mod:`exactframes._kernel`) scans a Gram below its size
-cut pair by pair and calls the two functions here for the rest; it
-imports this module, and with it numpy, on the first such call.  No
-other kernel module imports numpy.
+cut pair by pair and reads :func:`entries` for the rest; it imports
+this module, and with it numpy, on the first such Gram.  No other
+kernel module imports numpy.
 """
 
 from __future__ import annotations
@@ -53,6 +51,8 @@ from math import gcd, lcm
 from operator import itemgetter
 
 import numpy as np
+
+from exactframes._kernel import IntRows
 
 # expanded rows per chunk product
 _CHUNK = 32
@@ -124,10 +124,10 @@ def _split_terms(rows) -> tuple:
 def _read_ints(rads, ints, dens) -> tuple:
     """The parts of :func:`_split_terms` read from integer rows of one
     radicand each, row ``i`` being ``sqrt(rads[i]) * ints[i] /
-    dens[i]`` with ``dens[i]`` its least common denominator (as
-    :meth:`exactframes.matrices.ExactMatrix._from_int_rows` keeps them):
-    the nonzero entries of the dense rows, in the same order and with
-    the same values as the terms split from the rows' term tuples."""
+    dens[i]`` with ``dens[i]`` its least common denominator (as an
+    :class:`~exactframes._kernel.IntRows` carries them): the nonzero
+    entries of the dense rows, in the same order and with the same
+    values as the terms split from the rows' term tuples."""
     try:
         dense = np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -159,17 +159,18 @@ class _Graded:
     The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
     with ``i <= j`` are numbered in the order of the pair scan.
 
-    The terms come from one of two front ends: the term tuples of the
-    rows, split term by term (:func:`_split_terms`), or, for a matrix
-    built from integer rows of one radicand each, those rows
-    (:func:`_read_ints`).  Everything after them is shared.
+    The terms come from one of two front ends: the integer rows of an
+    :class:`~exactframes._kernel.IntRows` (:func:`_read_ints`), or the
+    term tuples of any other rows, split term by term
+    (:func:`_split_terms`).  Everything after them is shared.
     """
 
-    def __init__(self, rows, int_rows=None) -> None:
+    def __init__(self, rows) -> None:
         self.n = n = len(rows)
         self.width = width = len(rows[0])
         (self.dens, rads, t_i, t_k, t_c, vals, top, most) = (
-            _split_terms(rows) if int_rows is None else _read_ints(*int_rows))
+            _read_ints(*rows.ints) if isinstance(rows, IntRows)
+            else _split_terms(rows))
         weight = None
         # one radicand per row: the products map one to one onto the
         # pairs (i, j)
@@ -225,22 +226,28 @@ class _Graded:
             self.core_of[x, y] = self.core_of[y, x] = index[core]
             self.g_of[x, y] = self.g_of[y, x] = g
 
-    def blocks(self, num: int, den: int):
-        """``(i0, i1, entries)`` per block of rows ``i0 <= i < i1``:
-        ``entries`` yields ``(i, j, terms)`` for every nonzero entry of
-        the Gram matrix times ``num/den`` with ``i`` in the block and
-        ``i <= j``, ``terms`` a canonical term tuple."""
+    def stream(self, num: int, den: int):
+        """The Gram stream times ``num/den`` (:func:`entries`)."""
         count = -(-self.n // self.block)
         bounds = np.searchsorted(self.e_row // self.block,
                                  np.arange(count + 1)).tolist()
         for b in range(count):
-            i0 = b * self.block
-            yield (i0, min(i0 + self.block, self.n),
-                   self._entries(i0, bounds[b], bounds[b + 1], num, den))
+            # a zero row has no entry in the products; every other row
+            # has a nonzero diagonal entry, its first
+            due = i0 = b * self.block
+            for i, j, terms in self._entries(i0, bounds[b], bounds[b + 1],
+                                             num, den):
+                for k in range(due, i):
+                    yield k, k, ()
+                due = i + 1
+                yield i, j, terms
+            for k in range(due, min(i0 + self.block, self.n)):
+                yield k, k, ()
 
     def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
-        """The entries of the block of rows from ``i0``, which are the
-        expanded rows ``lo <= e < hi`` (see :meth:`blocks`)."""
+        """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
+        block of rows from ``i0`` (the expanded rows ``lo <= e < hi``),
+        in row-major order."""
         dens, rads = self.dens, self.rads
 
         def term(core, i, j, v):
@@ -249,14 +256,17 @@ class _Graded:
             return core, t_num // g, t_den // g
 
         if self.single:
-            for a, b, p in self.products(i0, lo, hi):
-                for i, j, x, y, v in zip(
+            # one product per pair (i, j), in radicand order: sorting
+            # compares only (i, j)
+            for i, j, x, y, v in sorted(
+                    entry for a, b, p in self.products(i0, lo, hi)
+                    for entry in zip(
                         self.e_row[a].tolist(), self.e_row[b].tolist(),
                         self.e_rad[a].tolist(), self.e_rad[b].tolist(),
-                        p.tolist()):
-                    r, s = rads[x], rads[y]
-                    g = gcd(r, s)
-                    yield i, j, (term((r // g) * (s // g), i, j, g * v),)
+                        p.tolist())):
+                r, s = rads[x], rads[y]
+                g = gcd(r, s)
+                yield i, j, (term((r // g) * (s // g), i, j, g * v),)
         else:
             pair, core, sums = self.fold(i0, lo, hi)
             for k, group in groupby(zip(pair.tolist(), core.tolist(),
@@ -337,31 +347,8 @@ class _Graded:
         return pair, core, sums[0]
 
 
-def gram_mismatch(rows, diag: tuple[int, int] | None, int_rows=None
-                  ) -> tuple[int, int, tuple] | None:
-    """:func:`exactframes._kernel.gram_mismatch` by the graded Gram,
-    whatever the size of ``rows``."""
-    want = () if diag is None else ((1,) + diag,)
-    for i0, i1, entries in _Graded(rows, int_rows).blocks(1, 1):
-        # a zero row has no diagonal entry in the stream
-        got = {} if diag is None else {(i, i): () for i in range(i0, i1)}
-        for i, j, terms in entries:
-            if i < j or diag is not None:
-                got[i, j] = terms
-        bad = [k for k, terms in got.items()
-               if terms != (want if k[0] == k[1] else ())]
-        if bad:
-            i, j = min(bad)
-            return i, j, got[i, j]
-    return None
-
-
-def gram_terms(rows, num: int, den: int, int_rows=None) -> tuple:
-    """:func:`exactframes._kernel.gram_terms` by the graded Gram,
-    whatever the size of ``rows``."""
-    n = len(rows)
-    out = [[()] * n for _ in range(n)]
-    for _, _, entries in _Graded(rows, int_rows).blocks(num, den):
-        for i, j, terms in entries:
-            out[i][j] = out[j][i] = terms
-    return tuple(map(tuple, out))
+def entries(rows, num: int, den: int):
+    """The Gram stream of ``rows`` times ``num/den`` (see
+    :mod:`exactframes._kernel`) by the graded Gram, whatever the size
+    of ``rows``."""
+    return _Graded(rows).stream(num, den)

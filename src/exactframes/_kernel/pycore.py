@@ -108,6 +108,8 @@ def scale_terms(t: tuple, num: int, den: int) -> tuple:
     """Multiply a canonical tuple by the rational ``num/den``."""
     if num == 0:
         return ()
+    if num == den:
+        return t
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:

@@ -232,8 +232,8 @@ def _cmd_construct(args: argparse.Namespace, fail_usage) -> int:
     if not bundle:
         (text,) = texts
     elif args.fmt == "exact-json":
-        text = json.dumps({"matrices": [json.loads(t) for t in texts]},
-                          separators=(",", ":"), sort_keys=True) + "\n"
+        # each text is one compact document and a newline
+        text = '{"matrices":[' + ",".join(t[:-1] for t in texts) + ']}\n'
     else:
         text = "\n".join(texts)
     _emit(text, args.out)

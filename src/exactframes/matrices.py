@@ -7,8 +7,9 @@ exact and ``==`` is exact entrywise equality.
 
 Internally each entry is a canonical kernel term tuple, which keeps the
 hot paths (Gram matrices, products) free of wrapper objects.  A matrix
-built from integer rows of one radicand each keeps those rows too, for
-the graded Gram of its re-check.
+built from integer rows of one radicand each holds its rows as a
+:class:`~exactframes._kernel.IntRows`, which carries those integer rows
+to the graded Gram of its re-check.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _MEMO_TRIAL = 1024
 class ExactMatrix:
     """Immutable dense matrix with exact radical-scalar entries."""
 
-    __slots__ = ("_rows", "_cols", "_data", "_int_rows")
+    __slots__ = ("_rows", "_cols", "_data")
 
     def __init__(self, rows: Iterable[Iterable[EntryLike]]) -> None:
         data = tuple(tuple(map(_terms_of, row)) for row in rows)
@@ -49,7 +50,6 @@ class ExactMatrix:
         self._rows = len(data)
         self._cols = width
         self._data = data
-        self._int_rows = None
 
     @classmethod
     def _raw(cls, rows: int, cols: int, data: tuple) -> ExactMatrix:
@@ -57,7 +57,6 @@ class ExactMatrix:
         self._rows = rows
         self._cols = cols
         self._data = data
-        self._int_rows = None
         return self
 
     @classmethod
@@ -66,13 +65,13 @@ class ExactMatrix:
         dens[i]``, from Python ints with ``rads[i]`` squarefree and
         ``dens[i] > 0``.
 
-        The term tuple of each distinct cell is built once.  The rows
-        are kept as ``_int_rows``, each divided by the gcd of its
-        entries and denominator, so that ``dens[i]`` is the least common
-        denominator of row ``i``; the graded Gram of the unitary check
-        reads them (:func:`exactframes._kernel.gram_mismatch`).  Every
-        other reader uses the term tuples, and every transform leaves
-        ``_int_rows`` empty.
+        The term tuple of each distinct cell is built once.  ``_data``
+        is an :class:`~exactframes._kernel.IntRows` whose ``ints`` are
+        the integer rows, each divided by the gcd of its entries and
+        denominator, so that ``dens[i]`` is the least common denominator
+        of row ``i``; the graded Gram reads them.  Every other reader
+        uses the term tuples, and every transform builds a plain tuple,
+        without them.
         """
         data, int_rows, int_dens = [], [], []
         cells: dict = {}
@@ -89,9 +88,9 @@ class ExactMatrix:
             data.append(tuple(map(memo.__getitem__, row)))
             int_rows.append(tuple(row))
             int_dens.append(d)
-        self = cls._raw(len(data), len(data[0]), tuple(data))
-        self._int_rows = (tuple(rads), tuple(int_rows), tuple(int_dens))
-        return self
+        data = _kernel.IntRows(data)
+        data.ints = (tuple(rads), tuple(int_rows), tuple(int_dens))
+        return cls._raw(len(data), len(data[0]), data)
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:

@@ -87,14 +87,13 @@ def scaled_gram(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
 
     For callers that have certified ``a`` as a k-tight frame already;
     :func:`gram_projection` checks first.  The entries come from the
-    graded Gram (:func:`exactframes._kernel.gram_terms`): integer
-    matrix products of the rows' coefficients per radicand, folded onto
-    cores by the gcd rule, with no float; each entry on or above the
-    diagonal is built once and mirrored below it.
+    kernel's Gram stream (:func:`exactframes._kernel.gram_terms`), with
+    no float; each entry on or above the diagonal is built once and
+    mirrored below it.
     """
     inv = 1 / Fraction(k)
     return ExactMatrix._raw(a.rows, a.rows, _kernel.gram_terms(
-        a._data, inv.numerator, inv.denominator, a._int_rows))
+        a._data, inv.numerator, inv.denominator))
 
 
 def weight_profile(a: ExactMatrix) -> tuple[Fraction, ...]:

@@ -11,11 +11,11 @@ rational squared row norms and raises DomainError otherwise; every
 other check is exact regardless of the entries.
 
 The unitary, tight-frame and orthogonal-columns checks compare a Gram
-matrix with a scaled identity.  The graded Gram
-(:mod:`exactframes._kernel.graded`) finds the first mismatching pair in
-the row-major (1,1), (1,2), ... order with integer matrix products per
-radicand, in int64 only under a bound proven from the input and in
-Python ints otherwise.  The residual is that graded entry itself minus
+matrix with a scaled identity.  The kernel's Gram stream
+(:mod:`exactframes._kernel`) gives the first mismatching pair in the
+row-major (1,1), (1,2), ... order, scanned pair by pair for small inputs
+and otherwise from integer matrix products per radicand, in int64 only
+under a bound proven from the input.  The residual is that entry minus
 the expected value, so witnesses are those of a pair-by-pair scan.
 """
 
@@ -86,19 +86,18 @@ class VerifyReport:
         return out
 
 
-def _gram_witness(data, kind: str, expected_diag: tuple | None,
-                  int_rows=None) -> Witness | None:
+def _gram_witness(data, kind: str, expected_diag: tuple | None
+                  ) -> Witness | None:
     """Compare the Gram matrix of ``data`` rows with a scaled identity.
 
     Returns the first mismatch in (1,1), (1,2), ... order, or None;
     ``expected_diag`` is a positive rational term tuple, or None to
-    compare only the pairs off the diagonal.  The graded Gram finds the
-    position, and the residual is the graded entry there minus the
-    expected value.  ``int_rows`` is the rows' integer form, if they
-    have one (see :func:`exactframes._kernel.gram_mismatch`).
+    compare only the pairs off the diagonal.  The kernel's Gram stream
+    gives the position (:func:`exactframes._kernel.gram_mismatch`), and
+    the residual is the entry there minus the expected value.
     """
     diag = None if expected_diag is None else expected_diag[0][1:]
-    hit = _kernel.gram_mismatch(data, diag, int_rows)
+    hit = _kernel.gram_mismatch(data, diag)
     if hit is None:
         return None
     i, j, got = hit
@@ -112,14 +111,12 @@ def check_unitary(a: ExactMatrix) -> VerifyReport:
 
     For square matrices the row Gram ``A A^T`` equals the identity
     exactly when the column Gram ``A^T A`` does, so one scan certifies
-    unitarity; witnesses point at row pairs.  A matrix built from
-    integer rows hands them to the graded Gram.
+    unitarity; witnesses point at row pairs.
     """
     if not a.is_square:
         raise DimensionError(
             f"unitarity applies to square matrices, got {a.shape}")
-    witness = _gram_witness(a._data, "row_inner_product", _ONE,
-                            a._int_rows)
+    witness = _gram_witness(a._data, "row_inner_product", _ONE)
     return VerifyReport(witness is None, MatrixProperty.UNITARY, witness)
 
 

@@ -1,10 +1,14 @@
 """Matrices built from integer rows of one radicand each: the unitary
-families build their term tuples from such rows and keep the rows for
-the graded Gram of their re-check.  Everything here is compared with a
-tuple-built reference (``unitary_reference``) and with the graded
-Gram's other front end, the split of the term tuples."""
+families build their term tuples from such rows, and their rows are an
+``IntRows`` that carries the integer rows to the graded Gram of their
+re-check.  Everything here is compared with a tuple-built reference
+(``unitary_reference``) and with the graded Gram's other front end, the
+split of the term tuples (a plain ``tuple`` of the same rows)."""
 
+import copy
+import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ import unitary_reference as reference
 from exactframes import _kernel, unitary
 from exactframes._kernel import graded
 from exactframes.io import FORMATS, serialize
-from exactframes.matrices import ExactMatrix, hstack, vstack
+from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
 from exactframes.verify import check_unitary
 
 FAMILIES = ("constant_first_row", "constant_two_rows", "two_constant_diag")
@@ -30,7 +34,7 @@ def sizes(family):
 def with_entry(m, i, j, value):
     """``m`` rebuilt from its integer rows with entry (i, j) of the
     rows replaced by ``value``."""
-    rads, ints, dens = m._int_rows
+    rads, ints, dens = m._data.ints
     ints = [list(row) for row in ints]
     ints[i][j] = value
     return ExactMatrix._from_int_rows(rads, ints, dens)
@@ -39,14 +43,15 @@ def with_entry(m, i, j, value):
 def assert_graded_front_ends_agree(m, diag=(1, 1)):
     """Both front ends of the graded Gram, and the pair scan, find the
     same mismatch and the same scaled Gram."""
-    rows, ints = m._data, m._int_rows
-    want = graded.gram_mismatch(rows, diag)
-    assert graded.gram_mismatch(rows, diag, ints) == want
-    assert _kernel.gram_mismatch(rows, diag, ints) == want
-    assert _kernel.gram_mismatch(rows, diag) == want
-    terms = graded.gram_terms(rows, 3, 7)
-    assert graded.gram_terms(rows, 3, 7, ints) == terms
-    assert _kernel.gram_terms(rows, 3, 7, ints) == terms
+    ints, split = m._data, tuple(m._data)
+    with mock.patch.object(_kernel, "_SCAN_BELOW", 0):
+        want = _kernel.gram_mismatch(split, diag)
+        assert _kernel.gram_mismatch(ints, diag) == want
+        terms = _kernel.gram_terms(split, 3, 7)
+        assert _kernel.gram_terms(ints, 3, 7) == terms
+    assert _kernel.gram_mismatch(ints, diag) == want
+    assert _kernel.gram_mismatch(split, diag) == want
+    assert _kernel.gram_terms(ints, 3, 7) == terms
     return want
 
 
@@ -55,7 +60,7 @@ def test_families_match_the_tuple_reference(family):
     build, ref = getattr(unitary, family), getattr(reference, family)
     for n in sizes(family):
         m, want = build(n), ref(n)
-        assert m._int_rows is not None
+        assert isinstance(m._data, _kernel.IntRows)
         assert m._data == want._data
         assert m == want and hash(m) == hash(want)
         for fmt in FORMATS:
@@ -77,44 +82,72 @@ def test_a_changed_int_entry_gives_the_same_witness(family):
         m = build(n)
         i, j = rng.randrange(n), rng.randrange(n)
         # (v + d)^2 != v^2 for odd d: row i's norm changes
-        bad = with_entry(m, i, j, m._int_rows[1][i][j] + rng.choice((1, -3)))
+        bad = with_entry(m, i, j, m._data.ints[1][i][j] + rng.choice((1, -3)))
         hit = assert_graded_front_ends_agree(bad)
         assert hit is not None and hit[0] <= i <= hit[1]
         # the same matrix read back without its integer rows
-        plain = ExactMatrix._raw(n, n, bad._data)
+        plain = ExactMatrix._raw(n, n, tuple(bad._data))
         assert check_unitary(bad) == check_unitary(plain)
         assert not check_unitary(bad).passed
 
 
-def test_the_unitary_check_reads_the_int_rows(monkeypatch):
+def refuse_the_split(monkeypatch):
     def refuse(rows):
         raise AssertionError("split the term tuples")
 
     monkeypatch.setattr(graded, "_split_terms", refuse)
+
+
+def test_the_unitary_check_reads_the_int_rows(monkeypatch):
+    refuse_the_split(monkeypatch)
     for family in FAMILIES:
         assert check_unitary(getattr(unitary, family)(128)).passed
     with pytest.raises(AssertionError, match="split the term tuples"):
         check_unitary(ExactMatrix._raw(
-            128, 128, unitary.two_constant_diag(128)._data))
+            128, 128, tuple(unitary.two_constant_diag(128)._data)))
 
 
 def test_transforms_leave_the_int_rows_empty():
     m = unitary.constant_first_row(6)
-    assert m._int_rows is not None
-    copy = ExactMatrix(m.row(i) for i in range(m.rows))
+    assert isinstance(m._data, _kernel.IntRows)
+    rebuilt = ExactMatrix(m.row(i) for i in range(m.rows))
     for t in (m.transpose(), m.scale(2), m.reverse_rows(), m.reverse_cols(),
               m.reverse_both(), vstack(m, m), hstack(m, m),
-              m.normalize_rows(), copy):
-        assert t._int_rows is None
+              block_diag([m, m]), m.normalize_rows(), rebuilt,
+              unitary.weave(unitary.WeaveCoefficients(
+                  ExactMatrix.identity(2)), [m, m])):
+        assert type(t._data) is tuple
+        assert all(type(row) is tuple for row in t._data)
+
+
+def test_raw_keeps_the_int_rows_and_still_certifies(monkeypatch):
+    refuse_the_split(monkeypatch)
+    for family in FAMILIES:
+        m = getattr(unitary, family)(128)
+        again = ExactMatrix._raw(m.rows, m.cols, m._data)
+        assert again._data.ints is m._data.ints
+        assert check_unitary(again).passed
+
+
+def test_int_rows_survive_pickle_and_deepcopy(monkeypatch):
+    refuse_the_split(monkeypatch)
+    m = unitary.two_constant_diag(128)
+    for rows in (pickle.loads(pickle.dumps(m._data)), copy.deepcopy(m._data),
+                 pickle.loads(pickle.dumps(m))._data,
+                 copy.deepcopy(m)._data):
+        assert type(rows) is _kernel.IntRows
+        assert rows == m._data and hash(rows) == hash(m._data)
+        assert rows.ints == m._data.ints
+        assert check_unitary(ExactMatrix._raw(128, 128, rows)).passed
 
 
 def test_int_rows_are_kept_over_their_least_denominator():
     m = ExactMatrix._from_int_rows((1, 2, 3), ((2, 4, 0), (0, 0, 0),
                                                (-3, 6, 9)), (6, 5, 3))
-    assert m._int_rows == ((1, 2, 3), ((1, 2, 0), (0, 0, 0), (-1, 2, 3)),
-                           (3, 1, 1))
+    assert m._data.ints == ((1, 2, 3), ((1, 2, 0), (0, 0, 0), (-1, 2, 3)),
+                            (3, 1, 1))
     assert m._data == tuple(tuple(_kernel.root_terms(v, d, r) for v in row)
-                            for r, row, d in zip(*m._int_rows))
+                            for r, row, d in zip(*m._data.ints))
 
 
 def random_int_rows(rng, n, width):
@@ -137,8 +170,8 @@ def test_both_front_ends_fill_the_same_arrays(seed):
     for _ in range(6):
         n, width = rng.randint(1, 9), rng.randint(1, 9)
         m = ExactMatrix._from_int_rows(*random_int_rows(rng, n, width))
-        split = graded._Graded(m._data)
-        read = graded._Graded(m._data, m._int_rows)
+        split = graded._Graded(tuple(m._data))
+        read = graded._Graded(m._data)
         assert (split.dens, split.rads, split.single, split.dtype) == (
             read.dens, read.rads, read.single, read.dtype)
         for name in ("e_row", "e_rad", "t_row", "t_col", "t_val",

@@ -1,5 +1,6 @@
 """Property tests of the scalar and matrix text readers and writers,
-and of the paving search (Hypothesis).
+of the two producers of the Gram stream, and of the paving search
+(Hypothesis).
 
 The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactframes import _kernel, io, paving
+from exactframes._kernel import graded
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix
@@ -421,3 +423,55 @@ def test_paving_search_matches_reference(g, chunk, sample, seed):
     with mock.patch.object(paving, "_CHUNK_ENTRIES", chunk):
         got = paving.paving_epsilon(g, sample=sample, seed=seed)
     assert_same_result(got, reference_paving(g, sample=sample, seed=seed))
+
+
+# The radicands of the random oracle tests of the graded Gram
+# (tests/test_verify.py): products of two of them fold onto shared
+# cores.  Coefficients reach past int64, and past the bound under which
+# the graded Gram computes in int64.
+GRAM_POOL = (1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 42)
+gram_values = st.one_of(st.integers(-9, 9), st.integers(-2 ** 31, 2 ** 31),
+                        st.integers(-BIG, BIG))
+
+
+@st.composite
+def gram_rows(draw):
+    """The rows of a matrix of at most 8 x 8, each a zero row, a copy
+    of an earlier row, or new: either integer rows of one radicand each,
+    kept as an ``IntRows``, or rows of sums over the pool."""
+    n, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    one_radicand = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["new"] * 4 + ["zero", "copy"]))
+        if kind == "copy" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append((1, [0] * width, 1) if one_radicand
+                        else [ZERO] * width)
+        elif one_radicand:
+            rows.append((draw(st.sampled_from(GRAM_POOL)),
+                         [draw(st.one_of(st.just(0), gram_values))
+                          for _ in range(width)],
+                         draw(st.integers(1, 12))))
+        else:
+            rows.append([sum((make(Fraction(draw(gram_values),
+                                            draw(st.integers(1, 12))),
+                                   draw(st.sampled_from(GRAM_POOL)))
+                              for _ in range(draw(st.integers(0, 3)))), ZERO)
+                         for _ in range(width)])
+    if one_radicand:
+        return ExactMatrix._from_int_rows(*zip(*rows))._data
+    return ExactMatrix(rows)._data
+
+
+@settings(FIXED, max_examples=200)
+@given(gram_rows(), st.sampled_from([(1, 1), (3, 7), (-5, 2)]))
+def test_graded_entries_are_the_scan(rows, scale):
+    """The graded Gram's stream is the pair scan's, entry for entry,
+    from both of its front ends, and on the columns too."""
+    num, den = scale
+    columns = tuple(zip(*rows))
+    for form in (rows, tuple(rows), columns):
+        assert list(_kernel._scan(form, num, den, True)) == list(
+            graded.entries(form, num, den))

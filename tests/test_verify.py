@@ -480,9 +480,9 @@ def test_gram_path_reaches_the_size_cut(gram_path, monkeypatch):
     built = []
 
     class Counted(graded._Graded):
-        def __init__(self, rows, int_rows=None) -> None:
+        def __init__(self, rows) -> None:
             built.append(len(rows))
-            super().__init__(rows, int_rows)
+            super().__init__(rows)
 
     monkeypatch.setattr(graded, "_Graded", Counted)
     rows = ExactMatrix([[1, make(1, 2)], [make(1, 2), -1]])._data
