@@ -8,7 +8,7 @@ that are an :class:`~exactframes._kernel.IntRows` (the unitary
 families, through ``ExactMatrix._from_int_rows``) carry integer rows of
 one radicand each, and the nonzero entries of their dense array are the
 terms directly.  Other rows (read from a file, or transformed) are
-split term by term.  Everything after the front end is shared.  Then
+split term by term.  Then
 
     <row_i, row_j> = sum_{r, s} g * (V_r V_s^T)[i, j]
                      * sqrt((r/g) * (s/g)) / (D[i] D[j]),   g = gcd(r, s),
@@ -25,18 +25,32 @@ time: each chunk only against the expanded rows whose columns meet its
 own, over those columns, so the mostly-zero expanded matrix is never
 multiplied whole.  The nonzero products of a block are summed per
 (core, i, j) by sorting, so memory follows one block's entries of the
-Gram.  When every row, or every column, carries at most one radicand,
-the pairs (i, j) and the products map one to one and nothing is summed.
+Gram.  When every row carries at most one radicand, the pairs (i, j)
+and the products map one to one and nothing is summed.
+
+When some row carries more than one radicand but every column carries
+one (the columns of the unitary families, as the orthogonal-columns
+and tight-frame checks read them), every entry is rational and the
+rows are not expanded.  ``D[i]`` would be the lcm of the denominators
+of all the columns, far past int64, so each column is scaled by its
+own instead: column ``c`` is ``sqrt(rho_c) * U_c / E_c`` and
+
+    G = sum_c (rho_c / E_c^2) U_c U_c^T.
+
+The columns are grouped into packs whose common denominator keeps a
+proven bound, each pack's product is one int64 matrix product per
+block of rows, and the packs are summed in Python ints
+(:func:`_packs`).
 
 :func:`entries` gives the Gram stream of :mod:`exactframes._kernel`
 times a rational: for each block of rows, every nonzero entry (i, j)
 with ``i <= j`` as a canonical term tuple, the same tuple the pair scan
-gives, sorted into row-major order, and the zero diagonal entry of each
-zero row.  A reader that stops early stops after the block it stops in.
+gives, in row-major order, and the zero diagonal entry of each zero
+row.  A reader that stops early stops after the block it stops in.
 
 There is no float anywhere.  Arrays are int64 only when a bound proven
-from the inputs keeps every sum below 2^63 (see :func:`_dtype`);
-otherwise the same code runs on arrays of Python ints.
+from the inputs keeps every sum below 2^63 (see :func:`_dtype` and
+:func:`_packs`); otherwise the same code runs on arrays of Python ints.
 
 The package (:mod:`exactframes._kernel`) scans a Gram below its size
 cut pair by pair and reads :func:`entries` for the rest; it imports
@@ -61,6 +75,8 @@ _CHUNK = 32
 _BLOCK_PAIRS = 1 << 12
 # products gathered before each merge into a block's sorted sums
 _MERGE_ENTRIES = 1 << 12
+# a sum below 2^62 leaves int64 a factor 2 of headroom
+_HALF = 1 << 62
 
 
 def _starts(key: np.ndarray) -> np.ndarray:
@@ -82,52 +98,63 @@ def _most(group: np.ndarray, k: np.ndarray, size: int) -> int:
 
 
 def _dtype(top: int, width: int, maxrad: int, most: int):
-    """int64 when no sum can reach 2^63, else object (Python ints).
+    """int64 when no sum of expanded-row products can reach 2^63, else
+    object (Python ints).
 
     A product of two expanded rows is a sum of ``width`` terms of at
     most ``top**2``; it is scaled by ``g <= maxrad``, and at most
     ``most`` (the most radicands one row carries) scaled products fold
-    into one (i, j, core).  The factor 2 leaves headroom.  Unfolded
-    products are scaled by ``g`` in Python ints, so callers pass
-    ``maxrad = most = 1`` for them.
+    into one (i, j, core).  The factor 2 leaves headroom.  With one
+    radicand per row nothing folds and ``g`` scales the product in
+    Python ints, so that case passes ``maxrad = most = 1``.  The packs
+    of a column Gram have their own bound (:func:`_packs`).
     """
-    if top * top * width * maxrad * max(most, 1) * 2 < 1 << 63:
+    if top * top * width * maxrad * max(most, 1) < _HALF:
         return np.int64
     return object
 
 
 def _split_terms(rows) -> tuple:
-    """The parts of :class:`_Graded` taken from term-tuple rows, term
-    by term: ``(dens, rads, t_i, t_k, t_c, vals, top, most)``.  The
-    term at row ``t_i``, column ``t_c`` and radicand ``rads[t_k]`` is
-    ``sqrt(rads[t_k]) * vals / dens[t_i]``, in row-major order; ``top``
-    is the largest ``|vals|`` and ``most`` the most radicands one row
-    carries."""
-    dens = []
+    """Term-tuple rows taken apart term by term: ``(rads, t_i, t_k,
+    t_c, nums, dens)``.  The term at row ``t_i``, column ``t_c`` and
+    radicand ``rads[t_k]`` is ``sqrt(rads[t_k]) * nums / dens``, in
+    row-major order."""
     rad_ids: dict[int, int] = {}
-    at, rad, cols, vals = [], [], [], []
+    at, rad, cols, nums, dens = [], [], [], [], []
     for i, row in enumerate(rows):
-        d = lcm(*[t[2] for e in row for t in e])
-        dens.append(d)
         for c, e in enumerate(row):
             for r, num, den in e:
                 at.append(i)
                 rad.append(rad_ids.setdefault(r, len(rad_ids)))
                 cols.append(c)
-                vals.append(num * (d // den))
+                nums.append(num)
+                dens.append(den)
     t_i, t_k, t_c = (np.array(x, dtype=np.intp) for x in (at, rad, cols))
-    top = max(map(abs, vals), default=0)
-    return (dens, list(rad_ids), t_i, t_k, t_c, vals, top,
-            _most(t_i, t_k, len(rad_ids)))
+    return list(rad_ids), t_i, t_k, t_c, nums, dens
+
+
+def _over(group: np.ndarray, size: int, nums: list, dens: list) -> tuple:
+    """``(common, vals)`` for terms ``nums / dens`` in ``size`` groups,
+    term ``t`` in group ``group[t]``: the least common denominator of
+    each group (1 for an empty one), and each term's numerator over
+    its group's."""
+    at = group.tolist()
+    common = [1] * size
+    for g, d in set(zip(at, dens)):
+        common[g] = lcm(common[g], d)
+    return common, [num * (common[g] // d)
+                    for g, num, d in zip(at, nums, dens)]
 
 
 def _read_ints(rads, ints, dens) -> tuple:
-    """The parts of :func:`_split_terms` read from integer rows of one
-    radicand each, row ``i`` being ``sqrt(rads[i]) * ints[i] /
-    dens[i]`` with ``dens[i]`` its least common denominator (as an
-    :class:`~exactframes._kernel.IntRows` carries them): the nonzero
-    entries of the dense rows, in the same order and with the same
-    values as the terms split from the rows' term tuples."""
+    """Integer rows of one radicand each, row ``i`` being
+    ``sqrt(rads[i]) * ints[i] / dens[i]`` with ``dens[i]`` its least
+    common denominator (as an :class:`~exactframes._kernel.IntRows`
+    carries them), as ``(dens, rads, t_i, t_k, t_c, vals, top, most)``:
+    the nonzero entries of the dense rows in the order of
+    :func:`_split_terms`, over the rows' denominators as :func:`_over`
+    puts them; ``top`` is the largest ``|vals|`` and ``most`` the most
+    radicands one row carries."""
     try:
         dense = np.array(ints, dtype=np.int64)
     except OverflowError:
@@ -146,15 +173,81 @@ def _read_ints(rads, ints, dens) -> tuple:
             min(len(vals), 1))
 
 
+def _packs(n: int, width: int, rads: list, t_i, t_k, t_c, nums: list,
+           dens: list) -> tuple:
+    """The column Gram's factors of rows whose every column carries one
+    radicand: ``(packs, common)``.
+
+    Column ``c`` is ``sqrt(rho_c) * U_c / E_c``, with ``E_c`` its least
+    common denominator, so that
+
+        G = sum_c (rho_c / E_c^2) U_c U_c^T.
+
+    The columns are taken by ascending ``E_c``, each into the first pack
+    that stays in bounds, or else into a new one.  A pack's ``Q =
+    lcm(E_c^2)`` keeps ``sum_c rho_c (Q / E_c^2) max|U_c|^2 * 2 < 2^63``,
+    a bound on every partial sum of the pack's product, so the pack is
+    int64; the columns that break the bound alone form one pack of
+    Python ints.  A pack is ``(left, right, scale)``, two ``n x |pack|``
+    arrays, ``right`` holding the ``U_c`` and ``left`` the same times
+    ``w_c = rho_c Q / E_c^2``, so that ``G = sum_packs scale * left
+    right^T / common`` with ``common = lcm(Q)``.
+    """
+    cols_den, vals = _over(t_c, width, nums, dens)
+    try:
+        vals = np.array(vals, dtype=np.int64)
+    except OverflowError:
+        vals = np.array(vals, dtype=object)
+    # each column's largest |U| (no abs in int64, which -2^63 overflows)
+    high, low = np.zeros((2, width), dtype=vals.dtype)
+    np.maximum.at(high, t_c, vals)
+    np.minimum.at(low, t_c, vals)
+    k_of = np.zeros(width, dtype=np.intp)
+    k_of[t_c] = t_k
+    live = np.zeros(width, dtype=bool)
+    live[t_c] = True
+    fits, big = [], []
+    for c in sorted(np.flatnonzero(live).tolist(), key=cols_den.__getitem__):
+        e2 = cols_den[c] ** 2
+        cost = rads[k_of[c]] * max(int(high[c]), -int(low[c])) ** 2
+        if cost >= _HALF:
+            big.append(c)
+            continue
+        for pack in fits:
+            cols, q, total = pack
+            q2 = lcm(q, e2)
+            total = total * (q2 // q) + cost * (q2 // e2)
+            if total < _HALF:
+                cols.append(c)
+                pack[1:] = q2, total
+                break
+        else:
+            fits.append([[c], e2, cost])
+    groups = [(cols, q, np.int64) for cols, q, _ in fits]
+    if big:
+        groups.append((big, lcm(*[cols_den[c] ** 2 for c in big]), object))
+    common = lcm(*[q for _, q, _ in groups])
+    packs = []
+    for cols, q, dtype in groups:
+        pos = np.full(width, -1)
+        pos[cols] = range(len(cols))
+        mine = pos[t_c] >= 0
+        right = np.zeros((n, len(cols)), dtype=dtype)
+        right[t_i[mine], pos[t_c[mine]]] = vals[mine]
+        weight = np.array([rads[k_of[c]] * (q // cols_den[c] ** 2)
+                           for c in cols], dtype=dtype)
+        packs.append((right * weight, right, common // q))
+    return packs, common
+
+
 class _Graded:
-    """The rows of a matrix as expanded integer rows.
+    """The rows of a matrix as expanded integer rows, or as the packs
+    of its column Gram.
 
     ``rads`` lists the radicands; expanded row ``e`` is the
     ``sqrt(rads[e_rad[e]])`` part of row ``e_row[e]`` times
     ``dens[e_row[e]]``.  Its nonzero entries are ``t_val`` at columns
-    ``t_col``, for the terms with ``t_row == e`` (``t_row`` ascends);
-    as the left factor of a product they are ``t_left``, which differs
-    only when each column carries one radicand (see ``__init__``).
+    ``t_col``, for the terms with ``t_row == e`` (``t_row`` ascends).
     Expanded rows are sorted by block of rows, then radicand, then row.
     The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
     with ``i <= j`` are numbered in the order of the pair scan.
@@ -162,35 +255,37 @@ class _Graded:
     The terms come from one of two front ends: the integer rows of an
     :class:`~exactframes._kernel.IntRows` (:func:`_read_ints`), or the
     term tuples of any other rows, split term by term
-    (:func:`_split_terms`).  Everything after them is shared.
+    (:func:`_split_terms`).  When some row carries more than one
+    radicand but every column carries one, the rows are not expanded:
+    ``packs`` holds the factors of the column Gram (:func:`_packs`),
+    and is None otherwise.
     """
 
     def __init__(self, rows) -> None:
         self.n = n = len(rows)
         self.width = width = len(rows[0])
-        (self.dens, rads, t_i, t_k, t_c, vals, top, most) = (
-            _read_ints(*rows.ints) if isinstance(rows, IntRows)
-            else _split_terms(rows))
-        weight = None
+        self.block = max(1, _BLOCK_PAIRS // n)
+        self.packs = None
+        if isinstance(rows, IntRows):
+            (self.dens, rads, t_i, t_k, t_c, vals, top, most) = _read_ints(
+                *rows.ints)
+        else:
+            rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
+            most = _most(t_i, t_k, len(rads))
+            if most > 1 and _most(t_c, t_k, len(rads)) <= 1:
+                # one radicand per column: <row_i, row_j> is rational,
+                # and each column is scaled by its own denominator
+                self.packs, self.common = _packs(n, width, rads, t_i, t_k,
+                                                 t_c, nums, dens)
+                return
+            self.dens, vals = _over(t_i, n, nums, dens)
+            top = max(map(abs, vals), default=0)
         # one radicand per row: the products map one to one onto the
         # pairs (i, j)
         self.single = most <= 1
-        if self.single:
-            self.dtype = _dtype(top, width, 1, 1)
-        elif _most(t_c, t_k, len(rads)) <= 1:
-            # one radicand per column: <row_i, row_j> is rational, the
-            # sum over the columns of their radicand times the
-            # coefficients, so rows stay whole and the left factor of
-            # each product carries the radicands
-            self.single = True
-            self.dtype = _dtype(top, width, max(rads), 1)
-            weight = np.array(rads, dtype=self.dtype)[t_k]
-            t_k = np.zeros_like(t_k)
-            rads = [1]
-        else:
-            self.dtype = _dtype(top, width, max(rads), most)
+        self.dtype = (_dtype(top, width, 1, 1) if self.single
+                      else _dtype(top, width, max(rads), most))
         self.rads = rads
-        self.block = max(1, _BLOCK_PAIRS // n)
         key = (t_i // self.block * len(rads) + t_k) * n + t_i
         by = np.argsort(key, kind="stable")
         key = key[by]
@@ -200,8 +295,6 @@ class _Graded:
         self.t_col = t_c[by]
         self.t_val = np.asarray(vals, dtype=self.dtype)[by]
         del vals
-        self.t_left = self.t_val if weight is None else (
-            self.t_val * weight[by])
         if not self.single:
             self._core_tables()
 
@@ -229,20 +322,50 @@ class _Graded:
     def stream(self, num: int, den: int):
         """The Gram stream times ``num/den`` (:func:`entries`)."""
         count = -(-self.n // self.block)
-        bounds = np.searchsorted(self.e_row // self.block,
-                                 np.arange(count + 1)).tolist()
-        for b in range(count):
+        if self.packs is None:
+            bounds = np.searchsorted(self.e_row // self.block,
+                                     np.arange(count + 1)).tolist()
+            blocks = (self._entries(b * self.block, bounds[b],
+                                    bounds[b + 1], num, den)
+                      for b in range(count))
+        else:
+            blocks = (self._packed(b * self.block, num, den)
+                      for b in range(count))
+        for b, block in enumerate(blocks):
             # a zero row has no entry in the products; every other row
             # has a nonzero diagonal entry, its first
             due = i0 = b * self.block
-            for i, j, terms in self._entries(i0, bounds[b], bounds[b + 1],
-                                             num, den):
+            for i, j, terms in block:
                 for k in range(due, i):
                     yield k, k, ()
                 due = i + 1
                 yield i, j, terms
             for k in range(due, min(i0 + self.block, self.n)):
                 yield k, k, ()
+
+    def _packed(self, i0: int, num: int, den: int):
+        """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
+        block of rows from ``i0``, in row-major order, from the packs:
+        each pack's product in one matrix product, and more than one
+        pack combined in Python ints."""
+        i1 = min(i0 + self.block, self.n)
+        prods = [left[i0:i1] @ right[i0:].T for left, right, _ in self.packs]
+        keep = np.arange(i1 - i0)[:, None] <= np.arange(self.n - i0)
+        keep &= np.any([prod != 0 for prod in prods], axis=0)
+        a, b = np.nonzero(keep)
+        if len(prods) == 1:
+            sums = prods[0][a, b].tolist()
+        else:
+            sums = 0
+            for prod, (_, _, scale) in zip(prods, self.packs):
+                sums = sums + prod[a, b].astype(object) * scale
+            sums = sums.tolist()
+        t_den = self.common * den
+        for i, j, v in zip((a + i0).tolist(), (b + i0).tolist(), sums):
+            if v:
+                t_num = v * num
+                g = gcd(t_num, t_den)
+                yield i, j, ((1, t_num // g, t_den // g),)
 
     def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
         """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
@@ -300,7 +423,7 @@ class _Graded:
             hit &= near[self.t_row]
             left = np.zeros((c1 - c0, pos[-1] + 1), dtype=self.dtype)
             left[self.t_row[t0:t1] - c0, pos[self.t_col[t0:t1]]] = (
-                self.t_left[t0:t1])
+                self.t_val[t0:t1])
             right = np.zeros((len(cand), pos[-1] + 1), dtype=self.dtype)
             right[np.searchsorted(cand, self.t_row[hit]),
                   pos[self.t_col[hit]]] = self.t_val[hit]

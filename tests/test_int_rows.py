@@ -174,8 +174,7 @@ def test_both_front_ends_fill_the_same_arrays(seed):
         read = graded._Graded(m._data)
         assert (split.dens, split.rads, split.single, split.dtype) == (
             read.dens, read.rads, read.single, read.dtype)
-        for name in ("e_row", "e_rad", "t_row", "t_col", "t_val",
-                     "t_left"):
+        for name in ("e_row", "e_rad", "t_row", "t_col", "t_val"):
             a, b = getattr(split, name), getattr(read, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
             if a.dtype == object:

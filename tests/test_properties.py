@@ -475,3 +475,64 @@ def test_graded_entries_are_the_scan(rows, scale):
     for form in (rows, tuple(rows), columns):
         assert list(_kernel._scan(form, num, den, True)) == list(
             graded.entries(form, num, den))
+
+
+# Prime denominators just past 2^31: three of them in one row put its
+# least common denominator past 2^93, and two columns over two of them
+# cannot share an int64 pack of the column Gram, as each one's square
+# scales the other's products past 2^62.
+WIDE_DENS = (2147483659, 2147483693, 2147483713, 2147483743)
+signs = st.sampled_from((-1, 1))
+
+
+@st.composite
+def column_rows(draw):
+    """The rows of a matrix of up to 8 rows whose every column carries
+    one radicand and whose nonzero rows carry several, in a drawn column
+    order: three columns over distinct ``WIDE_DENS``, nonzero in every
+    nonzero row, one column of coefficients past int64, a zero column,
+    and up to three columns over the pool."""
+    n = draw(st.integers(2, 8))
+    live = [True] + [draw(st.sampled_from([True] * 4 + [False]))
+                     for _ in range(n - 1)]
+    columns = [(1, [0] * n)]
+    for rad, den in zip((2, 3, 5), draw(st.permutations(WIDE_DENS))):
+        columns.append((rad, [Fraction(draw(signs) * draw(st.integers(
+            1, 999)), den) if on else 0 for on in live]))
+    columns.append((draw(st.sampled_from(GRAM_POOL)), [Fraction(
+        draw(signs) * draw(st.integers(2 ** 64, BIG)),
+        draw(st.integers(1, 12))) if on else 0 for on in live]))
+    for _ in range(draw(st.integers(0, 3))):
+        columns.append((draw(st.sampled_from(GRAM_POOL)), [Fraction(
+            draw(st.one_of(st.just(0), gram_values)),
+            draw(st.integers(1, 12))) if on else 0 for on in live]))
+    columns = draw(st.permutations(columns))
+    return ExactMatrix([[make(col[i], rad) for rad, col in columns]
+                        for i in range(n)])._data
+
+
+@settings(FIXED, max_examples=200)
+@given(column_rows(), st.sampled_from([(1, 1), (3, 7), (-5, 2)]))
+def test_column_packs_are_the_scan(rows, scale):
+    """Past int64 for a common denominator per row, the column Gram
+    splits into int64 packs and one pack of Python ints, and its stream
+    is the pair scan's, entry for entry."""
+    num, den = scale
+    assert max(math.lcm(*[t[2] for e in row for t in e])
+               for row in rows) > 2 ** 63
+    packs = graded._Graded(rows).packs
+    assert len(packs) >= 4
+    assert [left.dtype == object for left, _, _ in packs].count(True) == 1
+    assert list(_kernel._scan(rows, num, den, True)) == list(
+        graded.entries(rows, num, den))
+
+
+def test_column_pack_bound_counts_minus_two_to_the_63():
+    """-2^63 fits int64 but its absolute value does not: its column
+    goes to the pack of Python ints."""
+    rows = ExactMatrix([[make(-2 ** 63, 1), make(Fraction(1, 3), 2)],
+                        [1, make(1, 2)], [0, make(5, 2)]])._data
+    packs = graded._Graded(rows).packs
+    assert [left.dtype == object for left, _, _ in packs] == [False, True]
+    assert list(_kernel._scan(rows, 1, 1, True)) == list(
+        graded.entries(rows, 1, 1))

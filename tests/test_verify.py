@@ -12,6 +12,7 @@ from exactframes import _kernel
 from exactframes._kernel import add_terms, dot_terms, graded, neg_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
+from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix, block_diag, vstack
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight
@@ -576,3 +577,37 @@ def test_graded_gram_object_path_past_the_int64_bound(over, gram_path):
         report = check_tight_frame(b)
         assert report.to_json_dict() == reference_report(b, "tight_frame")
     assert check_tight_frame(a).k_value == x * x
+
+
+def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
+    """The columns of constant_first_row(128) read back from a file carry
+    one radicand each and about 120 denominators per row: their Gram is
+    made of int64 products only, for orthogonal columns and for the
+    tight frame, and a doubled entry gives the pair scan's witness."""
+    m = deserialize(serialize(constant_first_row(128)))
+    built = []
+
+    class Seen(graded._Graded):
+        def __init__(self, rows) -> None:
+            super().__init__(rows)
+            built.append(self)
+
+    monkeypatch.setattr(graded, "_Graded", Seen)
+    assert check_orthogonal_columns(m).passed
+    tight = check_tight_frame(m)
+    assert tight.passed and tight.k_value == 1 and tight.unit_rows
+    assert len(built) == 2
+    for g in built:
+        assert len(g.packs) > 1
+        assert all(a.dtype == graded.np.int64
+                   for left, right, _ in g.packs for a in (left, right))
+    # column 90's products with the columns of block 1 (rows 32-63 of
+    # the column Gram) change
+    bad = with_doubled_entry(m, 40, 90)
+    checks = (check_orthogonal_columns, check_tight_frame)
+    got = [check(bad).to_json_dict() for check in checks]
+    monkeypatch.setattr(_kernel, "_SCAN_BELOW", 128 ** 3)
+    assert got == [check(bad).to_json_dict() for check in checks]
+    for report in got:
+        assert not report["passed"]
+        assert 32 <= report["witness"]["i"] - 1 < 64
