@@ -23,10 +23,13 @@ The rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
 time, sorted by radicand within the block, and multiplied a chunk at a
 time: each chunk only against the expanded rows whose columns meet its
 own, over those columns, so the mostly-zero expanded matrix is never
-multiplied whole.  The nonzero products of a block are summed per
-(core, i, j) by sorting, so memory follows one block's entries of the
-Gram.  When every row carries at most one radicand, the pairs (i, j)
-and the products map one to one and nothing is summed.
+multiplied whole.  Each nonzero product takes ``g`` and its core from
+its own two radicands, so no table of pairs of radicands is built.  The
+products of a block are keyed by (i, j, core) in one integer and summed
+per key by sorting, so memory follows one block's entries of the Gram.
+When every row carries at most one radicand, each key holds one
+product: the sort only puts the entries in order, and nothing is
+summed.
 
 When some row carries more than one radicand but every column carries
 one (the columns of the unitary families, as the orthogonal-columns
@@ -49,8 +52,9 @@ gives, in row-major order, and the zero diagonal entry of each zero
 row.  A reader that stops early stops after the block it stops in.
 
 There is no float anywhere.  Arrays are int64 only when a bound proven
-from the inputs keeps every sum below 2^63 (see :func:`_dtype` and
-:func:`_packs`); otherwise the same code runs on arrays of Python ints.
+from the inputs keeps every sum and sort key below 2^63 (see
+:func:`_dtype`, :meth:`_Graded.fold` and :func:`_packs`); otherwise the
+same code runs on arrays of Python ints.
 
 The package (:mod:`exactframes._kernel`) scans a Gram below its size
 cut pair by pair and reads :func:`entries` for the rest; it imports
@@ -102,12 +106,11 @@ def _dtype(top: int, width: int, maxrad: int, most: int):
     object (Python ints).
 
     A product of two expanded rows is a sum of ``width`` terms of at
-    most ``top**2``; it is scaled by ``g <= maxrad``, and at most
-    ``most`` (the most radicands one row carries) scaled products fold
-    into one (i, j, core).  The factor 2 leaves headroom.  With one
-    radicand per row nothing folds and ``g`` scales the product in
-    Python ints, so that case passes ``maxrad = most = 1``.  The packs
-    of a column Gram have their own bound (:func:`_packs`).
+    most ``top**2``; it is scaled by ``g <= maxrad``, the largest
+    radicand, and at most ``most`` (the most radicands one row
+    carries) scaled products fold into one (i, j, core).  The factor 2
+    leaves headroom.  The packs of a column Gram have their own bound
+    (:func:`_packs`).
     """
     if top * top * width * maxrad * max(most, 1) < _HALF:
         return np.int64
@@ -244,13 +247,16 @@ class _Graded:
     """The rows of a matrix as expanded integer rows, or as the packs
     of its column Gram.
 
-    ``rads`` lists the radicands; expanded row ``e`` is the
-    ``sqrt(rads[e_rad[e]])`` part of row ``e_row[e]`` times
-    ``dens[e_row[e]]``.  Its nonzero entries are ``t_val`` at columns
-    ``t_col``, for the terms with ``t_row == e`` (``t_row`` ascends).
+    ``rads`` is the array of the radicands (int64 below 2^31, Python
+    ints past that); expanded row ``e`` is the ``sqrt(rads[e_rad[e]])``
+    part of row ``e_row[e]`` times ``dens[e_row[e]]``.  Its nonzero
+    entries are ``t_val`` at columns ``t_col``, for the terms with
+    ``t_row == e`` (``t_row`` ascends).
     Expanded rows are sorted by block of rows, then radicand, then row.
     The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
-    with ``i <= j`` are numbered in the order of the pair scan.
+    with ``i <= j`` are numbered in the order of the pair scan.  The
+    core of two radicands is below ``span``, so ``pair * span + core``
+    numbers the (i, j, core) in the stream's order (:meth:`fold`).
 
     The terms come from one of two front ends: the integer rows of an
     :class:`~exactframes._kernel.IntRows` (:func:`_read_ints`), or the
@@ -280,12 +286,11 @@ class _Graded:
                 return
             self.dens, vals = _over(t_i, n, nums, dens)
             top = max(map(abs, vals), default=0)
-        # one radicand per row: the products map one to one onto the
-        # pairs (i, j)
-        self.single = most <= 1
-        self.dtype = (_dtype(top, width, 1, 1) if self.single
-                      else _dtype(top, width, max(rads), most))
-        self.rads = rads
+        maxrad = max(rads, default=1)
+        self.dtype = _dtype(top, width, maxrad, most)
+        self.rads = np.array(rads, dtype=np.int64 if maxrad < 1 << 31
+                             else object)
+        self.span = maxrad * maxrad + 1
         key = (t_i // self.block * len(rads) + t_k) * n + t_i
         by = np.argsort(key, kind="stable")
         key = key[by]
@@ -295,29 +300,6 @@ class _Graded:
         self.t_col = t_c[by]
         self.t_val = np.asarray(vals, dtype=self.dtype)[by]
         del vals
-        if not self.single:
-            self._core_tables()
-
-    def _core_tables(self) -> None:
-        """``cores`` ascending, and for each pair of radicand indices
-        that share a column, the index of its core in ``core_of`` and
-        its gcd in ``g_of``."""
-        meets = np.zeros((len(self.rads), self.width), dtype=np.intp)
-        meets[self.e_rad[self.t_row], self.t_col] = 1
-        by_pair = {}
-        for x, y in zip(*(p.tolist() for p
-                          in np.nonzero(np.triu(meets @ meets.T)))):
-            r, s = self.rads[x], self.rads[y]
-            g = gcd(r, s)
-            by_pair[x, y] = ((r // g) * (s // g), g)
-        self.cores = sorted({core for core, _ in by_pair.values()})
-        index = {core: c for c, core in enumerate(self.cores)}
-        shape = (len(self.rads), len(self.rads))
-        self.core_of = np.zeros(shape, dtype=np.intp)
-        self.g_of = np.zeros(shape, dtype=self.dtype)
-        for (x, y), (core, g) in by_pair.items():
-            self.core_of[x, y] = self.core_of[y, x] = index[core]
-            self.g_of[x, y] = self.g_of[y, x] = g
 
     def stream(self, num: int, den: int):
         """The Gram stream times ``num/den`` (:func:`entries`)."""
@@ -370,33 +352,19 @@ class _Graded:
     def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
         """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
         block of rows from ``i0`` (the expanded rows ``lo <= e < hi``),
-        in row-major order."""
-        dens, rads = self.dens, self.rads
-
-        def term(core, i, j, v):
-            t_num, t_den = v * num, dens[i] * dens[j] * den
-            g = gcd(t_num, t_den)
-            return core, t_num // g, t_den // g
-
-        if self.single:
-            # one product per pair (i, j), in radicand order: sorting
-            # compares only (i, j)
-            for i, j, x, y, v in sorted(
-                    entry for a, b, p in self.products(i0, lo, hi)
-                    for entry in zip(
-                        self.e_row[a].tolist(), self.e_row[b].tolist(),
-                        self.e_rad[a].tolist(), self.e_rad[b].tolist(),
-                        p.tolist())):
-                r, s = rads[x], rads[y]
-                g = gcd(r, s)
-                yield i, j, (term((r // g) * (s // g), i, j, g * v),)
-        else:
-            pair, core, sums = self.fold(i0, lo, hi)
-            for k, group in groupby(zip(pair.tolist(), core.tolist(),
-                                        sums.tolist()), key=itemgetter(0)):
-                i, j = divmod(k, self.n)
-                yield i, j, tuple(term(self.cores[c], i, j, v)
-                                  for _, c, v in group)
+        in row-major order, from :meth:`fold`."""
+        dens = self.dens
+        pair, core, sums = self.fold(i0, lo, hi)
+        for k, group in groupby(zip(pair.tolist(), core.tolist(),
+                                    sums.tolist()), key=itemgetter(0)):
+            i, j = divmod(k, self.n)
+            t_den = dens[i] * dens[j] * den
+            terms = []
+            for _, c, v in group:
+                t_num = v * num
+                g = gcd(t_num, t_den)
+                terms.append((c, t_num // g, t_den // g))
+            yield i, j, tuple(terms)
 
     def products(self, i0: int, lo: int, hi: int):
         """``(a, b, p)`` arrays over the pairs of an expanded row ``a``
@@ -435,39 +403,52 @@ class _Graded:
 
     def fold(self, i0: int, lo: int, hi: int) -> tuple:
         """``(pair, core, sums)`` for the expanded rows ``[lo, hi)`` of
-        the block of rows from ``i0``: ``sqrt(cores[core[k]])`` has coefficient
+        the block of rows from ``i0``: ``sqrt(core[k])`` has coefficient
         ``sums[k] / (D[i] D[j])`` in ``<row_i, row_j>``, with ``(i, j)``
         numbered ``pair[k]``, for every nonzero one, sorted by pair and
-        then core.  For rows with more than one radicand."""
-        ncores = len(self.cores)
-        keys = [np.zeros(0, dtype=np.intp)]
+        then core.
+
+        Each product of the expanded rows of radicands ``r`` and ``s``
+        is scaled by ``g = gcd(r, s)`` and keyed by ``pair * span +
+        (r/g) * (s/g)``, so that one sort of the keys orders the sums
+        by pair and then core.  The keys are int64 while ``n^2 * span``
+        stays below 2^62, and Python ints past that."""
+        n, span = self.n, self.span
+        wide = n * n * span >= _HALF
+        rad = self.rads[self.e_rad]
+        keys = [np.zeros(0, dtype=object if wide else np.int64)]
         sums = [np.zeros(0, dtype=self.dtype)]
 
         def merge():
             k, v = np.concatenate(keys), np.concatenate(sums)
-            order = np.argsort(k, kind="stable")
+            order = np.argsort(k)
             k, v = k[order], v[order]
-            starts = np.flatnonzero(_starts(k))
-            if len(starts):
+            first = _starts(k)
+            if not first.all():
+                # products are nonzero, and only their sums can cancel
+                starts = np.flatnonzero(first)
                 v = np.add.reduceat(v, starts)
-                k = k[starts]
-            live = v != 0
-            keys[:] = [k[live]]
-            sums[:] = [v[live]]
+                live = v != 0
+                k, v = k[starts][live], v[live]
+            keys[:] = [k]
+            sums[:] = [v]
 
         pending = 0
         for a, b, p in self.products(i0, lo, hi):
-            ra, rb = self.e_rad[a], self.e_rad[b]
-            pair = self.e_row[a] * self.n + self.e_row[b]
-            keys.append(pair * ncores + self.core_of[ra, rb])
-            sums.append(self.g_of[ra, rb] * p)
+            r, s = rad[a], rad[b]
+            g = np.gcd(r, s)
+            pair = self.e_row[a] * n + self.e_row[b]
+            if wide:
+                pair = pair.astype(object)
+            keys.append(pair * span + np.lcm(r, s) // g)
+            sums.append(g.astype(self.dtype, copy=False) * p)
             pending += len(p)
             if pending > _MERGE_ENTRIES:
                 merge()
                 pending = 0
         merge()
-        pair, core = np.divmod(keys[0], ncores)
-        return pair, core, sums[0]
+        # np.divmod has no loop for Python ints
+        return keys[0] // span, keys[0] % span, sums[0]
 
 
 def entries(rows, num: int, den: int):

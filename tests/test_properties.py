@@ -477,6 +477,51 @@ def test_graded_entries_are_the_scan(rows, scale):
             graded.entries(form, num, den))
 
 
+# Squarefree radicands past 2^31, over the primes 2147483659 and
+# 2147483693: the cores of their products pass 2^62, and the graded
+# Gram's sort keys run on Python ints.
+WIDE_RADS = (2147483659, 2 * 2147483659, 3 * 2147483659, 2147483693,
+             5 * 2147483693, 6 * 2147483693)
+
+
+@st.composite
+def wide_radicand_rows(draw):
+    """The rows of a matrix of at most 8 x 6, each new or a copy of an
+    earlier row; a new row's first entry has two distinct radicands, one
+    past 2^31 in the first row, so every row carries at least two."""
+    n, width = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    pool = st.sampled_from(WIDE_RADS + GRAM_POOL)
+    rows = []
+    for i in range(n):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        first = draw(st.sampled_from(WIDE_RADS)) if i == 0 else draw(pool)
+        second = draw(pool.filter(lambda r: r != first))
+        row = [make(draw(gram_values.filter(bool)), first)
+               + make(draw(gram_values.filter(bool)), second)]
+        for _ in range(width - 1):
+            row.append(sum((make(Fraction(draw(gram_values),
+                                          draw(st.integers(1, 12))),
+                                 draw(pool))
+                            for _ in range(draw(st.integers(0, 3)))), ZERO))
+        rows.append(row)
+    return ExactMatrix(rows)._data
+
+
+@settings(FIXED, max_examples=100)
+@given(wide_radicand_rows(), st.sampled_from([(3, 7), (-5, 2)]))
+def test_graded_entries_with_wide_radicands_are_the_scan(rows, scale):
+    """Radicands past 2^31 put the cores and the sort keys of the fold
+    in Python ints; the stream is still the pair scan's, entry for
+    entry."""
+    num, den = scale
+    gram = graded._Graded(rows)
+    assert gram.packs is None and gram.rads.dtype == object
+    assert list(_kernel._scan(rows, num, den, True)) == list(
+        graded.entries(rows, num, den))
+
+
 # Prime denominators just past 2^31: three of them in one row put its
 # least common denominator past 2^93, and two columns over two of them
 # cannot share an int64 pack of the column Gram, as each one's square

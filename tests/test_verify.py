@@ -3,6 +3,7 @@ unbiased pairs, and the float cross-checks behind every exact pass."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -553,7 +554,10 @@ def test_graded_gram_folds_cancelling_pairs_of_radicands(gram_path):
     v = [make(1, 15), make(-1, 5), make(1, 10), make(-1, 30)] * 3
     zero = [0] * 12
     m = ExactMatrix([zero, u, zero, v] + [zero] * 8).transpose()
-    assert not graded._Graded(m.transpose()._data).single
+    # rows of several radicands, expanded and folded, not packed
+    rows = graded._Graded(m.transpose()._data)
+    expanded = rows.e_row.tolist()
+    assert len(set(expanded)) < len(expanded) and rows.packs is None
     assert check_orthogonal_columns(m).passed
     v[-1] = make(1, 30)
     m = ExactMatrix([zero, u, zero, v] + [zero] * 8).transpose()
@@ -611,3 +615,30 @@ def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
     for report in got:
         assert not report["passed"]
         assert 32 <= report["witness"]["i"] - 1 < 64
+
+
+def test_graded_gram_of_many_radicands_stays_small(monkeypatch):
+    """A 32 x 32 CSV of square roots of distinct odd primes carries 1024
+    radicands: the graded Gram takes each product's core from its own
+    radicands, with no table of pairs of radicands, gives the pair
+    scan's reports, and each check's traced peak stays under 8 MiB."""
+    primes = [p for p in range(3, 9000, 2)
+              if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    cells = iter(primes[:32 * 32])
+    m = deserialize("\n".join(",".join(f"sqrt({next(cells)})"
+                                        for _ in range(32))
+                               for _ in range(32)))
+    checks = (check_unitary, check_orthogonal_columns)
+    got = []
+    for check in checks:
+        tracemalloc.start()
+        try:
+            got.append(check(m).to_json_dict())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+    monkeypatch.setattr(_kernel, "_SCAN_BELOW", 32 ** 3)
+    assert got == [check(m).to_json_dict() for check in checks]
+    for report in got:
+        assert not report["passed"]
