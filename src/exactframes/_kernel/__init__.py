@@ -34,8 +34,9 @@ _SCAN_BELOW = 1200
 class IntRows(tuple):
     """Rows of term tuples that are also ``ints = (rads, ints, dens)``:
     row ``i`` is ``sqrt(rads[i]) * ints[i][c] / dens[i]``, with
-    ``dens[i]`` its least common denominator.  The graded Gram reads
-    ``ints`` instead of splitting the term tuples.  Slicing, adding or
+    ``dens[i]`` its least common denominator.  The graded Gram of such
+    rows is the one integer product of ``ints`` with its transpose,
+    instead of a split and fold of the term tuples.  Slicing, adding or
     rebuilding the rows gives a plain tuple, without ``ints``."""
 
 

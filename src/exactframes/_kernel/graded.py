@@ -2,13 +2,7 @@
 
 Each row is written as ``sum_r sqrt(r) * V_r[i] / D[i]``: ``D[i]`` is
 the least common denominator of row ``i`` and ``V_r`` is the integer
-matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  These arrays
-come from one of two front ends, picked by the type of the rows.  Rows
-that are an :class:`~exactframes._kernel.IntRows` (the unitary
-families, through ``ExactMatrix._from_int_rows``) carry integer rows of
-one radicand each, and the nonzero entries of their dense array are the
-terms directly.  Other rows (read from a file, or transformed) are
-split term by term.  Then
+matrix of its ``sqrt(r)`` coefficients times ``D[i]``.  Then
 
     <row_i, row_j> = sum_{r, s} g * (V_r V_s^T)[i, j]
                      * sqrt((r/g) * (s/g)) / (D[i] D[j]),   g = gcd(r, s),
@@ -19,7 +13,15 @@ squarefree, so nothing is factored.  Given ``r``, the core fixes ``s``
 most one pair of the radicands of rows ``i`` and ``j`` lands on each
 (i, j, core).
 
-The rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
+Rows that are an :class:`~exactframes._kernel.IntRows` (the unitary
+families, through ``ExactMatrix._from_int_rows``) carry dense integer
+rows ``V`` of one radicand ``r_i`` each, so their Gram is the one
+integer product ``V V^T``: entry (i, j) is ``g * (V V^T)[i, j]``
+times ``sqrt(core) / (D[i] D[j])``, with ``g`` and the core taken from
+``r_i`` and ``r_j``.  That is one pack (below) of the matrix ``V``.
+
+Other rows (read from a file, or transformed) are split term by term.
+Their rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
 time, sorted by radicand within the block, and multiplied a chunk at a
 time: each chunk only against the expanded rows whose columns meet its
 own, over those columns, so the mostly-zero expanded matrix is never
@@ -43,7 +45,8 @@ own instead: column ``c`` is ``sqrt(rho_c) * U_c / E_c`` and
 The columns are grouped into packs whose common denominator keeps a
 proven bound, each pack's product is one int64 matrix product per
 block of rows, and the packs are summed in Python ints
-(:func:`_packs`).
+(:func:`_packs`).  These packs are the integer rows' case with every
+row's radicand and denominator 1.
 
 :func:`entries` gives the Gram stream of :mod:`exactframes._kernel`
 times a rational: for each block of rows, every nonzero entry (i, j)
@@ -77,7 +80,7 @@ _CHUNK = 32
 # pairs (i, j) per block of rows, about: the products of one block are
 # alive at once
 _BLOCK_PAIRS = 1 << 12
-# products gathered before each merge into a block's sorted sums
+# fewest products gathered before each merge into a block's sorted sums
 _MERGE_ENTRIES = 1 << 12
 # a sum below 2^62 leaves int64 a factor 2 of headroom
 _HALF = 1 << 62
@@ -109,7 +112,9 @@ def _dtype(top: int, width: int, maxrad: int, most: int):
     most ``top**2``; it is scaled by ``g <= maxrad``, the largest
     radicand, and at most ``most`` (the most radicands one row
     carries) scaled products fold into one (i, j, core).  The factor 2
-    leaves headroom.  The packs of a column Gram have their own bound
+    leaves headroom.  The product of an ``IntRows`` is scaled only
+    after it is summed, in Python ints, so it takes ``maxrad = most =
+    1``.  The packs of a column Gram have their own bound
     (:func:`_packs`).
     """
     if top * top * width * maxrad * max(most, 1) < _HALF:
@@ -147,33 +152,6 @@ def _over(group: np.ndarray, size: int, nums: list, dens: list) -> tuple:
         common[g] = lcm(common[g], d)
     return common, [num * (common[g] // d)
                     for g, num, d in zip(at, nums, dens)]
-
-
-def _read_ints(rads, ints, dens) -> tuple:
-    """Integer rows of one radicand each, row ``i`` being
-    ``sqrt(rads[i]) * ints[i] / dens[i]`` with ``dens[i]`` its least
-    common denominator (as an :class:`~exactframes._kernel.IntRows`
-    carries them), as ``(dens, rads, t_i, t_k, t_c, vals, top, most)``:
-    the nonzero entries of the dense rows in the order of
-    :func:`_split_terms`, over the rows' denominators as :func:`_over`
-    puts them; ``top`` is the largest ``|vals|`` and ``most`` the most
-    radicands one row carries."""
-    try:
-        dense = np.array(ints, dtype=np.int64)
-    except OverflowError:
-        dense = np.array(ints, dtype=object)
-    t_i, t_c = np.nonzero(dense)
-    vals = dense[t_i, t_c]
-    del dense
-    top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
-    # radicands numbered in the order the term split meets them
-    rad_ids: dict[int, int] = {}
-    live = t_i[_starts(t_i)]
-    k_of_row = np.zeros(len(rads), dtype=np.intp)
-    k_of_row[live] = [rad_ids.setdefault(rads[i], len(rad_ids))
-                      for i in live.tolist()]
-    return (list(dens), list(rad_ids), t_i, k_of_row[t_i], t_c, vals, top,
-            min(len(vals), 1))
 
 
 def _packs(n: int, width: int, rads: list, t_i, t_k, t_c, nums: list,
@@ -244,48 +222,57 @@ def _packs(n: int, width: int, rads: list, t_i, t_k, t_c, nums: list,
 
 
 class _Graded:
-    """The rows of a matrix as expanded integer rows, or as the packs
-    of its column Gram.
+    """The rows of a matrix as packs whose integer products are its
+    Gram, or as expanded integer rows.
 
-    ``rads`` is the array of the radicands (int64 below 2^31, Python
-    ints past that); expanded row ``e`` is the ``sqrt(rads[e_rad[e]])``
-    part of row ``e_row[e]`` times ``dens[e_row[e]]``.  Its nonzero
-    entries are ``t_val`` at columns ``t_col``, for the terms with
-    ``t_row == e`` (``t_row`` ascends).
+    Rows that are an :class:`~exactframes._kernel.IntRows` are one pack
+    ``(V, V, 1)`` of their dense integer rows, with ``common = 1``, and
+    row ``i`` is ``sqrt(row_rads[i]) * V[i] / dens[i]``.  Other rows are
+    split term by term (:func:`_split_terms`).  When some of them
+    carries more than one radicand but every column carries one, the
+    rows are not expanded: ``packs`` holds the factors of the column
+    Gram (:func:`_packs`), and every ``row_rads[i]`` and ``dens[i]`` is
+    1.  Otherwise ``packs`` is None and the rows are expanded.
+
+    ``rads`` is then the array of the radicands (int64 below 2^31,
+    Python ints past that); expanded row ``e`` is the
+    ``sqrt(rads[e_rad[e]])`` part of row ``e_row[e]`` times
+    ``dens[e_row[e]]``.  Its nonzero entries are ``t_val`` at columns
+    ``t_col``, for the terms with ``t_row == e`` (``t_row`` ascends).
     Expanded rows are sorted by block of rows, then radicand, then row.
     The pair of rows ``(i, j)`` is numbered ``i * n + j``, so pairs
     with ``i <= j`` are numbered in the order of the pair scan.  The
     core of two radicands is below ``span``, so ``pair * span + core``
     numbers the (i, j, core) in the stream's order (:meth:`fold`).
-
-    The terms come from one of two front ends: the integer rows of an
-    :class:`~exactframes._kernel.IntRows` (:func:`_read_ints`), or the
-    term tuples of any other rows, split term by term
-    (:func:`_split_terms`).  When some row carries more than one
-    radicand but every column carries one, the rows are not expanded:
-    ``packs`` holds the factors of the column Gram (:func:`_packs`),
-    and is None otherwise.
     """
 
     def __init__(self, rows) -> None:
         self.n = n = len(rows)
         self.width = width = len(rows[0])
         self.block = max(1, _BLOCK_PAIRS // n)
-        self.packs = None
         if isinstance(rows, IntRows):
-            (self.dens, rads, t_i, t_k, t_c, vals, top, most) = _read_ints(
-                *rows.ints)
-        else:
-            rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
-            most = _most(t_i, t_k, len(rads))
-            if most > 1 and _most(t_c, t_k, len(rads)) <= 1:
-                # one radicand per column: <row_i, row_j> is rational,
-                # and each column is scaled by its own denominator
-                self.packs, self.common = _packs(n, width, rads, t_i, t_k,
-                                                 t_c, nums, dens)
-                return
-            self.dens, vals = _over(t_i, n, nums, dens)
-            top = max(map(abs, vals), default=0)
+            # one radicand per row: the Gram is one integer product
+            self.row_rads, ints, self.dens = rows.ints
+            try:
+                v = np.array(ints, dtype=np.int64)
+            except OverflowError:
+                v = np.array(ints, dtype=object)
+            top = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+            v = v.astype(_dtype(top, width, 1, 1), copy=False)
+            self.packs, self.common = [(v, v, 1)], 1
+            return
+        rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
+        most = _most(t_i, t_k, len(rads))
+        if most > 1 and _most(t_c, t_k, len(rads)) <= 1:
+            # one radicand per column: <row_i, row_j> is rational, and
+            # each column is scaled by its own denominator
+            self.packs, self.common = _packs(n, width, rads, t_i, t_k, t_c,
+                                             nums, dens)
+            self.row_rads = self.dens = (1,) * n
+            return
+        self.packs = None
+        self.dens, vals = _over(t_i, n, nums, dens)
+        top = max(map(abs, vals), default=0)
         maxrad = max(rads, default=1)
         self.dtype = _dtype(top, width, maxrad, most)
         self.rads = np.array(rads, dtype=np.int64 if maxrad < 1 << 31
@@ -329,7 +316,8 @@ class _Graded:
         """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
         block of rows from ``i0``, in row-major order, from the packs:
         each pack's product in one matrix product, and more than one
-        pack combined in Python ints."""
+        pack combined in Python ints.  Each sum is scaled, as in the
+        module docstring, by the two rows' radicands and denominators."""
         i1 = min(i0 + self.block, self.n)
         prods = [left[i0:i1] @ right[i0:].T for left, right, _ in self.packs]
         keep = np.arange(i1 - i0)[:, None] <= np.arange(self.n - i0)
@@ -342,12 +330,15 @@ class _Graded:
             for prod, (_, _, scale) in zip(prods, self.packs):
                 sums = sums + prod[a, b].astype(object) * scale
             sums = sums.tolist()
-        t_den = self.common * den
+        rads, dens, t_den = self.row_rads, self.dens, self.common * den
         for i, j, v in zip((a + i0).tolist(), (b + i0).tolist(), sums):
             if v:
-                t_num = v * num
-                g = gcd(t_num, t_den)
-                yield i, j, ((1, t_num // g, t_den // g),)
+                r, s = rads[i], rads[j]
+                g = gcd(r, s)
+                t_num = v * g * num
+                d = t_den * dens[i] * dens[j]
+                h = gcd(t_num, d)
+                yield i, j, ((r // g * (s // g), t_num // h, d // h),)
 
     def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
         """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the
@@ -443,7 +434,9 @@ class _Graded:
             keys.append(pair * span + np.lcm(r, s) // g)
             sums.append(g.astype(self.dtype, copy=False) * p)
             pending += len(p)
-            if pending > _MERGE_ENTRIES:
+            # merge once the new products outnumber the merged sums, so
+            # that the sort work stays near linear when little folds
+            if pending > max(_MERGE_ENTRIES, len(keys[0])):
                 merge()
                 pending = 0
         merge()

@@ -46,9 +46,9 @@ from exactframes.radicals import _quote, parse_scalar
 OK, FAILED, USAGE, BREACH = 0, 1, 2, 3
 
 # Largest --n of the sized families.  two-constant-diag, the costliest,
-# takes about 7.9 s and 137 MiB to construct, re-check and write at
-# n = 1024 (Python 3.11.7, numpy 2.4.6, 2-CPU Xeon), of which 0.2 s is
-# the writing.
+# takes about 1.3 s and 136 MiB to construct, re-check and write at
+# n = 1024 (Python 3.11.7, numpy 2.4.6, 2-CPU Xeon), of which the Gram
+# of the re-check is about 0.6 s and the writing 0.2 s.
 MAX_DIMENSION = 1024
 
 

@@ -1,9 +1,10 @@
 """Matrices built from integer rows of one radicand each: the unitary
 families build their term tuples from such rows, and their rows are an
-``IntRows`` that carries the integer rows to the graded Gram of their
-re-check.  Everything here is compared with a tuple-built reference
+``IntRows``, whose graded Gram is one integer product of those rows.
+Everything here is compared with a tuple-built reference
 (``unitary_reference``) and with the graded Gram's other front end, the
-split of the term tuples (a plain ``tuple`` of the same rows)."""
+split of the term tuples (a plain ``tuple`` of the same rows), which
+folds their products."""
 
 import copy
 import pickle
@@ -166,18 +167,21 @@ def random_int_rows(rng, n, width):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_both_front_ends_fill_the_same_arrays(seed):
+    """An ``IntRows`` is one pack of its integer rows: int64 exactly
+    when ``top**2 * width < 2**62``, Python ints otherwise."""
     rng = random.Random(seed)
     for _ in range(6):
         n, width = rng.randint(1, 9), rng.randint(1, 9)
         m = ExactMatrix._from_int_rows(*random_int_rows(rng, n, width))
-        split = graded._Graded(tuple(m._data))
-        read = graded._Graded(m._data)
-        assert (split.dens, split.rads.tolist(), split.dtype) == (
-            read.dens, read.rads.tolist(), read.dtype)
-        for name in ("e_row", "e_rad", "t_row", "t_col", "t_val"):
-            a, b = getattr(split, name), getattr(read, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-            if a.dtype == object:
-                assert all(type(v) is int for v in b.tolist())
+        ints = m._data.ints[1]
+        gram = graded._Graded(m._data)
+        [(left, right, scale)] = gram.packs
+        assert left is right and scale == gram.common == 1
+        top = max(abs(v) for row in ints for v in row)
+        assert left.dtype == (np.int64 if top * top * width < 2 ** 62
+                              else object)
+        assert left.tolist() == [list(row) for row in ints]
+        if left.dtype == object:
+            assert all(type(v) is int for v in left.ravel().tolist())
         for diag in ((1, 1), (2, 3), None):
             assert_graded_front_ends_agree(m, diag)

@@ -8,6 +8,7 @@ same examples.
 
 import json
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -518,6 +519,26 @@ def test_graded_entries_with_wide_radicands_are_the_scan(rows, scale):
     num, den = scale
     gram = graded._Graded(rows)
     assert gram.packs is None and gram.rads.dtype == object
+    assert list(_kernel._scan(rows, num, den, True)) == list(
+        graded.entries(rows, num, den))
+
+
+@pytest.mark.parametrize("scale", [(1, 1), (3, 7), (-5, 2)])
+def test_int_rows_of_wide_radicands_are_the_scan(scale):
+    """Integer rows over radicands past 2^31, some repeated, with
+    entries past int64 and a zero row: the one pack holds Python ints,
+    the cores of pairs of rows pass 2^62, and the stream is the pair
+    scan's, entry for entry."""
+    num, den = scale
+    rng = random.Random(den)
+    rads = WIDE_RADS + (1, 2, 3, WIDE_RADS[0], WIDE_RADS[3])
+    ints = [[rng.choice((0, rng.randint(-BIG, BIG))) for _ in range(6)]
+            for _ in rads]
+    ints[4] = [0] * 6
+    dens = [rng.randint(1, 12) for _ in rads]
+    rows = ExactMatrix._from_int_rows(rads, ints, dens)._data
+    packs = graded._Graded(rows).packs
+    assert [left.dtype for left, _, _ in packs] == [object]
     assert list(_kernel._scan(rows, num, den, True)) == list(
         graded.entries(rows, num, den))
 
