@@ -36,7 +36,8 @@ class IntRows(tuple):
     row ``i`` is ``sqrt(rads[i]) * ints[i][c] / dens[i]``, with
     ``dens[i]`` its least common denominator.  The graded Gram of such
     rows is the one integer product of ``ints`` with its transpose,
-    instead of a split and fold of the term tuples.  Slicing, adding or
+    instead of a split and fold of the term tuples, and the hyperplane
+    check scans ``ints`` with Python ints.  Slicing, adding or
     rebuilding the rows gives a plain tuple, without ``ints``."""
 
 

@@ -12,6 +12,12 @@ diagonally and prepends one new row spanning both column groups.  The
 two top-row modes differ in what that new row looks like and what the
 combined normal is; :func:`build` picks block sizes recursively so the
 result is as sparse as this family allows.
+
+The recursion runs on lists of Python ints and builds each block size
+once.  A basis it returns holds its rows as an
+:class:`~exactframes._kernel.IntRows`, so that
+:func:`~exactframes.verify.check_hyperplane_basis` reads them as
+integers without taking the term tuples apart.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 from exactframes.errors import CombineModeError, DomainError
-from exactframes.matrices import ExactMatrix, block_diag
-from exactframes import matrices
+from exactframes.matrices import ExactMatrix
 
 
 class TopRowMode(enum.Enum):
@@ -69,8 +74,28 @@ def base_case(n: int) -> HyperplaneBasis:
     """The hand-built bases for dimensions 2, 3 and 4."""
     if n not in _BASE_ROWS:
         raise DomainError(f"base cases exist for n in (2, 3, 4), not {n}")
+    return _basis(_base(n))
+
+
+# A basis inside the recursion is ``(n, rows, normal)``: its dimension,
+# its rows as pairs ``(offset, values)``, row ``(o, v)`` holding the
+# list of ints ``v`` from column ``o`` on and zeros elsewhere, and its
+# normal as a tuple of ints.  Stacking blocks only shifts offsets.
+
+
+def _base(n: int) -> tuple:
     rows, normal = _BASE_ROWS[n]
-    return HyperplaneBasis(ExactMatrix(rows), normal)
+    return n, [(0, row) for row in rows], normal
+
+
+def _basis(part: tuple) -> HyperplaneBasis:
+    """The :class:`HyperplaneBasis` of a basis of the recursion; its
+    matrix holds the integer rows as an ``IntRows``."""
+    n, rows, normal = part
+    dense = [[0] * o + v + [0] * (n - o - len(v)) for o, v in rows]
+    ones = [1] * len(dense)
+    return HyperplaneBasis(ExactMatrix._from_int_rows(ones, dense, ones),
+                           tuple(normal))
 
 
 def _as_int_rows(m: ExactMatrix) -> list[list[int]]:
@@ -87,7 +112,7 @@ def _as_int_rows(m: ExactMatrix) -> list[list[int]]:
     return out
 
 
-def _ones_form(h: HyperplaneBasis) -> HyperplaneBasis | None:
+def _ones_form(part: tuple) -> tuple | None:
     """Equivalent basis whose normal is all ones, or None.
 
     If every row is orthogonal to the ones vector the basis already has
@@ -97,19 +122,12 @@ def _ones_form(h: HyperplaneBasis) -> HyperplaneBasis | None:
     orthogonality relations carry over exactly).  Any other shape
     cannot be brought into ones form.
     """
-    rows = _as_int_rows(h.matrix)
-    n = h.dimension
-    dots = [sum(row) for row in rows]
-    if all(d == 0 for d in dots):
-        return h
-    for i, row in enumerate(rows):
-        base = row[0]
-        if base != 0 and all(v == base for v in row):
-            m = h.matrix
-            data = (m._data[:i] + ExactMatrix([h.normal])._data
-                    + m._data[i + 1:])
-            return HyperplaneBasis(ExactMatrix._raw(m.rows, m.cols, data),
-                                   (1,) * n)
+    n, rows, normal = part
+    if not any(sum(v) for _, v in rows):
+        return part
+    for i, (o, v) in enumerate(rows):
+        if o == 0 and len(v) == n and v[0] and v.count(v[0]) == n:
+            return n, rows[:i] + [(0, list(normal))] + rows[i + 1:], (1,) * n
     return None
 
 
@@ -121,42 +139,46 @@ def combine(h1: HyperplaneBasis, h2: HyperplaneBasis,
     brought to ones form (this keeps the top row sparse in weight and
     the entries small), WEIGHTED otherwise.  Explicit ONES raises
     CombineModeError when a block has no ones form; explicit WEIGHTED
-    uses the blocks exactly as given.
+    uses the blocks exactly as given.  Both blocks must have integer
+    entries (DomainError otherwise).
     """
-    if mode is None:
+    parts = [(h.dimension, [(0, v) for v in _as_int_rows(h.matrix)],
+              tuple(h.normal)) for h in (h1, h2)]
+    return _basis(_combine(*parts, mode))
+
+
+def _combine(h1: tuple, h2: tuple, mode: TopRowMode | None) -> tuple:
+    if mode is not TopRowMode.WEIGHTED:
         f1, f2 = _ones_form(h1), _ones_form(h2)
         if f1 is not None and f2 is not None:
             return _combine_ones(f1, f2)
-        return _combine_weighted(h1, h2)
-    if mode is TopRowMode.ONES:
-        f1, f2 = _ones_form(h1), _ones_form(h2)
-        if f1 is None or f2 is None:
+        if mode is TopRowMode.ONES:
             which = "first" if f1 is None else "second"
             raise CombineModeError(
                 f"the {which} block has no row proportional to ones and "
                 "its rows are not orthogonal to ones; use WEIGHTED mode")
-        return _combine_ones(f1, f2)
     return _combine_weighted(h1, h2)
 
 
-def _combine_ones(h1: HyperplaneBasis, h2: HyperplaneBasis
-                  ) -> HyperplaneBasis:
-    p, q = h1.dimension, h2.dimension
-    top = ExactMatrix([[1] * (p + q)])
-    stacked = matrices.vstack(top, block_diag([h1.matrix, h2.matrix]))
+def _stack(top: list[int], h1: tuple, h2: tuple) -> list:
+    """The rows of ``top`` over the two blocks stacked diagonally."""
+    p = h1[0]
+    return [(0, top), *h1[1], *((o + p, v) for o, v in h2[1])]
+
+
+def _combine_ones(h1: tuple, h2: tuple) -> tuple:
+    p, q = h1[0], h2[0]
     g = math.gcd(p, q)
     normal = (q // g,) * p + (-(p // g),) * q
-    return HyperplaneBasis(stacked, normal)
+    return p + q, _stack([1] * (p + q), h1, h2), normal
 
 
-def _combine_weighted(h1: HyperplaneBasis, h2: HyperplaneBasis
-                      ) -> HyperplaneBasis:
-    u, v = h1.normal, h2.normal
+def _combine_weighted(h1: tuple, h2: tuple) -> tuple:
+    u, v = h1[2], h2[2]
     wu = sum(c * c for c in u)
     wv = sum(c * c for c in v)
-    top = ExactMatrix([[wv * c for c in u] + [-wu * c for c in v]])
-    stacked = matrices.vstack(top, block_diag([h1.matrix, h2.matrix]))
-    return HyperplaneBasis(stacked, tuple(u) + tuple(v))
+    top = [wv * c for c in u] + [-wu * c for c in v]
+    return h1[0] + h2[0], _stack(top, h1, h2), u + v
 
 
 def _split(n: int) -> tuple[int, int]:
@@ -178,10 +200,19 @@ def build(n: int) -> HyperplaneBasis:
     """Recursively build the sparse hyperplane basis for R^n (n >= 2)."""
     if n < 2:
         raise DomainError(f"hyperplanes of R^n need n >= 2, got {n}")
-    if n <= 4:
-        return base_case(n)
-    p, q = _split(n)
-    return combine(build(p), build(q), None)
+    return _basis(_built(n, {}))
+
+
+def _built(n: int, memo: dict) -> tuple:
+    """``build(n)`` as a basis of the recursion; ``memo`` holds each
+    size built so far, so that each is built once."""
+    if n not in memo:
+        if n <= 4:
+            memo[n] = _base(n)
+        else:
+            p, q = _split(n)
+            memo[n] = _combine(_built(p, memo), _built(q, memo), None)
+    return memo[n]
 
 
 def predicted_sparsity(n: int) -> int:

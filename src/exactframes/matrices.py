@@ -9,7 +9,7 @@ Internally each entry is a canonical kernel term tuple, which keeps the
 hot paths (Gram matrices, products) free of wrapper objects.  A matrix
 built from integer rows of one radicand each holds its rows as a
 :class:`~exactframes._kernel.IntRows`, which carries those integer rows
-to the graded Gram of its re-check.
+to the graded Gram and the hyperplane check of its re-check.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class ExactMatrix:
         is an :class:`~exactframes._kernel.IntRows` whose ``ints`` are
         the integer rows, each divided by the gcd of its entries and
         denominator, so that ``dens[i]`` is the least common denominator
-        of row ``i``; the graded Gram reads them.  Every other reader
-        uses the term tuples, and every transform builds a plain tuple,
-        without them.
+        of row ``i``; the graded Gram and the hyperplane check read
+        them.  Every other reader uses the term tuples, and every
+        transform builds a plain tuple, without them.
         """
         data, int_rows, int_dens = [], [], []
         cells: dict = {}

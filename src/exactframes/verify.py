@@ -8,7 +8,10 @@ rendered as text.
 
 No check uses floating point.  The hyperplane-basis check needs
 rational squared row norms and raises DomainError otherwise; every
-other check is exact regardless of the entries.
+other check is exact regardless of the entries.  It reads rows of one
+radicand each, such as integer rows and their normalized forms, as
+integer rows, so that its pair scan and its normal take Python ints
+only; rows of several radicands are scanned on their term tuples.
 
 The unitary, tight-frame and orthogonal-columns checks compare a Gram
 matrix with a scaled identity.  The kernel's Gram stream
@@ -25,6 +28,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
@@ -173,28 +178,57 @@ def _tight_report(a: ExactMatrix) -> VerifyReport:
                         k_value=k)
 
 
-def _row_overlap_witness(data, support, rows_at) -> Witness | None:
-    """First row pair ``i < j`` with a nonzero inner product, in
-    (1,2), (1,3), ... order, or None.
+def _int_dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
-    Only pairs whose supports meet are computed, over the columns where
-    the spans of their supports overlap: every other pair has inner
-    product exactly zero.  Slicing the span costs little on dense rows
-    and keeps the work on banded rows, such as those of ``build(n)``,
-    down to their overlap.
+
+def _int_rows(data, support) -> list | None:
+    """Integer rows proportional to the rows of ``data``, or None when
+    some row carries more than one radicand.
+
+    Row ``i`` is ``sqrt(r_i) / D_i`` times an integer row, with ``D_i``
+    the least common denominator of its entries.  The integer rows of an
+    :class:`~exactframes._kernel.IntRows` are taken as they are; any
+    other row is read once over its support.
     """
-    spans = [(min(cols), max(cols) + 1) for cols in support]
+    if isinstance(data, _kernel.IntRows):
+        return data.ints[1]
+    out = []
+    for row, cols in zip(data, support):
+        cells = [row[c] for c in cols]
+        rad = cells[0][0][0]
+        if any(len(t) != 1 or t[0][0] != rad for t in cells):
+            return None
+        den = math.lcm(*(t[0][2] for t in cells))
+        ints = [0] * len(row)
+        for c, t in zip(cols, cells):
+            ints[c] = t[0][1] * (den // t[0][2])
+        out.append(ints)
+    return out
+
+
+def _first_overlap(rows, support, rows_at, dot) -> tuple | None:
+    """First row pair ``i < j`` with ``dot(rows[i][lo:hi],
+    rows[j][lo:hi])`` nonzero, in (1,2), (1,3), ... order, as ``(i, j,
+    lo, hi)``, or None.
+
+    Only pairs whose supports meet are computed, over the columns
+    ``lo:hi`` where the spans of their supports overlap: every other
+    pair has inner product exactly zero.  Slicing the span costs little
+    on dense rows and keeps the work on banded rows, such as those of
+    ``build(n)``, down to their overlap.
+    """
+    spans = [(cols[0], cols[-1] + 1) for cols in support]
     for i, cols in enumerate(support):
-        row = data[i]
+        row = rows[i]
         lo_i, hi_i = spans[i]
-        for j in sorted(set().union(*[rows_at[c] for c in cols])):
-            if j <= i:
-                continue
-            lo, hi = max(lo_i, spans[j][0]), min(hi_i, spans[j][1])
-            got = _kernel.dot_terms(row[lo:hi], data[j][lo:hi])
-            if got:
-                return Witness("row_inner_product", i + 1, j + 1,
-                               _format_terms(got))
+        near = sorted(set().union(*[rows_at[c] for c in cols]))
+        for j in near[near.index(i) + 1:]:
+            lo_j, hi_j = spans[j]
+            lo = lo_i if lo_i > lo_j else lo_j
+            hi = hi_i if hi_i < hi_j else hi_j
+            if dot(row[lo:hi], rows[j][lo:hi]):
+                return i, j, lo, hi
     return None
 
 
@@ -238,13 +272,44 @@ def _projected_normal(data, support, rows_at) -> list[tuple]:
     return nu
 
 
-def _primitive_normal(nu: list[tuple]) -> tuple[Fraction, ...] | None:
-    """The primitive integer multiple of a rational vector whose last
-    nonzero coordinate is positive, or None if ``nu`` is irrational."""
+def _projected_int_normal(ints, support, rows_at) -> list[int]:
+    """``L`` times :func:`_projected_normal` of the rows ``s_i *
+    ints[i]``, each ``s_i`` a nonzero rational multiple of a square root.
+
+    ``s_i`` cancels from ``r_i[k] r_i / |r_i|^2``, which leaves
+    ``ints[i][k] * ints[i] / m_i`` for the squared integer norm
+    ``m_i``.  With ``L = lcm(m_i)`` every entry is an integer, and
+    ``L e_k`` minus their sum is the projection of ``e_k`` times ``L``.
+    """
+    norms = [sum(ints[i][c] ** 2 for c in cols)
+             for i, cols in enumerate(support)]
+    big = math.lcm(*norms)
+    weights = [big // m for m in norms]
+    for k, rows in enumerate(rows_at):
+        if sum(ints[i][k] ** 2 * weights[i] for i in rows) != big:
+            break
+    nu = [0] * len(rows_at)
+    nu[k] = big
+    for i in rows:
+        row = ints[i]
+        c = row[k] * weights[i]
+        for j in support[i]:
+            nu[j] -= c * row[j]
+    return nu
+
+
+def _rational_ints(nu: list[tuple]) -> list[int] | None:
+    """A positive integer multiple of a rational vector of term tuples,
+    or None if ``nu`` is irrational."""
     if any(t and (len(t) != 1 or t[0][0] != 1) for t in nu):
         return None
     lcm = math.lcm(*(t[0][2] for t in nu if t))
-    ints = [t[0][1] * (lcm // t[0][2]) if t else 0 for t in nu]
+    return [t[0][1] * (lcm // t[0][2]) if t else 0 for t in nu]
+
+
+def _primitive_normal(ints: list[int]) -> tuple[Fraction, ...]:
+    """The primitive multiple of a nonzero integer vector whose last
+    nonzero coordinate is positive."""
     g = math.gcd(*ints)
     if next(v for v in reversed(ints) if v) < 0:
         g = -g
@@ -265,12 +330,20 @@ def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
     whenever the normal line holds a rational vector (always, for
     rational rows); otherwise ``normal`` is None and the verdict is
     still exact.
+
+    When every row is one radicand times a rational row, as integer
+    rows and their normalized forms are, the radicand and denominator
+    of each row cancel: the pairs are scanned and the normal projected
+    on integer rows, and ``dot_terms`` renders only the residual of an
+    offending pair.  Rows of several radicands take the same scan on
+    their term tuples; only they can have an irrational squared norm or
+    a normal line with no rational vector.
     """
     if a.cols != a.rows + 1:
         raise DimensionError(
             f"a hyperplane basis of R^n has shape (n-1) x n, got {a.shape}")
     data = a._data
-    support = [{c for c, t in enumerate(row) if t} for row in data]
+    support = [list(compress(range(a.cols), row)) for row in data]
     for i, cols in enumerate(support):
         if not cols:
             return VerifyReport(
@@ -280,12 +353,24 @@ def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
     for i, cols in enumerate(support):
         for c in cols:
             rows_at[c].append(i)
-    witness = _row_overlap_witness(data, support, rows_at)
-    if witness is not None:
-        return VerifyReport(False, MatrixProperty.HYPERPLANE_BASIS, witness)
-    nu = _projected_normal(data, support, rows_at)
-    normal = _primitive_normal(nu)
-    zero = next((j for j, t in enumerate(nu) if not t), None)
+    ints = _int_rows(data, support)
+    if ints is None:
+        hit = _first_overlap(data, support, rows_at, _kernel.dot_terms)
+    else:
+        hit = _first_overlap(ints, support, rows_at, _int_dot)
+    if hit is not None:
+        i, j, lo, hi = hit
+        got = _kernel.dot_terms(data[i][lo:hi], data[j][lo:hi])
+        return VerifyReport(
+            False, MatrixProperty.HYPERPLANE_BASIS,
+            Witness("row_inner_product", i + 1, j + 1, _format_terms(got)))
+    if ints is None:
+        nu = _projected_normal(data, support, rows_at)
+        scaled = _rational_ints(nu)
+    else:
+        nu = scaled = _projected_int_normal(ints, support, rows_at)
+    normal = None if scaled is None else _primitive_normal(scaled)
+    zero = next((j for j, v in enumerate(nu) if not v), None)
     if zero is not None:
         return VerifyReport(
             False, MatrixProperty.HYPERPLANE_BASIS,

@@ -1,14 +1,18 @@
 """Recursive sparse hyperplane bases and their sparsity accounting."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from exactframes import _kernel
 from exactframes.errors import CombineModeError, DomainError
 from exactframes.hyperplane import (HyperplaneBasis, TopRowMode, base_case,
                                     build, combine, predicted_sparsity)
 from exactframes.matrices import ExactMatrix
 from exactframes.verify import check_hyperplane_basis
+from hyperplane_reference import (reference_base_case, reference_build,
+                                  reference_combine)
 
 
 @pytest.mark.parametrize("n,rows,normal,sparsity", (
@@ -168,3 +172,43 @@ def test_rows_orthogonal_to_stored_normal():
                 h.matrix.entry(i, j).as_fraction() * h.normal[j]
                 for j in range(n))
             assert dot == 0
+
+
+@pytest.mark.parametrize("sizes", (range(2, 301), (1024,)))
+def test_build_is_the_reference_recursion(sizes):
+    for n in sizes:
+        got, want = build(n), reference_build(n)
+        assert got.matrix == want.matrix, n
+        assert got.normal == want.normal, n
+        assert isinstance(got.matrix._data, _kernel.IntRows), n
+
+
+@pytest.mark.parametrize("mode", (None, TopRowMode.ONES, TopRowMode.WEIGHTED))
+def test_combine_is_the_reference_combine(mode):
+    blocks = [(base_case(n), reference_base_case(n)) for n in (2, 3, 4)]
+    blocks += [(build(n), reference_build(n)) for n in range(5, 13)]
+    # a WEIGHTED block whose second row is ones over part of it only
+    blocks.append((combine(base_case(2), base_case(3)),
+                   reference_combine(reference_base_case(2),
+                                     reference_base_case(3))))
+    for h1, r1 in blocks:
+        for h2, r2 in blocks:
+            try:
+                want = reference_combine(r1, r2, mode)
+            except CombineModeError as exc:
+                with pytest.raises(CombineModeError,
+                                   match=re.escape(str(exc))):
+                    combine(h1, h2, mode)
+                continue
+            got = combine(h1, h2, mode)
+            assert got.matrix == want.matrix
+            assert got.normal == want.normal
+            assert isinstance(got.matrix._data, _kernel.IntRows)
+
+
+def test_combine_rejects_non_integer_blocks():
+    h = HyperplaneBasis(ExactMatrix([[Fraction(1, 2), Fraction(1, 2)]]),
+                        (1, -1))
+    for mode in (None, TopRowMode.ONES, TopRowMode.WEIGHTED):
+        with pytest.raises(DomainError, match=r"1/2 at \(1, 1\)"):
+            combine(base_case(2), h, mode)

@@ -1,6 +1,6 @@
 """Property tests of the scalar and matrix text readers and writers,
-of the two producers of the Gram stream, and of the paving search
-(Hypothesis).
+of the two producers of the Gram stream, of the paving search and of
+the hyperplane check (Hypothesis).
 
 The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 from exactframes import _kernel, io, paving
 from exactframes._kernel import graded
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
+from exactframes.hyperplane import build
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, RadicalScalar,
                                   _digit_limit_error, _format_terms,
                                   format_scalar, make, parse_scalar,
                                   split_radicand)
+from exactframes.verify import check_hyperplane_basis
+from hyperplane_reference import reference_check
 from paving_reference import assert_same_result, reference_paving
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None)
@@ -602,3 +605,62 @@ def test_column_pack_bound_counts_minus_two_to_the_63():
     assert [left.dtype == object for left, _, _ in packs] == [False, True]
     assert list(_kernel._scan(rows, 1, 1, True)) == list(
         graded.entries(rows, 1, 1))
+
+
+# squarefree radicands for the rows of a hyperplane input
+HYPERPLANE_RADS = (1, 2, 3, 5, 6, 7)
+
+
+@st.composite
+def hyperplane_inputs(draw):
+    """``build(n)``, or ``build(n - 1)`` with a row ``e_n``, for n <= 40
+    under a signed column permutation, with at most one planted defect
+    (an entry doubled, zeroed or of flipped sign, or a row zeroed), in
+    one of four forms: the integer rows, the rows each scaled by a
+    rational, an ``IntRows`` of the rows each scaled by a root over a
+    denominator, or the normalized rows."""
+    # the smallest bases are drawn more often: a zeroed entry keeps
+    # their rows orthogonal and gives a zero normal coordinate
+    n = draw(st.one_of(st.integers(2, 4), st.integers(2, 40)))
+    cols = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    rows = [list(row) for row in build(n).matrix._data.ints[1]]
+    if n > 2 and draw(st.integers(0, 3)) == 0:
+        # build(n - 1) and a row e_n: orthogonal rows whose normal has
+        # a zero coordinate
+        rows = [list(row) + [0] for row in build(n - 1).matrix._data.ints[1]]
+        rows.append([0] * (n - 1) + [1])
+    rows = [[s * row[c] for c, s in zip(cols, signs)] for row in rows]
+    defect = draw(st.sampled_from((None, "double", "zero", "flip", "row")))
+    if defect is not None:
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.sampled_from([c for c, v in enumerate(rows[i]) if v]))
+        if defect == "row":
+            rows[i] = [0] * n
+        else:
+            rows[i][j] *= {"double": 2, "zero": 0, "flip": -1}[defect]
+    form = draw(st.sampled_from(("ints", "scaled", "int_rows",
+                                 "normalized")))
+    if form == "scaled":
+        scales = draw(st.lists(st.fractions(-9, 9, max_denominator=12)
+                               .filter(bool), min_size=n - 1,
+                               max_size=n - 1))
+        return ExactMatrix([[v * f for v in row]
+                            for f, row in zip(scales, rows)])
+    if form == "int_rows":
+        m = n - 1
+        rads = draw(st.lists(st.sampled_from(HYPERPLANE_RADS),
+                             min_size=m, max_size=m))
+        dens = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+        return ExactMatrix._from_int_rows(rads, rows, dens)
+    if form == "normalized" and all(any(row) for row in rows):
+        return ExactMatrix(rows).normalize_rows()
+    return ExactMatrix(rows)
+
+
+@FIXED
+@given(hyperplane_inputs())
+def test_hyperplane_check_matches_reference(m):
+    # the verdict, the witness's kind, position and residual, and the
+    # normal
+    assert check_hyperplane_basis(m) == reference_check(m)

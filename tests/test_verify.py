@@ -23,6 +23,7 @@ from exactframes.verify import (MatrixProperty, check_equal_norm_rows,
                                 check_orthogonal_columns, check_tight_frame,
                                 check_unbiased_pair, check_unitary)
 
+from hyperplane_reference import reference_check
 from kernel_reference import make_terms
 
 
@@ -290,6 +291,18 @@ def test_hyperplane_irrational_row_norm_is_a_domain_error():
     m = ExactMatrix([[1, 0, 0], [0, 1 + sqrt_rational(2), 1]])
     with pytest.raises(DomainError, match="row 2 has irrational squared"):
         check_hyperplane_basis(m)
+
+
+def test_hyperplane_rows_of_two_radicands_scan_their_terms():
+    # rows of several radicands keep the term path: the witness and its
+    # residual are those of the term-tuple reference
+    s2, s3 = make(1, 2), make(1, 3)
+    m = ExactMatrix([[1, s2, 0, 1], [s2, 1 + s3, 1, 0], [0, 0, s3, 2]])
+    r = check_hyperplane_basis(m)
+    assert r == reference_check(m)
+    assert r.witness.to_json_dict() == {
+        "kind": "row_inner_product", "i": 1, "j": 2,
+        "residual": "2*sqrt(2) + sqrt(6)"}
 
 
 def test_unbiased_pair_identity_vs_sign_core():
