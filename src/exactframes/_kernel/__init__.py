@@ -8,8 +8,15 @@ faster there than the fixed cost of the numpy calls; at or above it the
 entries come from integer matrix products in ``graded``, the only
 kernel module that imports numpy.  It is imported on the first such
 Gram, so a command whose Grams all stay below the cut never loads numpy.
-Rows that are an :class:`IntRows` carry their integer form to ``graded``.
+
+Rows of one radicand each are integer rows over a root and a
+denominator: :func:`int_rows` reads them so, for the graded Gram and
+the hyperplane check, whether the rows were built that way (an
+:class:`IntRows`) or read from a file.
 """
+
+from itertools import compress
+from math import lcm
 
 from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         matmul_terms, mul_terms, neg_terms,
@@ -17,8 +24,9 @@ from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         squarefree_split)
 
 __all__ = ["IntRows", "add_terms", "dot_terms", "gram_mismatch",
-           "gram_terms", "is_squarefree", "matmul_terms", "mul_terms",
-           "neg_terms", "root_terms", "scale_terms", "squarefree_split"]
+           "gram_terms", "int_rows", "is_squarefree", "matmul_terms",
+           "mul_terms", "neg_terms", "root_terms", "scale_terms",
+           "squarefree_split"]
 
 # Inputs with fewer entry products n (n + 1) / 2 * width than this are
 # scanned pair by pair.  Measured on the small tiers of the construct
@@ -32,13 +40,40 @@ _SCAN_BELOW = 1200
 
 
 class IntRows(tuple):
-    """Rows of term tuples that are also ``ints = (rads, ints, dens)``:
-    row ``i`` is ``sqrt(rads[i]) * ints[i][c] / dens[i]``, with
-    ``dens[i]`` its least common denominator.  The graded Gram of such
-    rows is the one integer product of ``ints`` with its transpose,
-    instead of a split and fold of the term tuples, and the hyperplane
-    check scans ``ints`` with Python ints.  Slicing, adding or
-    rebuilding the rows gives a plain tuple, without ``ints``."""
+    """Rows of term tuples that also carry their :func:`int_rows` as
+    ``ints = (rads, ints, dens)``, so that the rows are not read again.
+    Slicing, adding or rebuilding the rows gives a plain tuple, without
+    ``ints``."""
+
+
+def int_rows(rows) -> tuple | None:
+    """``(rads, ints, dens)`` with row ``i`` of ``rows`` equal to
+    ``sqrt(rads[i]) * ints[i][c] / dens[i]``, ``dens[i]`` its least
+    common denominator, or None when some row carries two radicands.
+    A zero row reads as radicand 1.
+
+    An :class:`IntRows` gives its own ``ints``; any other row is read
+    once over its support, and each distinct cell of it once, up to the
+    first row of two radicands.
+    """
+    if isinstance(rows, IntRows):
+        return rows.ints
+    rads, ints, dens = [], [], []
+    for row in rows:
+        cols = list(compress(range(len(row)), row))
+        cells = set(map(row.__getitem__, cols))
+        rad = next(iter(cells))[0][0] if cells else 1
+        if any(len(t) != 1 or t[0][0] != rad for t in cells):
+            return None
+        den = lcm(*[t[0][2] for t in cells])
+        value = {t: t[0][1] * (den // t[0][2]) for t in cells}
+        out = [0] * len(row)
+        for c in cols:
+            out[c] = value[row[c]]
+        rads.append(rad)
+        ints.append(out)
+        dens.append(den)
+    return rads, ints, dens
 
 
 def _small(rows) -> bool:

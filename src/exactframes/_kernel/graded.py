@@ -13,27 +13,14 @@ squarefree, so nothing is factored.  Given ``r``, the core fixes ``s``
 most one pair of the radicands of rows ``i`` and ``j`` lands on each
 (i, j, core).
 
-Rows that are an :class:`~exactframes._kernel.IntRows` (the unitary
-families, through ``ExactMatrix._from_int_rows``) carry dense integer
-rows ``V`` of one radicand ``r_i`` each, so their Gram is the one
-integer product ``V V^T``: entry (i, j) is ``g * (V V^T)[i, j]``
-times ``sqrt(core) / (D[i] D[j])``, with ``g`` and the core taken from
+Rows of one radicand ``r_i`` each, whether built (the unitary
+families) or read from a file, are read as dense integer rows ``V``
+(:func:`~exactframes._kernel.int_rows`), so their Gram is the one
+integer product ``V V^T``: entry (i, j) is ``g * (V V^T)[i, j]`` times
+``sqrt(core) / (D[i] D[j])``, with ``g`` and the core taken from
 ``r_i`` and ``r_j``.  That is one pack (below) of the matrix ``V``.
 
-Other rows (read from a file, or transformed) are split term by term.
-Their rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
-time, sorted by radicand within the block, and multiplied a chunk at a
-time: each chunk only against the expanded rows whose columns meet its
-own, over those columns, so the mostly-zero expanded matrix is never
-multiplied whole.  Each nonzero product takes ``g`` and its core from
-its own two radicands, so no table of pairs of radicands is built.  The
-products of a block are keyed by (i, j, core) in one integer and summed
-per key by sorting, so memory follows one block's entries of the Gram.
-When every row carries at most one radicand, each key holds one
-product: the sort only puts the entries in order, and nothing is
-summed.
-
-When some row carries more than one radicand but every column carries
+Else, when some row carries more than one radicand but every column carries
 one (the columns of the unitary families, as the orthogonal-columns
 and tight-frame checks read them), every entry is rational and the
 rows are not expanded.  ``D[i]`` would be the lcm of the denominators
@@ -47,6 +34,17 @@ proven bound, each pack's product is one int64 matrix product per
 block of rows, and the packs are summed in Python ints
 (:func:`_packs`).  These packs are the integer rows' case with every
 row's radicand and denominator 1.
+
+Other rows, where rows and columns both carry several radicands, are
+split term by term.  Their rows ``V_r[i]`` ("expanded rows") are taken
+a block of rows at a time, sorted by radicand within the block, and
+multiplied a chunk at a time: each chunk only against the expanded
+rows whose columns meet its own, over those columns, so the
+mostly-zero expanded matrix is never multiplied whole.  Each nonzero
+product takes ``g`` and its core from its own two radicands, so no
+table of pairs of radicands is built.  The products of a block are
+keyed by (i, j, core) in one integer and summed per key by sorting, so
+memory follows one block's entries of the Gram.
 
 :func:`entries` gives the Gram stream of :mod:`exactframes._kernel`
 times a rational: for each block of rows, every nonzero entry (i, j)
@@ -67,13 +65,13 @@ kernel module imports numpy.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import compress, groupby
 from math import gcd, lcm
 from operator import itemgetter
 
 import numpy as np
 
-from exactframes._kernel import IntRows
+from exactframes._kernel import int_rows
 
 # expanded rows per chunk product
 _CHUNK = 32
@@ -112,10 +110,10 @@ def _dtype(top: int, width: int, maxrad: int, most: int):
     most ``top**2``; it is scaled by ``g <= maxrad``, the largest
     radicand, and at most ``most`` (the most radicands one row
     carries) scaled products fold into one (i, j, core).  The factor 2
-    leaves headroom.  The product of an ``IntRows`` is scaled only
-    after it is summed, in Python ints, so it takes ``maxrad = most =
-    1``.  The packs of a column Gram have their own bound
-    (:func:`_packs`).
+    leaves headroom.  The one pack of rows of one radicand each is
+    scaled only after it is summed, in Python ints, so it takes
+    ``maxrad = most = 1``.  The packs of a column Gram have their own
+    bound (:func:`_packs`).
     """
     if top * top * width * maxrad * max(most, 1) < _HALF:
         return np.int64
@@ -154,43 +152,29 @@ def _over(group: np.ndarray, size: int, nums: list, dens: list) -> tuple:
                     for g, num, d in zip(at, nums, dens)]
 
 
-def _packs(n: int, width: int, rads: list, t_i, t_k, t_c, nums: list,
-           dens: list) -> tuple:
+def _packs(rads: list, ints: list, dens: list) -> tuple:
     """The column Gram's factors of rows whose every column carries one
     radicand: ``(packs, common)``.
 
-    Column ``c`` is ``sqrt(rho_c) * U_c / E_c``, with ``E_c`` its least
-    common denominator, so that
+    Column ``c`` is ``sqrt(rho_c) * U_c / E_c``, as the columns'
+    :func:`~exactframes._kernel.int_rows` read it, so that
 
         G = sum_c (rho_c / E_c^2) U_c U_c^T.
 
-    The columns are taken by ascending ``E_c``, each into the first pack
-    that stays in bounds, or else into a new one.  A pack's ``Q =
-    lcm(E_c^2)`` keeps ``sum_c rho_c (Q / E_c^2) max|U_c|^2 * 2 < 2^63``,
-    a bound on every partial sum of the pack's product, so the pack is
-    int64; the columns that break the bound alone form one pack of
-    Python ints.  A pack is ``(left, right, scale)``, two ``n x |pack|``
-    arrays, ``right`` holding the ``U_c`` and ``left`` the same times
-    ``w_c = rho_c Q / E_c^2``, so that ``G = sum_packs scale * left
-    right^T / common`` with ``common = lcm(Q)``.
+    The nonzero columns are taken by ascending ``E_c``, each into the
+    first pack that stays in bounds, or else into a new one.  A pack's
+    ``Q = lcm(E_c^2)`` keeps ``sum_c rho_c (Q / E_c^2) max|U_c|^2 * 2 <
+    2^63``, a bound on every partial sum of the pack's product, so the
+    pack is int64; the columns that break the bound alone form one pack
+    of Python ints.  A pack is ``(left, right, scale)``, two C-ordered
+    ``n x |pack|`` arrays, ``right`` holding the ``U_c`` and ``left``
+    the same times ``w_c = rho_c Q / E_c^2``, so that ``G = sum_packs
+    scale * left right^T / common`` with ``common = lcm(Q)``.
     """
-    cols_den, vals = _over(t_c, width, nums, dens)
-    try:
-        vals = np.array(vals, dtype=np.int64)
-    except OverflowError:
-        vals = np.array(vals, dtype=object)
-    # each column's largest |U| (no abs in int64, which -2^63 overflows)
-    high, low = np.zeros((2, width), dtype=vals.dtype)
-    np.maximum.at(high, t_c, vals)
-    np.minimum.at(low, t_c, vals)
-    k_of = np.zeros(width, dtype=np.intp)
-    k_of[t_c] = t_k
-    live = np.zeros(width, dtype=bool)
-    live[t_c] = True
+    costs = [r * max(map(abs, u)) ** 2 for r, u in zip(rads, ints)]
     fits, big = [], []
-    for c in sorted(np.flatnonzero(live).tolist(), key=cols_den.__getitem__):
-        e2 = cols_den[c] ** 2
-        cost = rads[k_of[c]] * max(int(high[c]), -int(low[c])) ** 2
+    for c in sorted(compress(range(len(ints)), costs), key=dens.__getitem__):
+        e2, cost = dens[c] ** 2, costs[c]
         if cost >= _HALF:
             big.append(c)
             continue
@@ -206,17 +190,13 @@ def _packs(n: int, width: int, rads: list, t_i, t_k, t_c, nums: list,
             fits.append([[c], e2, cost])
     groups = [(cols, q, np.int64) for cols, q, _ in fits]
     if big:
-        groups.append((big, lcm(*[cols_den[c] ** 2 for c in big]), object))
+        groups.append((big, lcm(*[dens[c] ** 2 for c in big]), object))
     common = lcm(*[q for _, q, _ in groups])
     packs = []
     for cols, q, dtype in groups:
-        pos = np.full(width, -1)
-        pos[cols] = range(len(cols))
-        mine = pos[t_c] >= 0
-        right = np.zeros((n, len(cols)), dtype=dtype)
-        right[t_i[mine], pos[t_c[mine]]] = vals[mine]
-        weight = np.array([rads[k_of[c]] * (q // cols_den[c] ** 2)
-                           for c in cols], dtype=dtype)
+        right = np.array([ints[c] for c in cols], dtype=dtype).T.copy()
+        weight = np.array([rads[c] * (q // dens[c] ** 2) for c in cols],
+                          dtype=dtype)
         packs.append((right * weight, right, common // q))
     return packs, common
 
@@ -225,14 +205,15 @@ class _Graded:
     """The rows of a matrix as packs whose integer products are its
     Gram, or as expanded integer rows.
 
-    Rows that are an :class:`~exactframes._kernel.IntRows` are one pack
-    ``(V, V, 1)`` of their dense integer rows, with ``common = 1``, and
-    row ``i`` is ``sqrt(row_rads[i]) * V[i] / dens[i]``.  Other rows are
-    split term by term (:func:`_split_terms`).  When some of them
-    carries more than one radicand but every column carries one, the
-    rows are not expanded: ``packs`` holds the factors of the column
-    Gram (:func:`_packs`), and every ``row_rads[i]`` and ``dens[i]`` is
-    1.  Otherwise ``packs`` is None and the rows are expanded.
+    The back end is the first that fits the rows, as
+    :func:`~exactframes._kernel.int_rows` reads them.  Rows of one
+    radicand each are one pack ``(V, V, 1)`` of their dense integer
+    rows, with ``common = 1``, and row ``i`` is ``sqrt(row_rads[i]) *
+    V[i] / dens[i]``.  Else, when every column carries one radicand,
+    ``packs`` holds the factors of the column Gram (:func:`_packs`),
+    and every ``row_rads[i]`` and ``dens[i]`` is 1.  Otherwise
+    ``packs`` is None and the rows are split term by term
+    (:func:`_split_terms`) and expanded.
 
     ``rads`` is then the array of the radicands (int64 below 2^31,
     Python ints past that); expanded row ``e`` is the
@@ -250,9 +231,10 @@ class _Graded:
         self.n = n = len(rows)
         self.width = width = len(rows[0])
         self.block = max(1, _BLOCK_PAIRS // n)
-        if isinstance(rows, IntRows):
+        read = int_rows(rows)
+        if read is not None:
             # one radicand per row: the Gram is one integer product
-            self.row_rads, ints, self.dens = rows.ints
+            self.row_rads, ints, self.dens = read
             try:
                 v = np.array(ints, dtype=np.int64)
             except OverflowError:
@@ -261,15 +243,15 @@ class _Graded:
             v = v.astype(_dtype(top, width, 1, 1), copy=False)
             self.packs, self.common = [(v, v, 1)], 1
             return
-        rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
-        most = _most(t_i, t_k, len(rads))
-        if most > 1 and _most(t_c, t_k, len(rads)) <= 1:
+        read = int_rows(tuple(zip(*rows)))
+        if read is not None:
             # one radicand per column: <row_i, row_j> is rational, and
             # each column is scaled by its own denominator
-            self.packs, self.common = _packs(n, width, rads, t_i, t_k, t_c,
-                                             nums, dens)
+            self.packs, self.common = _packs(*read)
             self.row_rads = self.dens = (1,) * n
             return
+        rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
+        most = _most(t_i, t_k, len(rads))
         self.packs = None
         self.dens, vals = _over(t_i, n, nums, dens)
         top = max(map(abs, vals), default=0)

@@ -10,16 +10,17 @@ No check uses floating point.  The hyperplane-basis check needs
 rational squared row norms and raises DomainError otherwise; every
 other check is exact regardless of the entries.  It reads rows of one
 radicand each, such as integer rows and their normalized forms, as
-integer rows, so that its pair scan and its normal take Python ints
-only; rows of several radicands are scanned on their term tuples.
+integer rows (:func:`exactframes._kernel.int_rows`), so that its pair
+scan and its normal take Python ints only; rows of several radicands
+are scanned on their term tuples.
 
 The unitary, tight-frame and orthogonal-columns checks compare a Gram
 matrix with a scaled identity.  The kernel's Gram stream
 (:mod:`exactframes._kernel`) gives the first mismatching pair in the
 row-major (1,1), (1,2), ... order, scanned pair by pair for small inputs
-and otherwise from integer matrix products per radicand, in int64 only
-under a bound proven from the input.  The residual is that entry minus
-the expected value, so witnesses are those of a pair-by-pair scan.
+and otherwise from integer matrix products, in int64 only under a
+bound proven from the input.  The residual is that entry minus the
+expected value, so witnesses are those of a pair-by-pair scan.
 """
 
 from __future__ import annotations
@@ -182,31 +183,6 @@ def _int_dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _int_rows(data, support) -> list | None:
-    """Integer rows proportional to the rows of ``data``, or None when
-    some row carries more than one radicand.
-
-    Row ``i`` is ``sqrt(r_i) / D_i`` times an integer row, with ``D_i``
-    the least common denominator of its entries.  The integer rows of an
-    :class:`~exactframes._kernel.IntRows` are taken as they are; any
-    other row is read once over its support.
-    """
-    if isinstance(data, _kernel.IntRows):
-        return data.ints[1]
-    out = []
-    for row, cols in zip(data, support):
-        cells = [row[c] for c in cols]
-        rad = cells[0][0][0]
-        if any(len(t) != 1 or t[0][0] != rad for t in cells):
-            return None
-        den = math.lcm(*(t[0][2] for t in cells))
-        ints = [0] * len(row)
-        for c, t in zip(cols, cells):
-            ints[c] = t[0][1] * (den // t[0][2])
-        out.append(ints)
-    return out
-
-
 def _first_overlap(rows, support, rows_at, dot) -> tuple | None:
     """First row pair ``i < j`` with ``dot(rows[i][lo:hi],
     rows[j][lo:hi])`` nonzero, in (1,2), (1,3), ... order, as ``(i, j,
@@ -353,7 +329,8 @@ def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
     for i, cols in enumerate(support):
         for c in cols:
             rows_at[c].append(i)
-    ints = _int_rows(data, support)
+    read = _kernel.int_rows(data)
+    ints = None if read is None else read[1]
     if ints is None:
         hit = _first_overlap(data, support, rows_at, _kernel.dot_terms)
     else:

@@ -2,9 +2,8 @@
 families build their term tuples from such rows, and their rows are an
 ``IntRows``, whose graded Gram is one integer product of those rows.
 Everything here is compared with a tuple-built reference
-(``unitary_reference``) and with the graded Gram's other front end, the
-split of the term tuples (a plain ``tuple`` of the same rows), which
-folds their products."""
+(``unitary_reference``) and with the same rows as a plain ``tuple``,
+which the graded Gram reads into the same integer rows."""
 
 import copy
 import pickle
@@ -17,9 +16,10 @@ import pytest
 import unitary_reference as reference
 from exactframes import _kernel, unitary
 from exactframes._kernel import graded
-from exactframes.io import FORMATS, serialize
+from exactframes.io import FORMATS, deserialize, serialize
 from exactframes.matrices import ExactMatrix, block_diag, hstack, vstack
-from exactframes.verify import check_unitary
+from exactframes.two_tight import make_two_row_table, weight_in_front
+from exactframes.verify import check_tight_frame, check_unitary
 
 FAMILIES = ("constant_first_row", "constant_two_rows", "two_constant_diag")
 
@@ -42,8 +42,9 @@ def with_entry(m, i, j, value):
 
 
 def assert_graded_front_ends_agree(m, diag=(1, 1)):
-    """Both front ends of the graded Gram, and the pair scan, find the
-    same mismatch and the same scaled Gram."""
+    """The rows as an ``IntRows`` and as a plain tuple, in the graded
+    Gram and in the pair scan, give the same mismatch and the same
+    scaled Gram."""
     ints, split = m._data, tuple(m._data)
     with mock.patch.object(_kernel, "_SCAN_BELOW", 0):
         want = _kernel.gram_mismatch(split, diag)
@@ -100,12 +101,23 @@ def refuse_the_split(monkeypatch):
 
 
 def test_the_unitary_check_reads_the_int_rows(monkeypatch):
+    """Rows of one radicand each certify without a split of their term
+    tuples, as built, as a plain tuple and read back from either exact
+    format; a frame whose rows and columns carry several radicands
+    still takes the split."""
     refuse_the_split(monkeypatch)
     for family in FAMILIES:
-        assert check_unitary(getattr(unitary, family)(128)).passed
+        m = getattr(unitary, family)(128)
+        plain = ExactMatrix._raw(128, 128, tuple(m._data))
+        read = [deserialize(serialize(m, fmt)) for fmt in ("exact-json",
+                                                            "csv")]
+        for again in (m, plain, *read):
+            assert check_unitary(again).passed
+        assert all(type(again._data) is tuple for again in read)
+    monkeypatch.setattr(_kernel, "_SCAN_BELOW", 0)
+    frame = weight_in_front(make_two_row_table((7, 5, 3, 1), 8))
     with pytest.raises(AssertionError, match="split the term tuples"):
-        check_unitary(ExactMatrix._raw(
-            128, 128, tuple(unitary.two_constant_diag(128)._data)))
+        check_tight_frame(frame)
 
 
 def test_transforms_leave_the_int_rows_empty():

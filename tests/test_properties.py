@@ -546,6 +546,58 @@ def test_int_rows_of_wide_radicands_are_the_scan(scale):
         graded.entries(rows, num, den))
 
 
+@st.composite
+def one_radicand_rows(draw):
+    """Integer rows of one radicand each, as ``gram_rows`` draws them,
+    over the pool and radicands past 2^31, kept as an ``IntRows``: each
+    a zero row (of any radicand), a copy of an earlier row, or new."""
+    n, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pool = st.sampled_from(GRAM_POOL + WIDE_RADS)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["new"] * 4 + ["zero", "copy"]))
+        if kind == "copy" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append((draw(pool), [0] * width, draw(st.integers(1, 12))))
+        else:
+            rows.append((draw(pool),
+                         [draw(st.one_of(st.just(0), gram_values))
+                          for _ in range(width)],
+                         draw(st.integers(1, 12))))
+    return ExactMatrix._from_int_rows(*zip(*rows))._data
+
+
+@FIXED
+@given(one_radicand_rows(), st.data())
+def test_int_rows_read_from_the_term_tuples(rows, data):
+    """Read from a plain tuple of its rows, an ``IntRows`` gives the
+    integer rows it carries: the same denominators and integer rows, and
+    the same radicands on the nonzero rows (a zero row reads as radicand
+    1).  A row with a cell of two terms, or with two cells of different
+    radicands, reads as None."""
+    rads, ints, dens = rows.ints
+    got = _kernel.int_rows(tuple(rows))
+    assert got is not None
+    assert got[2] == list(dens)
+    assert got[1] == [list(row) for row in ints]
+    assert got[0] == [r if any(row) else 1 for r, row in zip(rads, ints)]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    r, s = data.draw(st.permutations(GRAM_POOL + WIDE_RADS))[:2]
+    a, b = data.draw(gram_values.filter(bool)), data.draw(
+        gram_values.filter(bool))
+    first, second = _kernel.root_terms(a, 1, r), _kernel.root_terms(b, 1, s)
+    row = list(rows[i])
+    c = data.draw(st.integers(0, len(row) - 1))
+    if len(row) > 1 and data.draw(st.booleans()):
+        row[c] = first
+        row[c - 1] = second
+    else:
+        row[c] = _kernel.add_terms(first, second)
+    spoilt = rows[:i] + (tuple(row),) + rows[i + 1:]
+    assert _kernel.int_rows(spoilt) is None
+
+
 # Prime denominators just past 2^31: three of them in one row put its
 # least common denominator past 2^93, and two columns over two of them
 # cannot share an int64 pack of the column Gram, as each one's square

@@ -589,7 +589,8 @@ def test_graded_gram_object_path_past_the_int64_bound(over, gram_path):
     rng = random.Random(3)
     a = signed_permutation(ExactMatrix.identity(12).scale(x), rng)
     cols = a.transpose()._data
-    assert graded._Graded(cols).dtype is (object if over else graded.np.int64)
+    [(left, _, _)] = graded._Graded(cols).packs
+    assert left.dtype == (object if over else graded.np.int64)
     for b in defects(a, rng):
         report = check_tight_frame(b)
         assert report.to_json_dict() == reference_report(b, "tight_frame")
