@@ -14,7 +14,10 @@ combined normal is; :func:`build` picks block sizes recursively so the
 result is as sparse as this family allows.
 
 The recursion runs on lists of Python ints and builds each block size
-once.  A basis it returns holds its rows as an
+once.  Each row is kept as the run of values that holds its nonzero
+entries and the column where the run starts, and a basis it returns is
+built from those values alone: about ``n log2 n`` of them for the
+``n (n - 1)`` cells of ``build(n)``.  It holds its rows as an
 :class:`~exactframes._kernel.IntRows`, so that
 :func:`~exactframes.verify.check_hyperplane_basis` reads them as
 integers without taking the term tuples apart.
@@ -89,12 +92,13 @@ def _base(n: int) -> tuple:
 
 
 def _basis(part: tuple) -> HyperplaneBasis:
-    """The :class:`HyperplaneBasis` of a basis of the recursion; its
-    matrix holds the integer rows as an ``IntRows``."""
+    """The :class:`HyperplaneBasis` of a basis of the recursion.  Its
+    ``(offset, values)`` rows go into the matrix as they are, so that
+    only their values are read; the matrix holds the integer rows as an
+    ``IntRows``."""
     n, rows, normal = part
-    dense = [[0] * o + v + [0] * (n - o - len(v)) for o, v in rows]
-    ones = [1] * len(dense)
-    return HyperplaneBasis(ExactMatrix._from_int_rows(ones, dense, ones),
+    ones = [1] * len(rows)
+    return HyperplaneBasis(ExactMatrix._from_int_rows(n, ones, rows, ones),
                            tuple(normal))
 
 

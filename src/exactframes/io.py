@@ -16,7 +16,10 @@ The exact formats round-trip losslessly:
 nearest-double values with 17 significant digits; these two are one-way.
 csv and LaTeX cells come from the scalar renderer of
 :mod:`exactframes.radicals`, so their terms read as in ``str()``.  A
-write renders each distinct cell once, by the cell map of ``str()``.
+write renders each distinct cell once and looks every cell up in C; a
+row of long zero runs, such as a row of a sparse hyperplane basis, is
+looked up only at its nonzero cells, between slices of one pre-rendered
+run of zero cells, so that its cost follows its support.
 
 Deserialization accepts the two exact formats only, detects them by
 the first character after ASCII whitespace, and normalizes
@@ -25,26 +28,32 @@ rather than rejecting).  Malformed input, including an unknown key and
 an integer past the interpreter's digit limit, raises ParseError.
 
 A read parses each distinct cell once.  Its memo lives for one
-:func:`deserialize` call and maps a csv cell's text, or an exact-json
-entry's ``(num, den, rad)`` triples, to the cell's terms and notes; a
-repeat takes the terms and re-emits the notes, an exact-json note at the
-repeat's own ``entries[i][j]``.  An entry is keyed only after each of
-its terms has passed every check a first sight makes (keys, integer
-fields, denominator, radicand, radicand cap, in that order), and a bad
-cell is never remembered, so errors are those of reading every cell
-afresh.  The memo stops growing once it holds ``_MEMO_TRIAL`` cells and
-they are more than half of the cells read: an input of mostly distinct
-cells then costs one dictionary miss a cell.
+:func:`deserialize` call and maps a csv cell's text, or a nonempty
+exact-json entry's ``(num, den, rad)`` triples, to the cell's terms and
+notes; a repeat takes the terms and re-emits the notes, an exact-json
+note at the repeat's own ``entries[i][j]``.  An entry is keyed only
+after each of its terms has passed every check a first sight makes
+(keys, integer fields, denominator, radicand, radicand cap, in that
+order), and a bad cell is never remembered, so errors are those of
+reading every cell afresh.  The memo stops growing once it holds
+``_MEMO_TRIAL`` cells and they are more than half of the cells read: an
+input of mostly distinct cells then costs one dictionary miss a cell.
+An empty exact-json entry is zero and is not read at all: the entries
+are checked to be lists, and the nonempty ones found, in C, so a sparse
+matrix costs a step of Python per nonzero entry.  An entry that is not
+a list, or a row that is not a list of ``cols`` entries, still fails
+only after every entry before it has been read.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain, compress, repeat
 
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError
-from exactframes.matrices import ExactMatrix, _MEMO_TRIAL, _map_cells
+from exactframes.matrices import ExactMatrix, _MEMO_TRIAL
 from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar, _SPACE,
                                   _digit_limit_error, _format_terms,
                                   _radicand_cap_error, parse_scalar,
@@ -77,6 +86,63 @@ _WRITERS = {
 FORMATS = tuple(_WRITERS)
 
 
+class _Texts(dict):
+    """The text of each cell, by its terms.  A miss renders the cell and
+    keeps it while the memo grows by the rule of ``_MEMO_TRIAL``,
+    counting the cells of the rows before."""
+
+    __slots__ = ("cell", "seen")
+
+    def __missing__(self, terms: tuple) -> str:
+        text = self.cell(terms)
+        if len(self) < _MEMO_TRIAL or 2 * len(self) <= self.seen:
+            self[terms] = text
+        return text
+
+
+# A row is written at its nonzero cells alone when it has more than
+# (8 cols + 32) / 9 zeros, that is more than 8 to each nonzero cell and
+# 32 besides; any other row is looked up cell by cell, in C.  A nonzero
+# cell costs about 0.2 us of Python at its position and a zero about
+# 20 ns in a lookup, and this is where the two meet on rows of 64 to 256
+# cells (Python 3.11, 2-CPU Xeon).  Rows of 32 cells or fewer are
+# always looked up whole.
+_SPARSE_RATIO, _SPARSE_OFFSET = 8, 32
+
+
+def _lines(rows, cols: int, cell, sep: str):
+    """Each row's cells rendered by ``cell`` and joined by ``sep``.
+
+    Each distinct cell is rendered once, and every lookup is made in C.
+    A row of long zero runs is looked up only at its nonzero cells,
+    found in C, and their texts are joined with slices of one
+    pre-rendered run of zero cells: it costs a step of Python per
+    nonzero cell.
+    """
+    texts = _Texts()
+    texts.cell, texts.seen = cell, 0
+    get = texts.__getitem__
+    columns = range(cols)
+    # the most zeros of a row looked up whole
+    most = (_SPARSE_RATIO * cols + _SPARSE_OFFSET) // (_SPARSE_RATIO + 1)
+    zeros = None
+    for row in rows:
+        if most >= cols or row.count(()) <= most:
+            yield sep.join(map(get, row))
+        else:
+            if zeros is None:
+                zero = sep + get(())
+                zeros, width = zero * cols, len(zero)
+            line, end = [], 0
+            at = list(compress(columns, row))
+            for c, text in zip(at, map(get, map(row.__getitem__, at))):
+                line += zeros[:(c - end) * width], sep, text
+                end = c + 1
+            line.append(zeros[:(cols - end) * width])
+            yield "".join(line)[len(sep):]
+        texts.seen += cols
+
+
 def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
     """Render a matrix in one of the formats above.  A coefficient with
     more digits than the interpreter's limit on integer text raises
@@ -85,7 +151,7 @@ def serialize(a: ExactMatrix, fmt: str = "exact-json") -> str:
     if fmt not in _WRITERS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     cell, sep = _WRITERS[fmt]
-    lines = [sep.join(cells) for cells in _map_cells(cell, a._data, {})]
+    lines = list(_lines(a._data, a.cols, cell, sep))
     if fmt == "exact-json":
         return (f'{{"cols":{a.cols},"entries":[[{"],[".join(lines)}]],'
                 f'"rows":{a.rows}}}\n')
@@ -146,76 +212,93 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         raise ParseError("'rows' and 'cols' must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"'entries' must be a list of {rows} rows")
-    data = []
+    # The entries are read as one row-major list, cell k at entries[i][j]
+    # with (i, j) = divmod(k, cols), up to the first row that is not a
+    # list of cols entries and then up to the first entry that is not a
+    # list: each fails only after every entry before it has been read.
+    # That entry, and the nonempty entries, the only ones read, are found
+    # in C: an empty entry is zero.
+    shaped = rows
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            shaped = i
+            break
+    cells = list(chain.from_iterable(entries[:shaped]))
+    listed = len(cells) if all(map(isinstance, cells, repeat(list))) else next(
+        k for k, entry in enumerate(cells) if not isinstance(entry, list))
+    data = [()] * listed
     splits: dict[int, tuple[int, int]] = {}
     # entry key -> (terms, the notes the entry gave, each cut after its
     # "entries[i][j]" so that a repeat re-emits it at its own position)
     memo: dict[tuple, tuple] = {}
     grow = True
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"entries[{i}] must be a list of {cols} entries")
-        drow = []
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list):
-                raise ParseError(f"entries[{i}][{j}] must be a list of terms")
-            # every check of every term, in the order of a first sight:
-            # a repeat is known only once its whole key has passed them
-            key = []
-            for term in entry:
-                if not isinstance(term, dict) or len(term) != 3:
-                    raise _term_error(i, j, len(key), _KEYS)
-                try:
-                    num, den, rad = term["num"], term["den"], term["rad"]
-                except KeyError:
-                    raise _term_error(i, j, len(key), _KEYS) from None
-                if not (type(num) is int and type(den) is int
-                        and type(rad) is int):
-                    raise _term_error(i, j, len(key),
-                                      "fields must be integers")
-                if den == 0:
-                    raise _term_error(i, j, len(key),
-                                      "has a zero denominator")
-                if not 0 < rad <= _LARGEST_RADICAND:
-                    if rad < 1:
-                        raise _term_error(i, j, len(key),
-                                          f"has radicand {rad}; radicands "
-                                          "must be positive")
-                    raise _radicand_cap_error(rad)
-                key.append((num, den, rad))
-            key = tuple(key)
-            hit = memo.get(key)
-            if hit is not None:
-                terms, tails = hit
-                if tails:
-                    where = f"entries[{i}][{j}]"
-                    notes.extend(where + tail for tail in tails)
-                drow.append(terms)
-                continue
-            where = f"entries[{i}][{j}]"
-            start = len(notes) if notes else 0
-            terms = ()
-            for t, (num, den, rad) in enumerate(key):
-                outer, core = split_radicand(rad, splits)
-                if notes is not None and outer != 1:
-                    notes.append(f"{where} term {t}: radicand {rad} is not "
-                                 f"squarefree; normalized to {outer}^2 * "
-                                 f"{core}")
-                terms = _kernel.add_terms(
-                    terms, _kernel.root_terms(num * outer, den, core))
-            if grow:
-                if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= i * cols + j:
-                    made = notes[start:] if notes else ()
-                    memo[key] = terms, tuple(n[len(where):] for n in made)
-                else:
-                    grow = False
-            drow.append(terms)
-        data.append(tuple(drow))
-    return ExactMatrix._raw(rows, cols, tuple(data))
+    for k in compress(range(listed), cells):
+        entry = cells[k]
+        # every check of every term, in the order of a first sight: a
+        # repeat is known only once its whole key has passed them
+        key = []
+        for term in entry:
+            if not isinstance(term, dict) or len(term) != 3:
+                raise _term_error(k, cols, len(key), _KEYS)
+            try:
+                num, den, rad = term["num"], term["den"], term["rad"]
+            except KeyError:
+                raise _term_error(k, cols, len(key), _KEYS) from None
+            if not (type(num) is int and type(den) is int
+                    and type(rad) is int):
+                raise _term_error(k, cols, len(key),
+                                  "fields must be integers")
+            if den == 0:
+                raise _term_error(k, cols, len(key), "has a zero denominator")
+            if not 0 < rad <= _LARGEST_RADICAND:
+                if rad < 1:
+                    raise _term_error(k, cols, len(key),
+                                      f"has radicand {rad}; radicands "
+                                      "must be positive")
+                raise _radicand_cap_error(rad)
+            key.append((num, den, rad))
+        key = tuple(key)
+        hit = memo.get(key)
+        if hit is not None:
+            terms, tails = hit
+            if tails:
+                where = _where(k, cols)
+                notes.extend(where + tail for tail in tails)
+            data[k] = terms
+            continue
+        where = _where(k, cols)
+        start = len(notes) if notes else 0
+        terms = ()
+        for t, (num, den, rad) in enumerate(key):
+            outer, core = split_radicand(rad, splits)
+            if notes is not None and outer != 1:
+                notes.append(f"{where} term {t}: radicand {rad} is not "
+                             f"squarefree; normalized to {outer}^2 * {core}")
+            terms = _kernel.add_terms(
+                terms, _kernel.root_terms(num * outer, den, core))
+        if grow:
+            if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= k:
+                made = notes[start:] if notes else ()
+                memo[key] = terms, tuple(n[len(where):] for n in made)
+            else:
+                grow = False
+        data[k] = terms
+    if listed < shaped * cols:
+        raise ParseError(f"{_where(listed, cols)} must be a list of terms")
+    if shaped < rows:
+        raise ParseError(f"entries[{shaped}] must be a list of {cols} entries")
+    del cells
+    # the rows: cols cells at a time
+    return ExactMatrix._raw(rows, cols, tuple(zip(*[iter(data)] * cols)))
 
 
-def _term_error(i: int, j: int, t: int, what: str) -> ParseError:
-    return ParseError(f"entries[{i}][{j}] term {t} {what}")
+def _where(k: int, cols: int) -> str:
+    """``entries[i][j]`` of the k-th entry in row-major order."""
+    return "entries[%d][%d]" % divmod(k, cols)
+
+
+def _term_error(k: int, cols: int, t: int, what: str) -> ParseError:
+    return ParseError(f"{_where(k, cols)} term {t} {what}")
 
 
 def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:

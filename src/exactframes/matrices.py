@@ -15,6 +15,7 @@ to the graded Gram and the hyperplane check of its re-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -28,8 +29,10 @@ EntryLike = RadicalScalar | Fraction | int
 # A memo of per-cell results (a read's parsed cells, a conversion's
 # floats or texts) stops growing once it holds this many cells and they
 # are more than half of the cells seen.  A reader still looks up each
-# further cell, which saves a parse; a conversion stops reading its memo
-# for the rest of the pass, as a render costs about one dictionary miss.
+# further cell, which saves a parse, and so does a write, whose lookups
+# are made in C; the cell map of str() and to_float_rows stops reading
+# its memo for the rest of the pass, as a render costs about one
+# dictionary miss.
 _MEMO_TRIAL = 1024
 
 
@@ -60,14 +63,19 @@ class ExactMatrix:
         return self
 
     @classmethod
-    def _from_int_rows(cls, rads, ints, dens) -> ExactMatrix:
-        """The matrix whose row ``i`` is ``sqrt(rads[i]) * ints[i][c] /
-        dens[i]``, from Python ints with ``rads[i]`` squarefree and
-        ``dens[i] > 0``.
+    def _from_int_rows(cls, cols: int, rads, rows, dens) -> ExactMatrix:
+        """The ``len(rows) x cols`` matrix whose row ``i``, with
+        ``rows[i] = (offset, values)``, is ``sqrt(rads[i]) * v / dens[i]``
+        for each ``v`` of the list of Python ints ``values`` from column
+        ``offset`` on, and zero elsewhere; ``rads[i]`` is squarefree and
+        ``dens[i] > 0``.  A dense row is the row at offset 0.
 
-        The term tuple of each distinct cell is built once.  ``_data``
-        is an :class:`~exactframes._kernel.IntRows` whose ``ints`` are
-        the integer rows, each divided by the gcd of its entries and
+        Only the values are read: the term tuple of each distinct value
+        is built once, and each row is a row of zeros, ``()`` in the term
+        rows and ``0`` in the integer rows, with its values put in place
+        in one slice assignment.  ``_data`` is an
+        :class:`~exactframes._kernel.IntRows` whose ``ints`` are the
+        dense integer rows, each divided by the gcd of its values and
         denominator, so that ``dens[i]`` is the least common denominator
         of row ``i``; the graded Gram and the hyperplane check read
         them.  Every other reader uses the term tuples, and every
@@ -75,22 +83,26 @@ class ExactMatrix:
         """
         data, int_rows, int_dens = [], [], []
         cells: dict = {}
-        for r, row, d in zip(rads, ints, dens):
-            values = set(row)
-            g = gcd(d, *values)
+        for r, (offset, values), d in zip(rads, rows, dens):
+            distinct = set(values)
+            g = gcd(d, *distinct)
             if g > 1:
                 d //= g
-                row = [v // g for v in row]
-                values = {v // g for v in values}
+                values = [v // g for v in values]
+                distinct = {v // g for v in distinct}
             memo = cells.setdefault((r, d), {})
-            for v in values.difference(memo):
+            for v in distinct.difference(memo):
                 memo[v] = _kernel.root_terms(v, d, r)
-            data.append(tuple(map(memo.__getitem__, row)))
-            int_rows.append(tuple(row))
+            span = slice(offset, offset + len(values))
+            terms, ints = [()] * cols, [0] * cols
+            terms[span] = map(memo.__getitem__, values)
+            ints[span] = values
+            data.append(tuple(terms))
+            int_rows.append(tuple(ints))
             int_dens.append(d)
         data = _kernel.IntRows(data)
         data.ints = (tuple(rads), tuple(int_rows), tuple(int_dens))
-        return cls._raw(len(data), len(data[0]), data)
+        return cls._raw(len(data), cols, data)
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -177,18 +189,32 @@ class ExactMatrix:
 
         Exact only when every squared row norm is rational (true for all
         integer matrices); raises DomainError otherwise or on zero rows.
+        Only the support of each row is read and scaled, each distinct
+        cell of a row once; its zeros stay the shared ``()``.
         """
         out = []
+        columns = range(self._cols)
+        # squared norm -> the factor that scales it to 1
+        factors: dict[tuple, tuple] = {}
         for i, row in enumerate(self._data):
-            nsq = _kernel.dot_terms(row, row)
+            at = list(compress(columns, row))
+            cells = list(map(row.__getitem__, at))
+            nsq = _kernel.dot_terms(cells, cells)
             if not nsq:
                 raise DomainError(f"row {i + 1} is zero, cannot normalize")
             if len(nsq) != 1 or nsq[0][0] != 1:
                 raise DomainError(
                     f"row {i + 1} has irrational squared norm; "
                     "exact normalization is not available")
-            factor = sqrt_rational(Fraction(nsq[0][2], nsq[0][1]))._terms
-            out.append(tuple(_kernel.mul_terms(t, factor) for t in row))
+            factor = factors.get(nsq)
+            if factor is None:
+                factor = factors[nsq] = sqrt_rational(
+                    Fraction(nsq[0][2], nsq[0][1]))._terms
+            scaled = {t: _kernel.mul_terms(t, factor) for t in set(cells)}
+            new = list(row)
+            for c, t in zip(at, cells):
+                new[c] = scaled[t]
+            out.append(tuple(new))
         return ExactMatrix._raw(self._rows, self._cols, tuple(out))
 
     def is_symmetric(self) -> bool:

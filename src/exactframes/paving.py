@@ -196,7 +196,11 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
         for lo in range(0, len(sets), step):
             idx = np.nonzero(sets[lo:lo + step])[1].reshape(-1, k)
             blocks = base[idx[:, :, None], idx[:, None, :]]
-            out[lo:lo + step] = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+            # eigvalsh returns each block's eigenvalues in ascending
+            # order: the norm is the larger magnitude of the two ends,
+            # and abs of both keeps a zero at +0.0
+            w = np.linalg.eigvalsh(blocks)
+            out[lo:lo + step] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         return out
 
     bits = m - 1

@@ -29,14 +29,15 @@ def _root(p: int) -> tuple[int, int]:
     return core, p // outer
 
 
-def _staircase(n: int) -> list[tuple[int, list[int], int]]:
+def _staircase(n: int) -> list[tuple[int, tuple[int, list[int]], int]]:
     """Rows 2 to n of :func:`constant_first_row` as ``(radicand,
-    integer row, denominator)``."""
+    (offset, values), denominator)``, the integer row being ``values``
+    from column ``offset`` on and zero before it."""
     out = []
     for i in range(1, n):
         m = n - i + 1
         core, den = _root(m * (m - 1))
-        out.append((core, [0] * (i - 1) + [1 - m] + [1] * (m - 1), den))
+        out.append((core, (i - 1, [1 - m] + [1] * (m - 1)), den))
     return out
 
 
@@ -52,8 +53,8 @@ def constant_first_row(n: int) -> ExactMatrix:
     if n == 1:
         return ExactMatrix([[1]])
     core, den = _root(n)
-    rows = [(core, [1] * n, den), *_staircase(n)]
-    return ExactMatrix._from_int_rows(*zip(*rows))
+    rows = [(core, (0, [1] * n), den), *_staircase(n)]
+    return ExactMatrix._from_int_rows(n, *zip(*rows))
 
 
 def constant_two_rows(two_n: int) -> ExactMatrix:
@@ -71,11 +72,10 @@ def constant_two_rows(two_n: int) -> ExactMatrix:
     n = two_n // 2
     core, den = _root(two_n)
     stair = _staircase(n)
-    zeros = [0] * n
-    rows = [(core, [1] * two_n, den), (core, [-1] * n + [1] * n, den),
-            *((r, row + zeros, d) for r, row, d in stair),
-            *((r, zeros + row, d) for r, row, d in stair)]
-    return ExactMatrix._from_int_rows(*zip(*rows))
+    rows = [(core, (0, [1] * two_n), den),
+            (core, (0, [-1] * n + [1] * n), den),
+            *stair, *((r, (o + n, row), d) for r, (o, row), d in stair)]
+    return ExactMatrix._from_int_rows(two_n, *zip(*rows))
 
 
 def two_constant_diag(n: int) -> ExactMatrix:
@@ -89,8 +89,8 @@ def two_constant_diag(n: int) -> ExactMatrix:
     for i in range(n):
         row = [2 // g] * n
         row[i] = -(n - 2) // g
-        rows.append(row)
-    return ExactMatrix._from_int_rows([1] * n, rows, [n // g] * n)
+        rows.append((0, row))
+    return ExactMatrix._from_int_rows(n, [1] * n, rows, [n // g] * n)
 
 
 class BlockForm(enum.Enum):

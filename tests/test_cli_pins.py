@@ -247,6 +247,29 @@ def test_error_bytes(name, inputs, capsys):
     assert run(argv, capsys) == (code, "", err)
 
 
+# the full sha256 of construct hyperplane --n N --format F, for the
+# bases whose rows the writer takes at their nonzero cells alone
+HYPERPLANE_PINS = {
+    (256, "exact-json"):
+        "883222dc436ef59995e410da6c76d7f79dfaee7692092a93ef0fff4e527b884a",
+    (256, "csv"):
+        "e79c5c71c23289ef2cbb2dc5fbd34c23a400f37f319998f937b1ad01c4bee4ad",
+    (1024, "exact-json"):
+        "3bb52c953b6d50b65d087d91a83bee1dc0075a8377332feb13a08de21363b163",
+    (1024, "csv"):
+        "8d5b19aa2655a4e98086197ff042f39d48c60e62e1b14e2f64adb47a56b5dc1d",
+}
+
+
+@pytest.mark.parametrize("n, fmt", HYPERPLANE_PINS)
+def test_large_hyperplane_bytes(n, fmt, capsys):
+    rc, out, err = run(["construct", "hyperplane", "--n", str(n),
+                        "--format", fmt], capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        HYPERPLANE_PINS[n, fmt])
+
+
 @pytest.mark.parametrize("argv, choices", [
     (["construct", "fourier"],
      "argument family: invalid choice: fourier (choose from hyperplane, "

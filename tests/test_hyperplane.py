@@ -11,8 +11,8 @@ from exactframes.hyperplane import (HyperplaneBasis, TopRowMode, base_case,
                                     build, combine, predicted_sparsity)
 from exactframes.matrices import ExactMatrix
 from exactframes.verify import check_hyperplane_basis
-from hyperplane_reference import (reference_base_case, reference_build,
-                                  reference_combine)
+from hyperplane_reference import (_as_int_rows, reference_base_case,
+                                  reference_build, reference_combine)
 
 
 @pytest.mark.parametrize("n,rows,normal,sparsity", (
@@ -176,9 +176,15 @@ def test_rows_orthogonal_to_stored_normal():
 
 @pytest.mark.parametrize("sizes", (range(2, 301), (1024,)))
 def test_build_is_the_reference_recursion(sizes):
+    # the reference's rows are dense: the term rows, the integer rows
+    # and the normal of build(n), which reads only its rows' values,
+    # must be theirs
     for n in sizes:
         got, want = build(n), reference_build(n)
-        assert got.matrix == want.matrix, n
+        assert got.matrix._data == want.matrix._data, n
+        ones = (1,) * (n - 1)
+        dense = tuple(map(tuple, _as_int_rows(want.matrix)))
+        assert got.matrix._data.ints == (ones, dense, ones), n
         assert got.normal == want.normal, n
         assert isinstance(got.matrix._data, _kernel.IntRows), n
 

@@ -38,7 +38,8 @@ def with_entry(m, i, j, value):
     rads, ints, dens = m._data.ints
     ints = [list(row) for row in ints]
     ints[i][j] = value
-    return ExactMatrix._from_int_rows(rads, ints, dens)
+    return ExactMatrix._from_int_rows(m.cols, rads, [(0, r) for r in ints],
+                                      dens)
 
 
 def assert_graded_front_ends_agree(m, diag=(1, 1)):
@@ -155,8 +156,10 @@ def test_int_rows_survive_pickle_and_deepcopy(monkeypatch):
 
 
 def test_int_rows_are_kept_over_their_least_denominator():
-    m = ExactMatrix._from_int_rows((1, 2, 3), ((2, 4, 0), (0, 0, 0),
-                                               (-3, 6, 9)), (6, 5, 3))
+    # rows as (offset, values): zeros after the first row's values, and
+    # no values at all in the second
+    m = ExactMatrix._from_int_rows(3, (1, 2, 3), ((0, [2, 4]), (1, []),
+                                                  (0, [-3, 6, 9])), (6, 5, 3))
     assert m._data.ints == ((1, 2, 3), ((1, 2, 0), (0, 0, 0), (-1, 2, 3)),
                             (3, 1, 1))
     assert m._data == tuple(tuple(_kernel.root_terms(v, d, r) for v in row)
@@ -184,7 +187,9 @@ def test_both_front_ends_fill_the_same_arrays(seed):
     rng = random.Random(seed)
     for _ in range(6):
         n, width = rng.randint(1, 9), rng.randint(1, 9)
-        m = ExactMatrix._from_int_rows(*random_int_rows(rng, n, width))
+        rads, ints, dens = random_int_rows(rng, n, width)
+        m = ExactMatrix._from_int_rows(width, rads, [(0, r) for r in ints],
+                                       dens)
         ints = m._data.ints[1]
         gram = graded._Graded(m._data)
         [(left, right, scale)] = gram.packs

@@ -383,6 +383,59 @@ def test_json_terms_are_checked_in_order(terms, error, message):
     assert str(exc.value) == message
 
 
+WIDE = 40
+
+
+def wide_row(**cells):
+    """A row of ``WIDE`` empty entries, with ``c<j>=entry`` at column j."""
+    row = [[] for _ in range(WIDE)]
+    for name, entry in cells.items():
+        row[int(name[1:])] = entry
+    return row
+
+
+def test_json_reads_long_runs_of_empty_entries_as_each_entry_alone():
+    # the nonempty entries of a row are read on their own: a bad term
+    # after a run of [] is reported at its own position, and a note
+    # names its own entry
+    with pytest.raises(ParseError) as exc:
+        deserialize(json_doc([wide_row(), wide_row(c30=[term("x", 1, 1)])]))
+    assert str(exc.value) == "entries[1][30] term 0 fields must be integers"
+    notes = []
+    m = deserialize(json_doc([wide_row(c0=[term(1, 1, 2)]),
+                              wide_row(c35=[term(1, 1, 8)],
+                                       c39=[term(1, 1, 8)])]), notes)
+    eight = "radicand 8 is not squarefree; normalized to 2^2 * 2"
+    assert notes == [f"entries[1][35] term 0: {eight}",
+                     f"entries[1][39] term 0: {eight}"]
+    assert m.sparsity() == 3 and m.entry(1, 39) == 2 * sq(2)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([wide_row(c5=[term(1, 0, 1)], c9=0)],
+     "entries[0][5] term 0 has a zero denominator"),
+    ([wide_row(c5=None, c9=[term(1, 0, 1)])],
+     "entries[0][5] must be a list of terms"),
+    ([wide_row(c5=7, c9=[term(1, 0, 1)])],
+     "entries[0][5] must be a list of terms"),
+    ([wide_row(c39=[term(1, 0, 1)]), [[]] * (WIDE - 1)],
+     "entries[0][39] term 0 has a zero denominator"),
+    ([wide_row(c39={}), "x"], "entries[0][39] must be a list of terms"),
+    ([[[]] * (WIDE + 1), wide_row(c0=[term(1, 0, 1)])],
+     "entries[0] must be a list of 40 entries"),
+    ([wide_row(), wide_row(c39=False)],
+     "entries[1][39] must be a list of terms"),
+], ids=["term-then-falsy", "falsy-then-term", "truthy-then-term",
+        "term-then-row", "entry-then-row", "row-then-term", "last-entry"])
+def test_json_entries_and_rows_fail_in_reading_order(entries, message):
+    # an entry that is not a list, empty or not, and a row that is not a
+    # list of cols entries fail only after every entry before them
+    with pytest.raises(ParseError) as exc:
+        deserialize(json.dumps({"rows": len(entries), "cols": WIDE,
+                                "entries": entries}))
+    assert str(exc.value) == message
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The texts the csv reader hands to parse_scalar, in order."""

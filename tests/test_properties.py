@@ -386,12 +386,35 @@ def written(write, m, fmt):
         return type(exc), str(exc)
 
 
+@st.composite
+def zero_run_rows(draw):
+    """Rows of 33 to 96 cells from a pool, wide enough for the writer to
+    write a row of long zero runs at its nonzero cells alone: each row
+    all zero, a few nonzero cells, now and then at either end, or
+    dense."""
+    cols = draw(st.integers(33, 96))
+    pool = draw(st.lists(writer_cells, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "few", "few", "few", "dense"]))
+        row = [ZERO] * cols
+        if kind == "dense":
+            row = [draw(st.sampled_from(pool)) for _ in range(cols)]
+        elif kind == "few":
+            at = draw(st.lists(st.integers(0, cols - 1), max_size=6))
+            at += draw(st.sampled_from([[], [0], [cols - 1], [0, cols - 1]]))
+            for c in at:
+                row[c] = draw(st.sampled_from(pool))
+        rows.append(row)
+    return rows
+
+
 @FIXED
-@given(pool_matrix(writer_cells), memo_trials)
+@given(st.one_of(pool_matrix(writer_cells), zero_run_rows()), memo_trials)
 def test_writers_render_as_each_cell_alone(rows, trial):
     m = ExactMatrix(rows)
     for fmt in io.FORMATS:
-        with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
+        with mock.patch.object(io, "_MEMO_TRIAL", trial):
             got = written(serialize, m, fmt)
         assert got == written(reference_serialize, m, fmt), fmt
         if fmt == "exact-json" and isinstance(got, str):
@@ -438,6 +461,14 @@ gram_values = st.one_of(st.integers(-9, 9), st.integers(-2 ** 31, 2 ** 31),
                         st.integers(-BIG, BIG))
 
 
+def int_rows_matrix(width, rows):
+    """The matrix of dense integer rows ``(radicand, ints, denominator)``
+    of ``width`` entries each, built as rows at offset 0."""
+    rads, ints, dens = zip(*rows)
+    return ExactMatrix._from_int_rows(width, rads, [(0, row) for row in ints],
+                                      dens)
+
+
 @st.composite
 def gram_rows(draw):
     """The rows of a matrix of at most 8 x 8, each a zero row, a copy
@@ -465,7 +496,7 @@ def gram_rows(draw):
                               for _ in range(draw(st.integers(0, 3)))), ZERO)
                          for _ in range(width)])
     if one_radicand:
-        return ExactMatrix._from_int_rows(*zip(*rows))._data
+        return int_rows_matrix(width, rows)._data
     return ExactMatrix(rows)._data
 
 
@@ -539,7 +570,7 @@ def test_int_rows_of_wide_radicands_are_the_scan(scale):
             for _ in rads]
     ints[4] = [0] * 6
     dens = [rng.randint(1, 12) for _ in rads]
-    rows = ExactMatrix._from_int_rows(rads, ints, dens)._data
+    rows = int_rows_matrix(6, zip(rads, ints, dens))._data
     packs = graded._Graded(rows).packs
     assert [left.dtype for left, _, _ in packs] == [object]
     assert list(_kernel._scan(rows, num, den, True)) == list(
@@ -565,7 +596,7 @@ def one_radicand_rows(draw):
                          [draw(st.one_of(st.just(0), gram_values))
                           for _ in range(width)],
                          draw(st.integers(1, 12))))
-    return ExactMatrix._from_int_rows(*zip(*rows))._data
+    return int_rows_matrix(width, rows)._data
 
 
 @FIXED
@@ -704,7 +735,7 @@ def hyperplane_inputs(draw):
         rads = draw(st.lists(st.sampled_from(HYPERPLANE_RADS),
                              min_size=m, max_size=m))
         dens = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
-        return ExactMatrix._from_int_rows(rads, rows, dens)
+        return int_rows_matrix(n, zip(rads, rows, dens))
     if form == "normalized" and all(any(row) for row in rows):
         return ExactMatrix(rows).normalize_rows()
     return ExactMatrix(rows)
