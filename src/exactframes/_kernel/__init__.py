@@ -3,20 +3,26 @@ and the Gram matrices of term-tuple rows.
 
 A Gram is read as one stream of ``(i, j, terms)`` in row-major order:
 every diagonal entry and every nonzero entry above the diagonal.  Below
-a fixed size the rows are scanned pair by pair (:func:`_scan`), which is
-faster there than the fixed cost of the numpy calls; at or above it the
-entries come from integer matrix products in ``graded``, the only
-kernel module that imports numpy.  It is imported on the first such
-Gram, so a command whose Grams all stay below the cut never loads numpy.
+a fixed size the rows are scanned pair by pair, which is faster there
+than the fixed cost of the numpy calls: rows of one radicand each as
+integer dot products in Python ints (:func:`_int_scan`), and only rows
+of several radicands on their term tuples (:func:`_scan`).  At or above
+it the entries come from integer matrix products in ``graded``, the
+only kernel module that imports numpy.  It is imported on the first
+such Gram, so a command whose Grams all stay below the cut never loads
+numpy.
 
 Rows of one radicand each are integer rows over a root and a
-denominator: :func:`int_rows` reads them so, for the graded Gram and
-the hyperplane check, whether the rows were built that way (an
-:class:`IntRows`) or read from a file.
+denominator: :func:`int_rows` reads them so, for the integer scan, the
+graded Gram and the hyperplane check, whether the rows were built that
+way (an :class:`IntRows`) or read from a file.  :func:`int_dot` is the
+inner product of two such rows, and :func:`int_term` makes the term of
+a nonzero one, for the integer scan and the graded Gram alike.
 """
 
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         matmul_terms, mul_terms, neg_terms,
@@ -24,17 +30,21 @@ from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         squarefree_split)
 
 __all__ = ["IntRows", "add_terms", "dot_terms", "gram_mismatch",
-           "gram_terms", "int_rows", "is_squarefree", "matmul_terms",
-           "mul_terms", "neg_terms", "root_terms", "scale_terms",
-           "squarefree_split"]
+           "gram_terms", "int_dot", "int_rows", "int_term",
+           "is_squarefree", "matmul_terms", "mul_terms", "neg_terms",
+           "root_terms", "scale_terms", "squarefree_split"]
 
 # Inputs with fewer entry products n (n + 1) / 2 * width than this are
-# scanned pair by pair.  Measured on the small tiers of the construct
-# and verify benchmarks (n <= 16), in one process with the cut switched
-# from job to job (Python 3.11, numpy 2.4, 2-CPU Xeon): at 400 their
-# median job took 6.7 % and 7.9 % longer than scanning everything, at
-# 1200 it stayed within 1.2 %, inside the +-3 % noise.  Repeated calls
-# in a tight loop cross over near 300 already.  The scan also keeps
+# scanned pair by pair: as integer dot products when int_rows reads the
+# rows, else on their term tuples.  Measured with the integer scan on
+# the small tiers of the construct and verify benchmarks (n <= 16), in
+# one process with the cut switched from job to job (Python 3.11, numpy
+# 2.4, 2-CPU Xeon; 25 rounds at each of two seeds): from 800 to 4200
+# the median job stayed within -0.8 % and +1.3 % of 1200, inside the
+# noise, and at 400 it took up to 3.1 % longer.  At 2200 three n = 14-16
+# orthogonal-columns jobs, whose column Grams carry several radicands a
+# row, took 1.4-1.7 times as long.  In a tight loop the graded Gram of
+# built integer rows is faster from about n = 10.  The scans also keep
 # numpy unloaded: about 170 ms of a fresh process's start (README).
 _SCAN_BELOW = 1200
 
@@ -76,6 +86,22 @@ def int_rows(rows) -> tuple | None:
     return rads, ints, dens
 
 
+def int_dot(u, v) -> int:
+    """The inner product of two integer rows."""
+    return sum(map(mul, u, v))
+
+
+def int_term(v: int, r: int, s: int, d: int) -> tuple:
+    """The canonical term tuple of ``v * sqrt(r) * sqrt(s) / d``, for
+    squarefree ``r`` and ``s``, ``v != 0`` and ``d > 0``: with ``g =
+    gcd(r, s)``, ``g * v * sqrt((r/g) * (s/g)) / d`` in lowest terms.
+    The core ``(r/g) * (s/g)`` is squarefree, so nothing is factored."""
+    g = gcd(r, s)
+    v *= g
+    h = gcd(v, d)
+    return ((r // g * (s // g), v // h, d // h),)
+
+
 def _small(rows) -> bool:
     n = len(rows)
     return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
@@ -91,9 +117,27 @@ def _scan(rows, num: int, den: int, diagonal: bool):
                 yield i, j, scale_terms(terms, num, den)
 
 
+def _int_scan(read: tuple, num: int, den: int, diagonal: bool):
+    """:func:`_scan` of rows of one radicand each, read as
+    ``(rads, ints, dens)`` (:func:`int_rows`): each pair is one integer
+    dot product, and only a nonzero one is made a term."""
+    rads, ints, dens = read
+    for i, u in enumerate(ints):
+        r, d = rads[i], dens[i] * den
+        for j in range(i + (not diagonal), len(ints)):
+            v = int_dot(u, ints[j])
+            if v:
+                yield i, j, int_term(v * num, r, rads[j], d * dens[j])
+            elif i == j:
+                yield i, j, ()
+
+
 def _stream(rows, num: int, den: int, diagonal: bool):
     if _small(rows):
-        return _scan(rows, num, den, diagonal)
+        read = int_rows(rows)
+        if read is None:
+            return _scan(rows, num, den, diagonal)
+        return _int_scan(read, num, den, diagonal)
     from exactframes._kernel import graded
     return graded.entries(rows, num, den)
 

@@ -71,7 +71,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from exactframes._kernel import int_rows
+from exactframes._kernel import int_rows, int_term
 
 # expanded rows per chunk product
 _CHUNK = 32
@@ -299,7 +299,9 @@ class _Graded:
         block of rows from ``i0``, in row-major order, from the packs:
         each pack's product in one matrix product, and more than one
         pack combined in Python ints.  Each sum is scaled, as in the
-        module docstring, by the two rows' radicands and denominators."""
+        module docstring, by the two rows' radicands and denominators
+        (:func:`~exactframes._kernel.int_term`, as the integer scan
+        below the size cut scales its dot products)."""
         i1 = min(i0 + self.block, self.n)
         prods = [left[i0:i1] @ right[i0:].T for left, right, _ in self.packs]
         keep = np.arange(i1 - i0)[:, None] <= np.arange(self.n - i0)
@@ -315,12 +317,8 @@ class _Graded:
         rads, dens, t_den = self.row_rads, self.dens, self.common * den
         for i, j, v in zip((a + i0).tolist(), (b + i0).tolist(), sums):
             if v:
-                r, s = rads[i], rads[j]
-                g = gcd(r, s)
-                t_num = v * g * num
-                d = t_den * dens[i] * dens[j]
-                h = gcd(t_num, d)
-                yield i, j, ((r // g * (s // g), t_num // h, d // h),)
+                yield i, j, int_term(v * num, rads[i], rads[j],
+                                     t_den * dens[i] * dens[j])
 
     def _entries(self, i0: int, lo: int, hi: int, num: int, den: int):
         """The nonzero entries ``(i, j, terms)``, ``i <= j``, of the

@@ -24,8 +24,11 @@ run of zero cells, so that its cost follows its support.
 Deserialization accepts the two exact formats only, detects them by
 the first character after ASCII whitespace, and normalizes
 non-squarefree radicands (reporting through the optional ``notes`` list
-rather than rejecting).  Malformed input, including an unknown key and
-an integer past the interpreter's digit limit, raises ParseError.
+rather than rejecting).  Malformed input, including an unknown or
+duplicate key and an integer past the interpreter's digit limit, raises
+ParseError.  A duplicate key is found by counting the quotes of a
+document that has passed every other check (:func:`_duplicate_key`), so
+that the decoder builds its plain dicts.
 
 A read parses each distinct cell once.  Its memo lives for one
 :func:`deserialize` call and maps a csv cell's text, or a nonempty
@@ -288,8 +291,36 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
     if shaped < rows:
         raise ParseError(f"entries[{shaped}] must be a list of {cols} entries")
     del cells
+    # json.loads keeps the last value of a duplicate key.  Every string of
+    # a document read this far is a key, and no key holds a quote or a
+    # brace.  Without a duplicate, each object (the top level and each
+    # term) has 3 keys, so the document has 6 quotes per "{"
+    if text.count('"') != 6 * text.count("{"):
+        raise _duplicate_key(text, cols)
     # the rows: cols cells at a time
     return ExactMatrix._raw(rows, cols, tuple(zip(*[iter(data)] * cols)))
+
+
+def _duplicate_key(text: str, cols: int) -> ParseError:
+    """The error naming the first duplicate key of an exact-json
+    document that has one and is otherwise well formed: at the top
+    level, or else at the first term, in reading order, that has one."""
+
+    def duplicate(pairs: list) -> str | None:
+        keys = [key for key, _ in pairs]
+        return next((key for n, key in enumerate(keys)
+                     if key in keys[:n]), None)
+
+    doc = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+    key = duplicate(doc)
+    if key is not None:
+        return ParseError(f"duplicate key {key!r} at the top level")
+    entries = dict(doc)["entries"]
+    for k, entry in enumerate(chain.from_iterable(entries)):
+        for t, pairs in enumerate(entry):
+            key = duplicate(pairs)
+            if key is not None:
+                return _term_error(k, cols, t, f"has a duplicate key {key!r}")
 
 
 def _where(k: int, cols: int) -> str:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 
 from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
@@ -177,10 +176,6 @@ def _tight_report(a: ExactMatrix) -> VerifyReport:
     witness = _gram_witness(cols, "column_inner_product", k_terms)
     return VerifyReport(witness is None, MatrixProperty.TIGHT_FRAME, witness,
                         k_value=k)
-
-
-def _int_dot(u, v) -> int:
-    return sum(map(mul, u, v))
 
 
 def _first_overlap(rows, support, rows_at, dot) -> tuple | None:
@@ -334,7 +329,7 @@ def check_hyperplane_basis(a: ExactMatrix) -> VerifyReport:
     if ints is None:
         hit = _first_overlap(data, support, rows_at, _kernel.dot_terms)
     else:
-        hit = _first_overlap(ints, support, rows_at, _int_dot)
+        hit = _first_overlap(ints, support, rows_at, _kernel.int_dot)
     if hit is not None:
         i, j, lo, hi = hit
         got = _kernel.dot_terms(data[i][lo:hi], data[j][lo:hi])

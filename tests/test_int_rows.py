@@ -8,6 +8,7 @@ which the graded Gram reads into the same integer rows."""
 import copy
 import pickle
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,34 @@ def test_the_unitary_check_reads_the_int_rows(monkeypatch):
     frame = weight_in_front(make_two_row_table((7, 5, 3, 1), 8))
     with pytest.raises(AssertionError, match="split the term tuples"):
         check_tight_frame(frame)
+
+
+def test_small_grams_of_int_rows_make_no_term_products(monkeypatch):
+    """Below the size cut, rows of one radicand each, as built, as a
+    plain tuple and read back from either exact format, take their Gram
+    as integer dot products, without a ``dot_terms`` call; a frame whose
+    rows carry several radicands still scans its term tuples."""
+    calls = []
+    real = _kernel.dot_terms
+    monkeypatch.setattr(_kernel, "dot_terms",
+                        lambda u, v: calls.append(1) or real(u, v))
+    for family in FAMILIES:
+        m = getattr(unitary, family)(8)
+        assert _kernel._small(m._data)
+        plain = ExactMatrix._raw(8, 8, tuple(m._data))
+        read = [deserialize(serialize(m, fmt)) for fmt in ("exact-json",
+                                                            "csv")]
+        for again in (m, plain, *read):
+            assert check_unitary(again).passed
+            assert _kernel.gram_terms(again._data, 3, 7) == (
+                ExactMatrix.identity(8).scale(Fraction(3, 7))._data)
+    assert calls == []
+    frame = weight_in_front(make_two_row_table((7, 5, 3, 1), 8))
+    for rows in (frame._data, frame.transpose()._data):
+        assert _kernel._small(rows) and _kernel.int_rows(rows) is None
+        _kernel.gram_terms(rows, 1, 1)
+    # one call per pair of rows and per pair of columns
+    assert len(calls) == 16 * 17 // 2 + 8 * 9 // 2
 
 
 def test_transforms_leave_the_int_rows_empty():

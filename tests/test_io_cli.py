@@ -436,6 +436,39 @@ def test_json_entries_and_rows_fail_in_reading_order(entries, message):
     assert str(exc.value) == message
 
 
+# json.dumps writes no duplicate key: these documents are spelt out
+@pytest.mark.parametrize("text, message", [
+    ('{"rows":1,"cols":1,"entries":[[[{"num":1,"num":5,"den":1,"rad":1}]]]}',
+     "entries[0][0] term 0 has a duplicate key 'num'"),
+    ('{"rows":2,"cols":1,"entries":[[[]],[[]]],"rows":2}',
+     "duplicate key 'rows' at the top level"),
+    # an escaped key is the key it spells
+    ('{"rows":1,"cols":2,"entries":[[[],[{"num":1,"den":1,"rad":1},'
+     '{"num":1,"n\\u0075m":3,"den":1,"rad":2}]]]}',
+     "entries[0][1] term 1 has a duplicate key 'num'"),
+], ids=["term", "top-level", "escaped"])
+def test_json_duplicate_keys_are_refused(text, message, tmp_path, capsys):
+    # json.loads keeps a duplicate key's last value (num 5); a duplicate
+    # is refused even where both values agree (rows)
+    with pytest.raises(ParseError) as exc:
+        deserialize(text)
+    assert str(exc.value) == message
+    path = write(tmp_path / "dup.json", text)
+    assert run(["verify", path, "--check", "unitary"], capsys) == (
+        2, "", f"error: {message}\n")
+
+
+def test_json_without_duplicate_keys_is_not_parsed_twice(monkeypatch):
+    # the quote count passes a document whose keys are escaped or spaced
+    loads, real = [], json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **k: loads.append(k) or real(*a, **k))
+    text = ('{ "rows" : 1, "cols":1, "entries":[[[{"n\\u0075m":1,'
+            '"den":1,"rad":2}, {"num":1,"den":1,"rad":3}]]]}')
+    assert deserialize(text) == ExactMatrix([[sq(2) + sq(3)]])
+    assert loads == [{}]
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The texts the csv reader hands to parse_scalar, in order."""
@@ -1145,10 +1178,13 @@ def test_import_loads_neither_numpy_nor_hashlib(module):
     (["sparsity", "{small}"], False),
     (["verify", "{small}", "--check", "unitary"], False),
     (["pave", "{frame}"], True),
-    # its Gram re-check lies above the pair scan's size cut
+    # the largest below the size cut: 13 * 14 / 2 * 13 entry products
+    # of its Gram re-check, taken as integer dot products
+    (["construct", "two-constant-diag", "--n", "13"], False),
+    # its Gram re-check lies above the size cut
     (["construct", "two-constant-diag", "--n", "32"], True),
 ], ids=("help", "errata", "constant-first-row", "mub-r4", "sparsity",
-        "verify", "pave", "two-constant-diag-32"))
+        "verify", "pave", "two-constant-diag-13", "two-constant-diag-32"))
 def test_cold_start_loads_numpy_only_where_needed(argv, loads_numpy,
                                                   tmp_path, capsys,
                                                   monkeypatch):

@@ -600,6 +600,22 @@ def one_radicand_rows(draw):
 
 
 @FIXED
+@given(one_radicand_rows(), st.sampled_from([(1, 1), (3, 7), (-5, 2)]),
+       st.booleans())
+def test_int_scan_is_the_scan(rows, scale, diagonal):
+    """Below the size cut, rows of one radicand each take their Gram as
+    integer dot products: the stream is the pair scan's, entry for
+    entry, from an ``IntRows`` and from a plain tuple of its rows, with
+    and without the diagonal."""
+    num, den = scale
+    assert _kernel._small(rows)
+    for form in (rows, tuple(rows)):
+        read = _kernel.int_rows(form)
+        assert list(_kernel._int_scan(read, num, den, diagonal)) == list(
+            _kernel._scan(form, num, den, diagonal))
+
+
+@FIXED
 @given(one_radicand_rows(), st.data())
 def test_int_rows_read_from_the_term_tuples(rows, data):
     """Read from a plain tuple of its rows, an ``IntRows`` gives the
