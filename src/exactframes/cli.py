@@ -242,6 +242,9 @@ def _cmd_construct(args: argparse.Namespace, fail_usage) -> int:
 
 def _cmd_verify(args: argparse.Namespace, fail_usage) -> int:
     check, paired = _CHECKS[args.check]
+    if args.against is not None and not paired:
+        fail_usage(f"--against is read by --check mub only, not by "
+                   f"--check {args.check}")
     matrices = [_read_matrix(args.file)]
     if paired:
         if not args.against:

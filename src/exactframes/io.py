@@ -16,10 +16,11 @@ The exact formats round-trip losslessly:
 nearest-double values with 17 significant digits; these two are one-way.
 csv and LaTeX cells come from the scalar renderer of
 :mod:`exactframes.radicals`, so their terms read as in ``str()``.  A
-write renders each distinct cell once and looks every cell up in C; a
-row of long zero runs, such as a row of a sparse hyperplane basis, is
-looked up only at its nonzero cells, between slices of one pre-rendered
-run of zero cells, so that its cost follows its support.
+write renders each distinct cell once while its memo keeps it (by the
+rule below) and looks every cell up in C; a row of long zero runs, such
+as a row of a sparse hyperplane basis, is looked up only at its nonzero
+cells, between slices of one pre-rendered run of zero cells, so that
+its cost follows its support.
 
 Deserialization accepts the two exact formats only, detects them by
 the first character after ASCII whitespace, and normalizes
@@ -38,9 +39,11 @@ note at the repeat's own ``entries[i][j]``.  An entry is keyed only
 after each of its terms has passed every check a first sight makes
 (keys, integer fields, denominator, radicand, radicand cap, in that
 order), and a bad cell is never remembered, so errors are those of
-reading every cell afresh.  The memo stops growing once it holds
-``_MEMO_TRIAL`` cells and they are more than half of the cells read: an
-input of mostly distinct cells then costs one dictionary miss a cell.
+reading every cell afresh.  Each memo, the writer's and the readers',
+is a :class:`~exactframes.matrices._CellMemo`: it keeps each cell until
+it holds ``_MEMO_TRIAL`` cells and they are more than half of the cells
+seen, and then nothing more for the rest of the call, so an input of
+mostly distinct cells remembers about ``_MEMO_TRIAL`` of them.
 An empty exact-json entry is zero and is not read at all: the entries
 are checked to be lists, and the nonempty ones found, in C, so a sparse
 matrix costs a step of Python per nonzero entry.  An entry that is not
@@ -56,7 +59,7 @@ from itertools import chain, compress, repeat
 
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError
-from exactframes.matrices import ExactMatrix, _MEMO_TRIAL
+from exactframes.matrices import ExactMatrix, _CellMemo
 from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar, _SPACE,
                                   _digit_limit_error, _format_terms,
                                   _radicand_cap_error, parse_scalar,
@@ -89,20 +92,6 @@ _WRITERS = {
 FORMATS = tuple(_WRITERS)
 
 
-class _Texts(dict):
-    """The text of each cell, by its terms.  A miss renders the cell and
-    keeps it while the memo grows by the rule of ``_MEMO_TRIAL``,
-    counting the cells of the rows before."""
-
-    __slots__ = ("cell", "seen")
-
-    def __missing__(self, terms: tuple) -> str:
-        text = self.cell(terms)
-        if len(self) < _MEMO_TRIAL or 2 * len(self) <= self.seen:
-            self[terms] = text
-        return text
-
-
 # A row is written at its nonzero cells alone when it has more than
 # (8 cols + 32) / 9 zeros, that is more than 8 to each nonzero cell and
 # 32 besides; any other row is looked up cell by cell, in C.  A nonzero
@@ -116,14 +105,14 @@ _SPARSE_RATIO, _SPARSE_OFFSET = 8, 32
 def _lines(rows, cols: int, cell, sep: str):
     """Each row's cells rendered by ``cell`` and joined by ``sep``.
 
-    Each distinct cell is rendered once, and every lookup is made in C.
+    Each distinct cell is rendered once while the memo keeps it, and
+    every lookup is made in C.
     A row of long zero runs is looked up only at its nonzero cells,
     found in C, and their texts are joined with slices of one
     pre-rendered run of zero cells: it costs a step of Python per
     nonzero cell.
     """
-    texts = _Texts()
-    texts.cell, texts.seen = cell, 0
+    texts = _CellMemo(cell)
     get = texts.__getitem__
     columns = range(cols)
     # the most zeros of a row looked up whole
@@ -233,8 +222,8 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
     splits: dict[int, tuple[int, int]] = {}
     # entry key -> (terms, the notes the entry gave, each cut after its
     # "entries[i][j]" so that a repeat re-emits it at its own position)
-    memo: dict[tuple, tuple] = {}
-    grow = True
+    memo = _CellMemo()
+    get, keep = memo.get, memo.keep
     for k in compress(range(listed), cells):
         entry = cells[k]
         # every check of every term, in the order of a first sight: a
@@ -261,7 +250,7 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
                 raise _radicand_cap_error(rad)
             key.append((num, den, rad))
         key = tuple(key)
-        hit = memo.get(key)
+        hit = get(key)
         if hit is not None:
             terms, tails = hit
             if tails:
@@ -279,12 +268,9 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
                              f"squarefree; normalized to {outer}^2 * {core}")
             terms = _kernel.add_terms(
                 terms, _kernel.root_terms(num * outer, den, core))
-        if grow:
-            if len(memo) < _MEMO_TRIAL or 2 * len(memo) <= k:
-                made = notes[start:] if notes else ()
-                memo[key] = terms, tuple(n[len(where):] for n in made)
-            else:
-                grow = False
+        made = notes[start:] if notes else ()
+        memo.seen = k
+        keep(key, (terms, tuple(n[len(where):] for n in made)))
         data[k] = terms
     if listed < shaped * cols:
         raise ParseError(f"{_where(listed, cols)} must be a list of terms")
@@ -337,8 +323,8 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
     width = None
     splits: dict[int, tuple[int, int]] = {}
     # cell text -> (terms, the notes the cell gave)
-    memo: dict[str, tuple] = {}
-    grow = True
+    memo = _CellMemo()
+    get, keep = memo.get, memo.keep
     # lines end at \n, \r\n or \r only, not at the other breaks of
     # str.splitlines() (form feed, U+2028 and the like)
     if "\r" in text:
@@ -354,7 +340,7 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
                 f"line {lineno} has {len(cells)} cells, expected {width}")
         row = []
         for colno, cell in enumerate(cells, start=1):
-            hit = memo.get(cell)
+            hit = get(cell)
             if hit is not None:
                 terms, cell_notes = hit
                 if cell_notes:
@@ -367,14 +353,10 @@ def _from_csv(text: str, notes: list[str] | None) -> ExactMatrix:
             except ParseError as exc:
                 raise ParseError(
                     f"line {lineno}, cell {colno}: {exc}") from None
-            if grow:
-                if (len(memo) < _MEMO_TRIAL
-                        or 2 * len(memo) <= len(rows) * width + colno):
-                    memo[cell] = terms, tuple(notes[start:] if notes else ())
-                else:
-                    grow = False
+            keep(cell, (terms, tuple(notes[start:] if notes else ())))
             row.append(terms)
         rows.append(tuple(row))
+        memo.seen += width
     if not rows:
         raise ParseError("no rows found in csv text")
     return ExactMatrix._raw(len(rows), width, tuple(rows))

@@ -26,14 +26,46 @@ from exactframes.radicals import (RadicalScalar, _format_terms, _terms_of,
 
 EntryLike = RadicalScalar | Fraction | int
 
-# A memo of per-cell results (a read's parsed cells, a conversion's
-# floats or texts) stops growing once it holds this many cells and they
-# are more than half of the cells seen.  A reader still looks up each
-# further cell, which saves a parse, and so does a write, whose lookups
-# are made in C; the cell map of str() and to_float_rows stops reading
-# its memo for the rest of the pass, as a render costs about one
-# dictionary miss.
+# A cell memo (a read's parsed cells, a write's or a conversion's texts
+# or floats) keeps each cell until it holds this many cells and they are
+# more than half of the cells seen, and then nothing more for the rest
+# of the call: an input of mostly distinct cells remembers about this
+# many.  Every cell is still looked up, which saves a repeat it holds.
 _MEMO_TRIAL = 1024
+
+
+class _CellMemo(dict):
+    """The value of each distinct cell of one call, by its key.
+    ``memo[key]`` makes a missing value with ``make`` and offers it to
+    :meth:`keep`; :meth:`row` maps a row in C and adds it to ``seen``,
+    the count of cells seen.  The readers make their values inline, set
+    ``seen`` and call :meth:`keep`."""
+
+    __slots__ = ("make", "seen", "full")
+
+    def __init__(self, make=None) -> None:
+        self.make = make
+        self.seen = 0
+        self.full = False
+
+    def __missing__(self, key):
+        value = self.make(key)
+        self.keep(key, value)
+        return value
+
+    def keep(self, key, value) -> None:
+        """Keep ``value`` under ``key`` by the rule of ``_MEMO_TRIAL``."""
+        if self.full:
+            return
+        if len(self) >= _MEMO_TRIAL and 2 * len(self) > self.seen:
+            self.full = True
+        else:
+            self[key] = value
+
+    def row(self, cells) -> list:
+        values = list(map(self.__getitem__, cells))
+        self.seen += len(values)
+        return values
 
 
 class ExactMatrix:
@@ -226,9 +258,9 @@ class ExactMatrix:
 
     def to_float_rows(self) -> list[list[float]]:
         """Nearest floats of the entries; each distinct entry is
-        converted once."""
-        return list(_map_cells(lambda t: RadicalScalar._raw(t).to_float(),
-                               self._data, {}))
+        converted once while the memo keeps it."""
+        floats = _CellMemo(lambda t: RadicalScalar._raw(t).to_float())
+        return list(map(floats.row, self._data))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -239,68 +271,37 @@ class ExactMatrix:
         return hash(self._data)
 
     def __str__(self) -> str:
-        cells = list(self._cell_rows({}))
-        return "\n".join(self._text_lines(cells, cells))
+        return "\n".join(self._text_lines())
 
     def _text_digest(self) -> str:
         """Hex sha256 of ``str(self)``, fed line by line so that the
-        text of a large matrix is never held whole.  The cells are read
-        twice, for the column widths and for the lines, and one memo
-        serves both passes, so each distinct entry is formatted once."""
+        text of a large matrix is never held whole."""
         # imported here, its only use, so that loading the package does
         # not load it
         import hashlib
 
         h = hashlib.sha256()
         sep = b""
-        memo: dict[tuple, str] = {}
-        for line in self._text_lines(self._cell_rows(memo),
-                                     self._cell_rows(memo)):
+        for line in self._text_lines():
             h.update(sep + line.encode("utf-8"))
             sep = b"\n"
         return h.hexdigest()
 
-    def _cell_rows(self, memo: dict[tuple, str]) -> Iterator[list[str]]:
-        return _map_cells(_format_terms, self._data, memo)
-
-    def _text_lines(self, for_widths: Iterable[list[str]],
-                    for_lines: Iterable[list[str]]) -> Iterator[str]:
+    def _text_lines(self) -> Iterator[str]:
         """The lines of ``str(self)``, one per row, each cell
-        right-aligned to its column; the cell texts are read once from
-        each argument."""
+        right-aligned to its column.  The cells are read twice, for the
+        column widths and for the lines, and one memo serves both
+        passes, so each distinct entry is formatted once while the memo
+        keeps it."""
+        texts = _CellMemo(_format_terms)
         widths = [0] * self._cols
-        for cells in for_widths:
-            for j, c in enumerate(cells):
-                widths[j] = max(widths[j], len(c))
-        for cells in for_lines:
-            yield "[" + "  ".join(c.rjust(w)
-                                  for c, w in zip(cells, widths)) + "]"
+        for cells in map(texts.row, self._data):
+            widths = list(map(max, widths, map(len, cells)))
+        for cells in map(texts.row, self._data):
+            yield "[" + "  ".join(map(str.rjust, cells, widths)) + "]"
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self._rows}x{self._cols}>"
-
-
-def _map_cells(fn, rows: Iterable[tuple], memo: dict) -> Iterator[list]:
-    """Yield ``list(map(fn, row))`` for each row, taking ``fn`` of a
-    cell that ``memo`` holds from it.  The memo grows by the rule of
-    ``_MEMO_TRIAL``, counting the cells of this pass; once that rule
-    stops it, the rest of the pass maps each cell without a lookup."""
-    rows = iter(rows)
-    seen = 0
-    for row in rows:
-        out = []
-        for cell in row:
-            value = memo.get(cell)
-            if value is None:
-                value = fn(cell)
-                if len(memo) >= _MEMO_TRIAL and 2 * len(memo) > seen:
-                    yield [*out, value, *map(fn, row[len(out) + 1:])]
-                    yield from (list(map(fn, rest)) for rest in rows)
-                    return
-                memo[cell] = value
-            out.append(value)
-            seen += 1
-        yield out
 
 
 def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:

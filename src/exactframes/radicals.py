@@ -37,6 +37,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from exactframes import _kernel
@@ -50,7 +51,6 @@ RationalLike = Union[int, Fraction]
 MAX_RADICAND_BITS = 40
 
 _DEC_PRECISION = 40
-_DEC_SQRT: dict[int, Decimal] = {}
 
 
 def _operator(op):
@@ -192,14 +192,11 @@ def _coerce(value: object) -> tuple | None:
     return None
 
 
+@lru_cache(maxsize=1024)
 def _dec_sqrt(radicand: int) -> Decimal:
-    cached = _DEC_SQRT.get(radicand)
-    if cached is None:
-        with localcontext() as ctx:
-            ctx.prec = _DEC_PRECISION + 5
-            cached = Decimal(radicand).sqrt()
-        _DEC_SQRT[radicand] = cached
-    return cached
+    with localcontext() as ctx:
+        ctx.prec = _DEC_PRECISION + 5
+        return Decimal(radicand).sqrt()
 
 
 ZERO = RadicalScalar(0)

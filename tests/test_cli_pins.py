@@ -187,6 +187,10 @@ ERRORS = {
     "missing --against": (
         ["verify", "rot.csv", "--check", "mub"], 2,
         USAGE + "exactframes: error: --check mub needs --against FILE\n"),
+    "--against without mub": (
+        ["verify", "rot.csv", "--check", "unitary", "--against", "rot.csv"],
+        2, USAGE + "exactframes: error: --against is read by --check mub "
+        "only, not by --check unitary\n"),
     "missing file": (
         ["verify", "missing.csv", "--check", "unitary"], 2,
         "error: [Errno 2] No such file or directory: 'missing.csv'\n"),

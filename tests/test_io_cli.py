@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import exactframes
-from exactframes import _kernel, cli, io, paving, verify
+from exactframes import _kernel, cli, io, matrices, paving, verify
 from exactframes._kernel import pycore
 from exactframes.cli import MAX_DIMENSION
 from exactframes.cli import main as cli_main
@@ -492,7 +492,7 @@ def test_each_distinct_cell_is_parsed_once_per_read(parsed):
 
 
 def test_mostly_distinct_input_stops_the_memo_growing(parsed, monkeypatch):
-    monkeypatch.setattr(io, "_MEMO_TRIAL", 2)
+    monkeypatch.setattr(matrices, "_MEMO_TRIAL", 2)
     notes = []
     m = deserialize("1,2,3,sqrt(8)\n1,2,3,sqrt(8)\n", notes)
     assert m == ExactMatrix([[1, 2, 3, 2 * sq(2)]] * 2)

@@ -198,14 +198,36 @@ def test_mostly_distinct_entries_stop_the_memo_growing(converted,
     monkeypatch.setattr(matrices, "_MEMO_TRIAL", 2)
     m = ExactMatrix([[1, 2, 3, 4], [1, 2, 3, 4]])
     assert m.to_float_rows() == [[1.0, 2.0, 3.0, 4.0]] * 2
-    # 1 and 2 fill the memo; 3 finds it mostly distinct, so the pass
-    # stops reading it and converts every later cell, repeats included
-    assert [t[0][1] for t in converted["float"]] == [1, 2, 3, 4, 1, 2, 3, 4]
+    # 1 and 2 fill the memo; 3 finds it mostly distinct, so it keeps
+    # nothing more: 1 and 2 are converted once, 3 and 4 at each sight
+    assert [t[0][1] for t in converted["float"]] == [1, 2, 3, 4, 3, 4]
     m._text_digest()
-    # the digest's second pass finds 1 and 2 in the shared memo, then
-    # stops reading it at 3 as the first pass did
-    assert [t[0][1] for t in converted["text"]] == [1, 2, 3, 4, 1, 2, 3, 4,
-                                                    3, 4, 1, 2, 3, 4]
+    # the digest reads the cells twice, through one memo
+    assert [t[0][1] for t in converted["text"]] == [1, 2, 3, 4, 3, 4,
+                                                    3, 4, 3, 4]
+
+
+def test_a_stopped_memo_keeps_nothing_more(monkeypatch):
+    monkeypatch.setattr(matrices, "_MEMO_TRIAL", 8)
+    memos = []
+
+    class Recorded(matrices._CellMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(matrices, "_CellMemo", Recorded)
+    monkeypatch.setattr(io, "_CellMemo", Recorded)
+    cells = [Fraction(k + 1, k + 2) for k in range(32 * 32)]
+    m = ExactMatrix([cells[i:i + 32] for i in range(0, 32 * 32, 32)])
+    for fmt in io.FORMATS:
+        io.serialize(m, fmt)
+    m.to_float_rows()
+    m._text_digest()
+    # 8 texts fill the memo, and the cells seen by then are fewer than
+    # twice as many: it keeps nothing more, however many cells follow
+    assert len(memos) == len(io.FORMATS) + 2
+    assert all(len(memo) <= 16 for memo in memos)
 
 
 def test_str_alignment():

@@ -6,6 +6,7 @@ The settings are fixed (``derandomize=True``), so every run draws the
 same examples.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -21,7 +22,7 @@ from exactframes._kernel import graded
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.hyperplane import build
 from exactframes.io import deserialize, serialize
-from exactframes.matrices import ExactMatrix
+from exactframes.matrices import ExactMatrix, _MEMO_TRIAL
 from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, RadicalScalar,
                                   _digit_limit_error, _format_terms,
                                   format_scalar, make, parse_scalar,
@@ -214,7 +215,7 @@ OVER_CAP = 2 ** MAX_RADICAND_BITS
 pool_radicands = st.sampled_from([1, 1, 2, 3, 5, 4, 8, 12, 18, 50] * 3
                                  + [0, OVER_CAP])
 pool_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
-memo_trials = st.sampled_from([1, 3, io._MEMO_TRIAL])
+memo_trials = st.sampled_from([1, 3, _MEMO_TRIAL])
 
 
 @st.composite
@@ -264,7 +265,7 @@ def csv_reference(rows, notes):
 @given(pool_matrix(pool_cell_texts()), memo_trials)
 def test_csv_memo_reads_as_each_cell_alone(rows, trial):
     text = "".join(",".join(row) + "\n" for row in rows)
-    with mock.patch.object(io, "_MEMO_TRIAL", trial):
+    with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
         got = outcome(lambda t, n: deserialize(t, n)._data, text)
     assert got == outcome(csv_reference, rows)
 
@@ -333,7 +334,7 @@ def json_reference(entries, notes):
 def test_json_memo_reads_as_each_entry_alone(entries, trial):
     text = json.dumps({"rows": len(entries), "cols": len(entries[0]),
                        "entries": entries})
-    with mock.patch.object(io, "_MEMO_TRIAL", trial):
+    with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
         got = outcome(lambda t, n: deserialize(t, n)._data, text)
     assert got == outcome(json_reference, entries)
 
@@ -409,12 +410,34 @@ def zero_run_rows(draw):
     return rows
 
 
+def converted(m, how):
+    """str(), the text digest or the floats of a matrix."""
+    return {"str": str, "digest": ExactMatrix._text_digest,
+            "floats": ExactMatrix.to_float_rows}[how](m)
+
+
+def reference_converted(m, how):
+    """The same with each cell converted afresh, with no memo."""
+    if how == "floats":
+        return [[RadicalScalar._raw(t).to_float() for t in row]
+                for row in m._data]
+    cells = [list(map(_format_terms, row)) for row in m._data]
+    widths = [max(len(row[j]) for row in cells) for j in range(m.cols)]
+    text = "\n".join("[" + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+                     + "]" for row in cells)
+    return text if how == "str" else hashlib.sha256(text.encode()).hexdigest()
+
+
 @FIXED
 @given(st.one_of(pool_matrix(writer_cells), zero_run_rows()), memo_trials)
 def test_writers_render_as_each_cell_alone(rows, trial):
     m = ExactMatrix(rows)
+    for how in ("str", "digest", "floats"):
+        with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
+            got = written(converted, m, how)
+        assert got == written(reference_converted, m, how), how
     for fmt in io.FORMATS:
-        with mock.patch.object(io, "_MEMO_TRIAL", trial):
+        with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
             got = written(serialize, m, fmt)
         assert got == written(reference_serialize, m, fmt), fmt
         if fmt == "exact-json" and isinstance(got, str):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactframes import radicals
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import (_QUOTE_CHARS, ONE, ZERO, RadicalScalar,
@@ -86,6 +87,12 @@ def test_to_float_values():
     # nearest double to 1/sqrt(3), not the doubly rounded 1/math.sqrt(3)
     assert "%.17g" % sqrt_rational(Fraction(1, 3)).to_float() == \
         "0.57735026918962573"
+
+
+def test_decimal_roots_are_remembered_in_bounded_memory():
+    for r in range(2, 5002):
+        assert make(1, r).to_float() == math.sqrt(r)
+    assert radicals._dec_sqrt.cache_info().currsize <= 1024
 
 
 def test_as_fraction_and_coefficient():
