@@ -31,7 +31,23 @@ ParseError.  A duplicate key is found by counting the quotes of a
 document that has passed every other check (:func:`_duplicate_key`), so
 that the decoder builds its plain dicts.
 
-A read parses each distinct cell once.  Its memo lives for one
+An exact-json document is read first by the text of its entries
+(:func:`_json_by_text`).  JSON whitespace is insignificant between
+tokens, and inside a valid ``"entries"`` array the only brackets are
+the row and entry boundaries, ``]],[[`` and ``],[``.  So the array is
+cut out of the text and split on them with ``str.split``: as it stands
+when it is written without whitespace or with ``json.dumps``'s ``", "``,
+and else with its whitespace dropped, where no run of it lies between
+two tokens or inside a string.  The distinct entry texts are read by one
+``json.loads`` and checked once each; the rest of the document, with the
+array cut out, by another.  This reading may only accept: a document
+with a backslash, or one that fails any check, is read again by one
+``json.loads`` of the whole document, as if it had never been tried,
+so every error, note and order of reading is that reader's.
+
+A read parses each distinct cell once.  Reading by entry text keeps
+every distinct entry text, as the decoder keeps the whole document.
+The memo of the whole-document reader lives for one
 :func:`deserialize` call and maps a csv cell's text, or a nonempty
 exact-json entry's ``(num, den, rad)`` triples, to the cell's terms and
 notes; a repeat takes the terms and re-emits the notes, an exact-json
@@ -39,7 +55,7 @@ note at the repeat's own ``entries[i][j]``.  An entry is keyed only
 after each of its terms has passed every check a first sight makes
 (keys, integer fields, denominator, radicand, radicand cap, in that
 order), and a bad cell is never remembered, so errors are those of
-reading every cell afresh.  Each memo, the writer's and the readers',
+reading every cell afresh.  Each memo, the writer's and these readers',
 is a :class:`~exactframes.matrices._CellMemo`: it keeps each cell until
 it holds ``_MEMO_TRIAL`` cells and they are more than half of the cells
 seen, and then nothing more for the rest of the call, so an input of
@@ -58,7 +74,7 @@ import sys
 from itertools import chain, compress, repeat
 
 from exactframes import _kernel
-from exactframes.errors import DomainError, ParseError
+from exactframes.errors import DomainError, ParseError, ResourceLimitError
 from exactframes.matrices import ExactMatrix, _CellMemo
 from exactframes.radicals import (MAX_RADICAND_BITS, RadicalScalar, _SPACE,
                                   _digit_limit_error, _format_terms,
@@ -174,7 +190,18 @@ def deserialize(text: str, notes: list[str] | None = None) -> ExactMatrix:
     return _from_csv(text, notes)
 
 
+# JSON's whitespace; and each ASCII character as whitespace (" "), a
+# bracket or separator ("|") or a part of a token or a string ("a")
+_JSON_SPACE = " \t\n\r"
+_DROP_SPACE = dict.fromkeys(map(ord, _JSON_SPACE))
+_CLASSES = {c: " " if chr(c) in _JSON_SPACE else "|" if chr(c) in "[]{}:,"
+            else "a" for c in range(128)}
+
+
 def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
+    read = _json_by_text(text, notes)
+    if read is not None:
+        return read
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -225,52 +252,18 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
     memo = _CellMemo()
     get, keep = memo.get, memo.keep
     for k in compress(range(listed), cells):
-        entry = cells[k]
         # every check of every term, in the order of a first sight: a
         # repeat is known only once its whole key has passed them
-        key = []
-        for term in entry:
-            if not isinstance(term, dict) or len(term) != 3:
-                raise _term_error(k, cols, len(key), _KEYS)
-            try:
-                num, den, rad = term["num"], term["den"], term["rad"]
-            except KeyError:
-                raise _term_error(k, cols, len(key), _KEYS) from None
-            if not (type(num) is int and type(den) is int
-                    and type(rad) is int):
-                raise _term_error(k, cols, len(key),
-                                  "fields must be integers")
-            if den == 0:
-                raise _term_error(k, cols, len(key), "has a zero denominator")
-            if not 0 < rad <= _LARGEST_RADICAND:
-                if rad < 1:
-                    raise _term_error(k, cols, len(key),
-                                      f"has radicand {rad}; radicands "
-                                      "must be positive")
-                raise _radicand_cap_error(rad)
-            key.append((num, den, rad))
-        key = tuple(key)
+        key = _entry_key(cells[k], k, cols)
         hit = get(key)
-        if hit is not None:
-            terms, tails = hit
-            if tails:
-                where = _where(k, cols)
-                notes.extend(where + tail for tail in tails)
-            data[k] = terms
-            continue
-        where = _where(k, cols)
-        start = len(notes) if notes else 0
-        terms = ()
-        for t, (num, den, rad) in enumerate(key):
-            outer, core = split_radicand(rad, splits)
-            if notes is not None and outer != 1:
-                notes.append(f"{where} term {t}: radicand {rad} is not "
-                             f"squarefree; normalized to {outer}^2 * {core}")
-            terms = _kernel.add_terms(
-                terms, _kernel.root_terms(num * outer, den, core))
-        made = notes[start:] if notes else ()
-        memo.seen = k
-        keep(key, (terms, tuple(n[len(where):] for n in made)))
+        if hit is None:
+            hit = _entry_value(key, notes is not None, splits)
+            memo.seen = k
+            keep(key, hit)
+        terms, tails = hit
+        if tails:
+            where = _where(k, cols)
+            notes.extend(where + tail for tail in tails)
         data[k] = terms
     if listed < shaped * cols:
         raise ParseError(f"{_where(listed, cols)} must be a list of terms")
@@ -285,6 +278,173 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         raise _duplicate_key(text, cols)
     # the rows: cols cells at a time
     return ExactMatrix._raw(rows, cols, tuple(zip(*[iter(data)] * cols)))
+
+
+def _entry_key(entry: list, k: int, cols: int) -> tuple:
+    """The ``(num, den, rad)`` of each term of the k-th entry, after
+    every check a first sight makes, in order: keys, integer fields,
+    denominator, radicand, radicand cap."""
+    key = []
+    for term in entry:
+        if not isinstance(term, dict) or len(term) != 3:
+            raise _term_error(k, cols, len(key), _KEYS)
+        try:
+            num, den, rad = term["num"], term["den"], term["rad"]
+        except KeyError:
+            raise _term_error(k, cols, len(key), _KEYS) from None
+        if not (type(num) is int and type(den) is int
+                and type(rad) is int):
+            raise _term_error(k, cols, len(key), "fields must be integers")
+        if den == 0:
+            raise _term_error(k, cols, len(key), "has a zero denominator")
+        if not 0 < rad <= _LARGEST_RADICAND:
+            if rad < 1:
+                raise _term_error(k, cols, len(key),
+                                  f"has radicand {rad}; radicands must "
+                                  "be positive")
+            raise _radicand_cap_error(rad)
+        key.append((num, den, rad))
+    return tuple(key)
+
+
+def _entry_value(key: tuple, noting: bool, splits: dict) -> tuple:
+    """``(terms, tails)`` of a checked entry key: its terms, and when
+    ``noting`` the notes of its non-squarefree radicands, each without
+    the ``entries[i][j]`` that names the entry's position."""
+    terms, tails = (), []
+    for t, (num, den, rad) in enumerate(key):
+        outer, core = split_radicand(rad, splits)
+        if noting and outer != 1:
+            tails.append(f" term {t}: radicand {rad} is not squarefree; "
+                         f"normalized to {outer}^2 * {core}")
+        terms = _kernel.add_terms(
+            terms, _kernel.root_terms(num * outer, den, core))
+    return terms, tuple(tails)
+
+
+def _json_by_text(text: str, notes: list[str] | None) -> ExactMatrix | None:
+    """The matrix of an exact-json document read by the text of its
+    entries, or None when it declines the document or a check fails.
+
+    The document holds no backslash, so each of its strings is the text
+    between two quotes.  The ``"entries"`` array runs from the ``[``
+    after its key to the last ``]``; the rest of the document, with a
+    0 in its place, is read by ``json.loads``.  The array is split into
+    rows and entries by :func:`_entry_texts`, as it stands when its
+    boundaries are ``]],[[`` and ``],[``, or ``]], [[`` and ``], [`` as
+    ``json.dumps`` writes them, and else with its JSON whitespace
+    dropped where no run of it joins two tokens or lies in a string.
+    The distinct entry texts are read by one ``json.loads`` and checked
+    as :func:`_from_json` checks an entry at first sight.
+    """
+    if "\\" in text:
+        return None
+    at = text.find('"entries"')
+    start, end = text.find("[", at), text.rfind("]") + 1
+    if (at < 0 or not 0 < start < end
+            or text[at + 9:start].strip(_JSON_SPACE) != ":"):
+        return None
+    rest = text[:start] + "0" + text[end:]
+    try:
+        doc = json.loads(rest)
+    except (ValueError, RecursionError):
+        return None
+    # the top level has only its three keys, each once
+    if not (isinstance(doc, dict) and rest.count('"') == 6
+            and doc.keys() == {"rows", "cols", "entries"}):
+        return None
+    rows, cols = doc["rows"], doc["cols"]
+    if not (type(rows) is int and type(cols) is int
+            and rows >= 1 and cols >= 1):
+        return None
+    spaces = [text.find(space, start, end) >= 0 for space in _JSON_SPACE]
+    split = None
+    if not any(spaces):
+        split = _entry_texts(text, start, end, rows, cols, "")
+    elif not any(spaces[1:]):
+        split = _entry_texts(text, start, end, rows, cols, " ")
+    if split is None and any(spaces):
+        array = text[start:end]
+        if not array.isascii():
+            return None
+        classes = array.translate(_CLASSES)
+        if "a " in classes:
+            # whitespace after a token must not join it to the next:
+            # dropping the whitespace must leave as many runs of "a"
+            runs = classes.count("|a") + classes.count(" a")
+            if classes.translate(_DROP_SPACE).count("|a") != runs:
+                return None
+        del classes
+        array = array.translate(_DROP_SPACE)
+        split = _entry_texts(array, 0, len(array), rows, cols, "")
+    if split is None:
+        return None
+    texts, keys, entries = split
+    splits: dict[int, tuple[int, int]] = {}
+    terms, noted = {}, {}
+    try:
+        for cell, entry in zip(texts, entries):
+            terms[cell], tails = _entry_value(_entry_key(entry, 0, 1),
+                                              notes is not None, splits)
+            if tails:
+                noted[cell] = tails
+    except (ParseError, ResourceLimitError):
+        return None
+    data = []
+    for i, line in enumerate(keys):
+        data.append(tuple(map(terms.__getitem__, line)))
+        if noted:
+            for j in compress(range(cols), map(noted.__contains__, line)):
+                where = "entries[%d][%d]" % (i, j)
+                notes.extend(where + tail for tail in noted[line[j]])
+    return ExactMatrix._raw(rows, cols, tuple(data))
+
+
+def _entry_texts(text: str, start: int, end: int, rows: int, cols: int,
+                 space: str) -> tuple | None:
+    """The entries of the array ``text[start:end]`` of ``rows`` rows of
+    ``cols`` entries, each ``]],`` + ``space`` + ``[[`` ending a row and
+    each ``],`` + ``space`` + ``[`` an entry: ``(texts, keys,
+    entries)``, with ``texts`` the distinct entry texts, ``keys[i]`` the
+    text of each entry of row ``i`` and ``entries`` the ``json.loads``
+    of each text, or None when the array does not begin with ``[[[``
+    and end with ``]]]``, holds another number of rows or a row of
+    another length, a text that is not a list's items, or a duplicate
+    key.  A bracket in an entry, or in a boundary of other whitespace,
+    is left to the checks of the entries that :func:`_json_by_text`
+    makes.
+
+    Each distinct text is kept once and stands for every copy of it.
+    """
+    row_end, entry_end = "]]," + space + "[[", "]," + space + "["
+    start, end = start + 3, end - 3
+    if not (text.startswith("[[[", start - 3) and text.startswith("]]]", end)):
+        return None
+    texts: dict[str, str] = {}
+    keys = []
+    while start <= end:
+        stop = text.find(row_end, start, end)
+        if stop < 0:
+            stop = end
+        cells = text[start:stop].split(entry_end)
+        if len(cells) != cols:
+            return None
+        keys.append(tuple(map(texts.setdefault, cells, cells)))
+        start = stop + len(row_end)
+    joined = "[[" + "],[".join(texts) + "]]"
+    # a duplicate key makes more than 6 quotes per term
+    if len(keys) != rows or joined.count('"') != 6 * joined.count("{"):
+        return None
+    try:
+        entries = json.loads(joined)
+    except (ValueError, RecursionError):
+        return None
+    # a bracket in an entry text leaves the lists out of step with the
+    # texts, and a term that is not an object, or a key that is not num,
+    # den or rad, fails a check
+    if len(entries) != len(texts):
+        return None
+    return texts, keys, entries
 
 
 def _duplicate_key(text: str, cols: int) -> ParseError:

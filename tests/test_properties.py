@@ -159,10 +159,18 @@ WRONG_TYPES = [True, False, 1.0, 0.5, -2.0, float("inf"), float("nan"),
                "1", None, [], {}, HUGE]
 
 
+# the text styles of an exact-json document: the writer's own bytes,
+# json.dumps's default (", " and ": ", as the benchmark writes) and an
+# indented one
+JSON_STYLES = {"writer": {"sort_keys": True, "separators": (",", ":")},
+               "dumps": {}, "indent": {"indent": 1}}
+
+
 @st.composite
-def mutated_json(draw):
-    """An exact-json document that serialize wrote, with one mutation:
-    a wrong type, a missing or extra key, a wrong row or entry count, a
+def mutated_json(draw, style="dumps", mutate=True):
+    """An exact-json document that serialize wrote, in one of
+    ``JSON_STYLES``, with one mutation unless ``mutate`` is false: a
+    wrong type, a missing or extra key, a wrong row or entry count, a
     zero denominator, a radicand below 1 or past the cap, or an integer
     of 5,000 digits."""
     doc = json.loads(serialize(draw(matrices), "exact-json"))
@@ -172,7 +180,7 @@ def mutated_json(draw):
     terms = [t for row in entries for entry in row for t in entry]
     term = draw(st.sampled_from(terms))
     kind = draw(st.sampled_from(["type", "missing", "extra", "count",
-                                 "den", "rad", "digits"]))
+                                 "den", "rad", "digits"])) if mutate else None
     if kind in ("type", "digits"):
         owner, key = draw(st.sampled_from(
             [(doc, "rows"), (doc, "cols"), (doc, "entries")]
@@ -193,10 +201,11 @@ def mutated_json(draw):
             target.append(target[-1])
     elif kind == "den":
         term["den"] = 0
-    else:
+    elif kind == "rad":
         term["rad"] = draw(st.one_of(st.integers(-2 ** 40, 0),
                                      st.integers(2 ** 40, 2 ** 80)))
-    return json.dumps(doc).replace(json.dumps(HUGE), "7" * 5000)
+    return json.dumps(doc, **JSON_STYLES[style]).replace(json.dumps(HUGE),
+                                                         "7" * 5000)
 
 
 @settings(FIXED, max_examples=300)
@@ -337,6 +346,83 @@ def test_json_memo_reads_as_each_entry_alone(entries, trial):
     with mock.patch("exactframes.matrices._MEMO_TRIAL", trial):
         got = outcome(lambda t, n: deserialize(t, n)._data, text)
     assert got == outcome(json_reference, entries)
+
+
+def read_whole(text, notes):
+    """The exact-json reader without its reading by entry text: one
+    json.loads of the whole document."""
+    with mock.patch.object(io, "_json_by_text", lambda text, notes: None):
+        return deserialize(text, notes)._data
+
+
+def read(text, notes):
+    return deserialize(text, notes)._data
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("style", JSON_STYLES)
+@settings(FIXED, max_examples=100)
+@given(st.data())
+def test_json_by_text_reads_as_the_whole_document(style, mutate, data):
+    text = data.draw(mutated_json(style, mutate))
+    assert outcome(read, text) == outcome(read_whole, text)
+    if not mutate:
+        assert io._json_by_text(text, []) is not None
+
+
+@pytest.mark.parametrize("style", JSON_STYLES)
+@FIXED
+@given(pool_matrix(pool_entries()))
+def test_json_by_text_gives_the_notes_and_errors_of_each_entry(style,
+                                                               entries):
+    text = json.dumps({"rows": len(entries), "cols": len(entries[0]),
+                       "entries": entries}, **JSON_STYLES[style])
+    got = outcome(read, text)
+    assert got == outcome(json_reference, entries)
+    assert got == outcome(read_whole, text)
+
+
+def with_term(term):
+    """A 2 x 2 document whose entry [1][0] is ``term`` and [0][1] a
+    term of radicand 8, which gives a note."""
+    return ('{"rows": 2, "cols": 2, "entries": [[[], [{"num": 1, "den": 1, '
+            '"rad": 8}]], [[' + term + '], []]]}')
+
+
+# Documents the reading by entry text declines; json.loads of the whole
+# document reads them
+@pytest.mark.parametrize("text", [
+    with_term('{"n\\u0075m": 3, "den": 1, "rad": 2}'),
+    with_term('{"nu m": 3, "den": 1, "rad": 2}'),
+    with_term('{"num ": 3, "den": 1, "rad": 2}'),
+    with_term('{"nu m": 3,\n "den": 1, "rad": 2}'),
+    with_term('{"num": 3\n 1, "den": 1, "rad": 2}'),
+    with_term('{"num": - 3, "den": 1,\n"rad": 2}'),
+    with_term('[{"num": 3, "den": 1, "rad": 2}]'),
+    with_term('{"num": [3], "den": 1, "rad": 2}'),
+    with_term('{"num": 3, "den": 1, "rad": 2}], [{"num": 1, "den": 1, '
+              '"rad": 1}'),
+    '{"rows": 1, "cols": 1, "entries": [1,{"num": 1, "den": 1, '
+    '"rad": 2},1]}',
+    '{"rows": 1, "cols": 1, "entries": [[[]]], "x": [1]}',
+    '{"rows": 1, "cols": 1, "entries": [[[]]], "x": [[[]]]}',
+    '{"rows": 1, "cols": 1, "entries": [[[]]], "x": "]"}',
+    with_term('{"num": ' + "7" * 5000 + ', "den": 1, "rad": 2}'),
+    '{"rows": 1, "cols": ' + "7" * 5000 + ', "entries": [[[]]]}',
+    with_term('{"num": 3, "num": 5, "den": 1, "rad": 2}'),
+    '{"rows": 2, "rows": 2, "cols": 2, "entries": [[[], []], [[], []]]}',
+    '{"rows": 2, "cols": 2, "entries": [[[], [], []], [[]]]}',
+    '{"rows": 2, "cols": 2, "entries": [[[], []], [[], [], []]]}',
+    '{"rows": 2, "cols": 2, "entries": [[[], []]]}',
+], ids=["escaped-key", "space-in-key", "space-after-key",
+        "space-in-key-indented", "space-in-number", "space-after-sign",
+        "nested-entry", "nested-field", "ragged-entries",
+        "entries-not-rows", "array-after", "entries-after", "bracket-after",
+        "digits-entry", "digits-top", "duplicate-term-key",
+        "duplicate-top-key", "ragged-rows", "long-last-row", "missing-row"])
+def test_json_by_text_declines_and_the_whole_document_reads(text):
+    assert io._json_by_text(text, []) is None
+    assert outcome(read, text) == outcome(read_whole, text)
 
 
 # Writers: cells drawn from a small pool again, now and then one past
