@@ -18,8 +18,18 @@ graded Gram and the hyperplane check, whether the rows were built that
 way (an :class:`IntRows`) or read from a file.  :func:`int_dot` is the
 inner product of two such rows, and :func:`int_term` makes the term of
 a nonzero one, for the integer scan and the graded Gram alike.
+
+Other rows are taken apart for the graded Gram by :func:`split`: their
+distinct cells, and which of them stands at each position.  A
+:class:`TermRows` keeps its split once taken, or carries the one its
+builder made (the 2-tight families), so that one check or command takes
+a matrix apart at most once: the Gram of its rows, the Gram of its
+columns (:func:`columns`, read at or above the size cut without
+transposing the rows) and its row norms (:func:`row_norms`) all read
+the same split.
 """
 
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
@@ -29,10 +39,11 @@ from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         root_terms, scale_terms,
                                         squarefree_split)
 
-__all__ = ["IntRows", "add_terms", "dot_terms", "gram_mismatch",
-           "gram_terms", "int_dot", "int_rows", "int_term",
-           "is_squarefree", "matmul_terms", "mul_terms", "neg_terms",
-           "root_terms", "scale_terms", "squarefree_split"]
+__all__ = ["Columns", "IntRows", "TermRows", "add_terms", "columns",
+           "dot_terms", "gram_mismatch", "gram_terms", "int_dot",
+           "int_rows", "int_term", "is_squarefree", "matmul_terms",
+           "mul_terms", "neg_terms", "root_terms", "row_norms",
+           "scale_terms", "split", "squarefree_split"]
 
 # Inputs with fewer entry products n (n + 1) / 2 * width than this are
 # scanned pair by pair: as integer dot products when int_rows reads the
@@ -49,11 +60,80 @@ __all__ = ["IntRows", "add_terms", "dot_terms", "gram_mismatch",
 _SCAN_BELOW = 1200
 
 
-class IntRows(tuple):
+class _Ids(dict):
+    """The number of each distinct key, in order of first lookup."""
+
+    def __missing__(self, key) -> int:
+        self[key] = number = len(self)
+        return number
+
+
+def _split(rows) -> tuple:
+    ids = _Ids()
+    at: list = []
+    for row in rows:
+        at += map(ids.__getitem__, row)
+    return list(ids), at
+
+
+class TermRows(tuple):
+    """Rows of term tuples that keep their :func:`split`: the one their
+    builder set as ``split``, or else the one taken on first use.
+    Slicing, adding or rebuilding the rows gives a plain tuple, without
+    it."""
+
+    @cached_property
+    def split(self) -> tuple:
+        return _split(self)
+
+
+class IntRows(TermRows):
     """Rows of term tuples that also carry their :func:`int_rows` as
     ``ints = (rads, ints, dens)``, so that the rows are not read again.
     Slicing, adding or rebuilding the rows gives a plain tuple, without
     ``ints``."""
+
+
+def split(rows) -> tuple:
+    """``(cells, ids)``: cells of the term-tuple ``rows``, and the index
+    in ``cells`` of the cell at each position, a sequence of ints in
+    row-major order.  A :class:`TermRows` gives its own split, which
+    its builder may have made with a cell listed twice; other rows are
+    taken apart here, each cell looked up once in C and each distinct
+    cell listed once."""
+    return rows.split if isinstance(rows, TermRows) else _split(rows)
+
+
+class Columns:
+    """The columns of term-tuple rows, as the graded Gram reads them
+    (:func:`columns`): ``len``, ``[j]`` and iteration give what the
+    tuple of column tuples would give, one column at a time, and the
+    graded Gram takes them apart as the split of ``rows`` with rows and
+    columns swapped, so that the rows are not transposed."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __getitem__(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.rows)
+
+    def __iter__(self):
+        return zip(*self.rows)
+
+
+def columns(rows):
+    """The columns of the term-tuple ``rows``, for their Gram
+    (:func:`gram_mismatch`, :func:`gram_terms`): below the size cut the
+    tuple of column tuples that the scan reads, and at or above it a
+    :class:`Columns` of the rows."""
+    if _below_cut(len(rows[0]), len(rows)):
+        return tuple(zip(*rows))
+    return Columns(rows)
 
 
 def int_rows(rows) -> tuple | None:
@@ -102,9 +182,12 @@ def int_term(v: int, r: int, s: int, d: int) -> tuple:
     return ((r // g * (s // g), v // h, d // h),)
 
 
+def _below_cut(n: int, width: int) -> bool:
+    return n * (n + 1) // 2 * width < _SCAN_BELOW
+
+
 def _small(rows) -> bool:
-    n = len(rows)
-    return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
+    return _below_cut(len(rows), len(rows[0]))
 
 
 def _scan(rows, num: int, den: int, diagonal: bool):
@@ -167,3 +250,14 @@ def gram_terms(rows, num: int, den: int) -> tuple:
     for i, j, terms in _stream(rows, num, den, True):
         out[i][j] = out[j][i] = terms
     return tuple(map(tuple, out))
+
+
+def row_norms(rows):
+    """The squared norm of each row of ``rows``, the diagonal of their
+    Gram, as canonical term tuples, taken where the Gram would be: below
+    the size cut one ``dot_terms`` per row, lazily, and at or above it
+    from the rows' split (:func:`exactframes._kernel.graded.norms`)."""
+    if _small(rows):
+        return map(dot_terms, rows, rows)
+    from exactframes._kernel import graded
+    return graded.norms(rows)

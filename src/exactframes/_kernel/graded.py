@@ -36,13 +36,19 @@ block of rows, and the packs are summed in Python ints
 row's radicand and denominator 1.
 
 Other rows, where rows and columns both carry several radicands, are
-split term by term.  Their rows ``V_r[i]`` ("expanded rows") are taken
-a block of rows at a time, sorted by radicand within the block, and
-multiplied a chunk at a time: each chunk only against the expanded
-rows whose columns meet its own, over those columns, so the
-mostly-zero expanded matrix is never multiplied whole.  Each nonzero
-product takes ``g`` and its core from its own two radicands, so no
-table of pairs of radicands is built.  The products of a block are
+split term by term (:func:`_split_terms`), in arrays, from the rows'
+split (:func:`~exactframes._kernel.split`): their distinct cells, each
+taken apart once, and the cell at each position.  The columns of a
+:class:`~exactframes._kernel.Columns` are the same split with rows and
+columns swapped, so a column Gram neither transposes the rows nor takes
+them apart again, and :func:`norms` reads the row norms from it too.
+The rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
+time, sorted by radicand within the block, and multiplied a chunk at a
+time: each chunk only against the expanded rows whose columns meet its
+own, over those columns, so the mostly-zero expanded matrix is never
+multiplied whole.  Those candidates are found once per block.  Each
+nonzero product takes ``g`` and its core from its own two radicands, so
+no table of pairs of radicands is built.  The products of a block are
 keyed by (i, j, core) in one integer and summed per key by sorting, so
 memory follows one block's entries of the Gram.
 
@@ -71,7 +77,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from exactframes._kernel import int_rows, int_term
+from exactframes._kernel import Columns, int_rows, int_term, split
 
 # expanded rows per chunk product
 _CHUNK = 32
@@ -121,35 +127,81 @@ def _dtype(top: int, width: int, maxrad: int, most: int):
 
 
 def _split_terms(rows) -> tuple:
-    """Term-tuple rows taken apart term by term: ``(rads, t_i, t_k,
-    t_c, nums, dens)``.  The term at row ``t_i``, column ``t_c`` and
-    radicand ``rads[t_k]`` is ``sqrt(rads[t_k]) * nums / dens``, in
-    row-major order."""
+    """Term-tuple rows taken apart term by term, from their split
+    (:func:`~exactframes._kernel.split`): ``(rads, t_i, t_k, t_c, term,
+    nums, dens)``.  The term at row ``t_i``, column ``t_c`` and radicand
+    ``rads[t_k]`` is ``sqrt(rads[t_k]) * nums[term] / dens[term]``;
+    ``nums`` and ``dens`` hold each term of the split's cells once.
+    The terms are in row-major order.  The columns of a
+    :class:`~exactframes._kernel.Columns` are the split of its rows with
+    ``t_i`` and ``t_c`` swapped, in column-major order, and nothing is
+    transposed."""
+    swap = isinstance(rows, Columns)
+    if swap:
+        rows = rows.rows
+    cells, at = split(rows)
     rad_ids: dict[int, int] = {}
-    at, rad, cols, nums, dens = [], [], [], [], []
-    for i, row in enumerate(rows):
-        for c, e in enumerate(row):
-            for r, num, den in e:
-                at.append(i)
-                rad.append(rad_ids.setdefault(r, len(rad_ids)))
-                cols.append(c)
-                nums.append(num)
-                dens.append(den)
-    t_i, t_k, t_c = (np.array(x, dtype=np.intp) for x in (at, rad, cols))
-    return list(rad_ids), t_i, t_k, t_c, nums, dens
+    first, size, rad, nums, dens = [], [], [], [], []
+    for cell in cells:
+        first.append(len(nums))
+        size.append(len(cell))
+        for r, num, den in cell:
+            rad.append(rad_ids.setdefault(r, len(rad_ids)))
+            nums.append(num)
+            dens.append(den)
+    at = np.asarray(at)
+    # the terms at each position, and the position of each term
+    size = np.array(size, dtype=np.intp)[at]
+    pos = np.repeat(np.arange(len(at)), size)
+    # the k-th term of a cell is term first[cell] + k of the table, and
+    # t - k terms lie at earlier positions when it is the t-th
+    term = np.array(first, dtype=np.intp)[at]
+    del at
+    term -= np.cumsum(size)
+    term += size
+    term = np.repeat(term, size)
+    term += np.arange(len(term))
+    t_i, t_c = np.divmod(pos, len(rows[0]))
+    del pos
+    if swap:
+        t_i, t_c = t_c, t_i
+    t_k = np.array(rad, dtype=np.intp)[term]
+    return list(rad_ids), t_i, t_k, t_c, term, nums, dens
 
 
-def _over(group: np.ndarray, size: int, nums: list, dens: list) -> tuple:
-    """``(common, vals)`` for terms ``nums / dens`` in ``size`` groups,
-    term ``t`` in group ``group[t]``: the least common denominator of
-    each group (1 for an empty one), and each term's numerator over
-    its group's."""
-    at = group.tolist()
+def _over(group: np.ndarray, size: int, term: np.ndarray, nums: list,
+          dens: list) -> tuple:
+    """``(common, vals)`` for terms ``nums[term] / dens[term]`` in
+    ``size`` groups, term ``t`` in group ``group[t]``: the least common
+    denominator of each group (1 for an empty one), and an array of each
+    term's numerator over its group's, int64 when a bound allows and
+    Python ints otherwise.  Each distinct pair of a group and a
+    denominator is taken once in Python."""
+    den_ids: dict[int, int] = {}
+    den_of = np.array([den_ids.setdefault(d, len(den_ids)) for d in dens],
+                      dtype=np.intp)
+    values = list(den_ids)
+    key = group * len(values)
+    key += den_of[term]
+    if size * len(values) <= len(key):
+        # a table of every pair is no larger than the terms: no sort
+        seen = np.zeros(size * len(values), dtype=bool)
+        seen[key] = True
+        pairs = np.flatnonzero(seen)
+        pair = (np.cumsum(seen) - 1)[key]
+    else:
+        pairs, pair = np.unique(key, return_inverse=True)
+    del key
+    pairs = [divmod(p, len(values)) for p in pairs.tolist()]
     common = [1] * size
-    for g, d in set(zip(at, dens)):
-        common[g] = lcm(common[g], d)
-    return common, [num * (common[g] // d)
-                    for g, num, d in zip(at, nums, dens)]
+    for g, d in pairs:
+        common[g] = lcm(common[g], values[d])
+    scale = [common[g] // values[d] for g, d in pairs]
+    top = max(map(abs, nums), default=0) * max(scale, default=0)
+    dtype = np.int64 if top < 1 << 63 else object
+    vals = (np.array(nums, dtype=dtype)[term]
+            * np.array(scale, dtype=dtype)[pair])
+    return common, vals
 
 
 def _packs(rads: list, ints: list, dens: list) -> tuple:
@@ -201,12 +253,30 @@ def _packs(rads: list, ints: list, dens: list) -> tuple:
     return packs, common
 
 
+def _select(mask: np.ndarray, *arrays) -> tuple:
+    """``arrays`` where ``mask`` holds: the arrays themselves when it
+    holds everywhere."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def _ranks(at: np.ndarray) -> tuple:
+    """``(cand, rank)`` for ascending expanded rows ``at``: the distinct
+    ones, and the place of each of ``at`` among them."""
+    first = _starts(at)
+    return at[first], np.cumsum(first) - 1
+
+
 class _Graded:
     """The rows of a matrix as packs whose integer products are its
     Gram, or as expanded integer rows.
 
-    The back end is the first that fits the rows, as
-    :func:`~exactframes._kernel.int_rows` reads them.  Rows of one
+    ``rows`` are term-tuple rows, or a
+    :class:`~exactframes._kernel.Columns` for a column Gram.  The back
+    end is the first that fits the rows, as
+    :func:`~exactframes._kernel.int_rows` reads them and their
+    transpose (a Columns' own rows, else one column at a time).  Rows of one
     radicand each are one pack ``(V, V, 1)`` of their dense integer
     rows, with ``common = 1``, and row ``i`` is ``sqrt(row_rads[i]) *
     V[i] / dens[i]``.  Else, when every column carries one radicand,
@@ -243,18 +313,20 @@ class _Graded:
             v = v.astype(_dtype(top, width, 1, 1), copy=False)
             self.packs, self.common = [(v, v, 1)], 1
             return
-        read = int_rows(tuple(zip(*rows)))
+        read = int_rows(rows.rows if isinstance(rows, Columns)
+                        else zip(*rows))
         if read is not None:
             # one radicand per column: <row_i, row_j> is rational, and
             # each column is scaled by its own denominator
             self.packs, self.common = _packs(*read)
             self.row_rads = self.dens = (1,) * n
             return
-        rads, t_i, t_k, t_c, nums, dens = _split_terms(rows)
+        rads, t_i, t_k, t_c, term, nums, dens = _split_terms(rows)
         most = _most(t_i, t_k, len(rads))
         self.packs = None
-        self.dens, vals = _over(t_i, n, nums, dens)
-        top = max(map(abs, vals), default=0)
+        self.dens, vals = _over(t_i, n, term, nums, dens)
+        del term
+        top = int(np.abs(vals).max(initial=0))
         maxrad = max(rads, default=1)
         self.dtype = _dtype(top, width, maxrad, most)
         self.rads = np.array(rads, dtype=np.int64 if maxrad < 1 << 31
@@ -267,8 +339,7 @@ class _Graded:
         self.e_row, self.e_rad = t_i[by][first], t_k[by][first]
         self.t_row = np.cumsum(first) - 1
         self.t_col = t_c[by]
-        self.t_val = np.asarray(vals, dtype=self.dtype)[by]
-        del vals
+        self.t_val = vals.astype(self.dtype, copy=False)[by]
 
     def stream(self, num: int, den: int):
         """The Gram stream times ``num/den`` (:func:`entries`)."""
@@ -341,31 +412,39 @@ class _Graded:
         """``(a, b, p)`` arrays over the pairs of an expanded row ``a``
         in ``[lo, hi)``, the block of rows from ``i0``, and any ``b``
         with ``e_row[a] <= e_row[b]`` whose product ``p = <row a, row
-        b>`` is nonzero."""
-        row = self.e_row
-        starts = np.searchsorted(self.t_row,
-                                 list(range(lo, hi, _CHUNK)) + [hi])
+        b>`` is nonzero.
+
+        The candidates ``b`` are the expanded rows from ``lo`` on (those
+        of this block of rows and later ones) with an entry in the
+        block's columns: their terms, and the row of ``right`` each goes
+        to, are found once per block, and a chunk that meets fewer
+        columns than its block takes those in its own columns."""
+        row, t_row = self.e_row, self.t_row
+        t_col, t_val = self.t_col, self.t_val
+        s0, s1 = np.searchsorted(t_row, [lo, hi]).tolist()
+        used = np.zeros(self.width, dtype=bool)
+        used[t_col[s0:s1]] = True
+        block_used = np.count_nonzero(used)
+        terms = _select(used[t_col[s0:]], t_row[s0:], t_col[s0:],
+                        t_val[s0:])
+        block_terms = terms + _ranks(terms[0])
+        starts = np.searchsorted(t_row, list(range(lo, hi, _CHUNK)) + [hi])
         for c0, t0, t1 in zip(range(lo, hi, _CHUNK), starts[:-1],
                               starts[1:]):
             c1 = min(c0 + _CHUNK, hi)
             # the chunk's columns, numbered in order
             used = np.zeros(self.width, dtype=bool)
-            used[self.t_col[t0:t1]] = True
+            used[t_col[t0:t1]] = True
             pos = np.cumsum(used) - 1
-            # the expanded rows of this block or later ones with an
-            # entry in those columns
-            hit = used[self.t_col]
-            near = np.zeros(len(row), dtype=bool)
-            near[self.t_row[hit]] = True
-            near &= row >= i0
-            cand = np.flatnonzero(near)
-            hit &= near[self.t_row]
+            if pos[-1] + 1 < block_used:
+                terms = _select(used[block_terms[1]], *block_terms[:3])
+                at, col, val, cand, rank = terms + _ranks(terms[0])
+            else:
+                at, col, val, cand, rank = block_terms
             left = np.zeros((c1 - c0, pos[-1] + 1), dtype=self.dtype)
-            left[self.t_row[t0:t1] - c0, pos[self.t_col[t0:t1]]] = (
-                self.t_val[t0:t1])
+            left[t_row[t0:t1] - c0, pos[t_col[t0:t1]]] = t_val[t0:t1]
             right = np.zeros((len(cand), pos[-1] + 1), dtype=self.dtype)
-            right[np.searchsorted(cand, self.t_row[hit]),
-                  pos[self.t_col[hit]]] = self.t_val[hit]
+            right[rank, pos[col]] = val
             prod = left @ right.T
             keep = prod != 0
             keep &= row[c0:c1, None] <= row[cand]
@@ -429,3 +508,48 @@ def entries(rows, num: int, den: int):
     :mod:`exactframes._kernel`) by the graded Gram, whatever the size
     of ``rows``."""
     return _Graded(rows).stream(num, den)
+
+
+def norms(rows) -> list:
+    """The squared norm of each row of ``rows`` as a canonical term
+    tuple, the diagonal of their Gram, from the rows' split: the square
+    ``rad * v^2`` of each term, on core 1, summed a row at a time in one
+    array (int64 under the bound of :func:`_dtype`, else Python ints),
+    and the cross terms ``2 g v_a v_b sqrt((r_a/g) (r_b/g))`` of each
+    cell of several terms, ``g = gcd(r_a, r_b)``, in Python ints, all
+    over the square of the row's common denominator."""
+    n, width = len(rows), len(rows[0])
+    rads, t_i, t_k, t_c, term, nums, dens = _split_terms(rows)
+    common, vals = _over(t_i, n, term, nums, dens)
+    top = int(np.abs(vals).max(initial=0))
+    dtype = _dtype(top, width, max(rads, default=1),
+                   _most(t_i, t_k, len(rads)))
+    vals = vals.astype(dtype, copy=False)
+    squares = np.array(rads, dtype=dtype)[t_k] * vals * vals
+    # t_i ascends: the first term of each nonzero row
+    firsts = np.flatnonzero(_starts(t_i))
+    sums = np.add.reduceat(squares, firsts).tolist() if len(firsts) else []
+    cross: dict[int, dict] = {}
+    cell = t_i * width + t_c
+    later = np.flatnonzero(~_starts(cell))
+    if len(later):
+        # the terms of the cells of several terms, cell by cell
+        many = np.union1d(later - 1, later)
+        for at, terms in groupby(zip(cell[many].tolist(), t_k[many].tolist(),
+                                     vals[many].tolist()), key=itemgetter(0)):
+            terms = [(rads[k], v) for _, k, v in terms]
+            acc = cross.setdefault(at // width, {})
+            for a, (r, u) in enumerate(terms):
+                for s, v in terms[a + 1:]:
+                    g = gcd(r, s)
+                    core = r // g * (s // g)
+                    acc[core] = acc.get(core, 0) + 2 * g * u * v
+    out = [()] * n
+    for i, total in zip(t_i[firsts].tolist(), sums):
+        d = common[i] ** 2
+        acc = cross.get(i, {})
+        # cross terms never land on core 1: a cell's radicands differ
+        acc[1] = total
+        out[i] = tuple((c, v // h, d // h) for c, v in sorted(acc.items())
+                       if v for h in (gcd(v, d),))
+    return out

@@ -45,10 +45,11 @@ from exactframes.radicals import _quote, parse_scalar
 
 OK, FAILED, USAGE, BREACH = 0, 1, 2, 3
 
-# Largest --n of the sized families.  two-constant-diag, the costliest,
-# takes about 1.3 s and 136 MiB to construct, re-check and write at
-# n = 1024 (Python 3.11.7, numpy 2.4.6, 2-CPU Xeon), of which the Gram
-# of the re-check is about 0.6 s and the writing 0.2 s.
+# Largest --n of the sized families, and the most columns of any built
+# frame.  two-constant-diag, the costliest sized family, takes about
+# 1.3 s and 136 MiB to construct, re-check and write at n = 1024
+# (Python 3.11.7, numpy 2.4.6, 2-CPU Xeon), of which the Gram of the
+# re-check is about 0.6 s and the writing 0.2 s.
 MAX_DIMENSION = 1024
 
 
@@ -164,10 +165,28 @@ def _block_pair(args: argparse.Namespace, need) -> ExactMatrix:
                               unitary.BlockForm(args.form))
 
 
+def _capped(family: str, cols: int) -> None:
+    """Refuse a frame of more than MAX_DIMENSION columns before it is
+    built."""
+    if cols > MAX_DIMENSION:
+        raise ResourceLimitError(
+            f"{family} would build {cols} columns, beyond the dimension "
+            f"cap of {MAX_DIMENSION}")
+
+
 def _weight_in_front(args: argparse.Namespace, need) -> ExactMatrix:
     values, m = need("values", "m")
+    values = values.split(",")
+    # a table of v values is 2v columns wide
+    _capped("weight-in-front", 2 * len(values))
     return two_tight.weight_in_front(two_tight.make_two_row_table(
-        [_rational(v) for v in values.split(",")], _rational(m)))
+        [_rational(v) for v in values], _rational(m)))
+
+
+def _iterate_two_tight(args: argparse.Namespace, need) -> ExactMatrix:
+    left, right = map(_read_matrix, need("left", "right"))
+    _capped("iterate-two-tight", left.cols + right.cols)
+    return two_tight.iterate_two_tight(left, right)
 
 
 def _weave(args: argparse.Namespace, need) -> ExactMatrix:
@@ -200,8 +219,7 @@ _FAMILIES = {
     "abcd-outline": (lambda args, need: two_tight.weight_in_front(
         two_tight.abcd_outline(*map(_rational, need("a", "b", "c", "d")))),
         "check_tight_frame"),
-    "iterate-two-tight": (lambda args, need: two_tight.iterate_two_tight(
-        *map(_read_matrix, need("left", "right"))), "check_tight_frame"),
+    "iterate-two-tight": (_iterate_two_tight, "check_tight_frame"),
     "weave": (_weave, "check_orthogonal_columns"),
 }
 
@@ -266,7 +284,8 @@ def _cmd_pave(args: argparse.Namespace, fail_usage) -> int:
         gram = matrix
     else:
         # the tight check without its unit-norm check, which pave does
-        # not print
+        # not print, and the Gram, from one split of the rows
+        matrix = verify._split_once(matrix)
         report = verify._tight_report(matrix)
         if not report.passed:
             print(json.dumps(report.to_json_dict(), sort_keys=True))

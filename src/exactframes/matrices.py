@@ -9,7 +9,10 @@ Internally each entry is a canonical kernel term tuple, which keeps the
 hot paths (Gram matrices, products) free of wrapper objects.  A matrix
 built from integer rows of one radicand each holds its rows as a
 :class:`~exactframes._kernel.IntRows`, which carries those integer rows
-to the graded Gram and the hyperplane check of its re-check.
+to the graded Gram and the hyperplane check of its re-check; one built
+from a table of distinct cells holds them as a
+:class:`~exactframes._kernel.TermRows`, which carries the table as the
+split that the graded Gram reads.
 """
 
 from __future__ import annotations
@@ -134,6 +137,24 @@ class ExactMatrix:
             int_dens.append(d)
         data = _kernel.IntRows(data)
         data.ints = (tuple(rads), tuple(int_rows), tuple(int_dens))
+        return cls._raw(len(data), cols, data)
+
+    @classmethod
+    def _from_cells(cls, cols: int, cells: list, ids: list) -> ExactMatrix:
+        """The matrix with ``cols`` columns whose cell at row-major
+        position ``p`` is the canonical term tuple ``cells[ids[p]]``.
+        Each row is looked up in C, and ``_data`` is a
+        :class:`~exactframes._kernel.TermRows` that carries ``(cells,
+        ids)`` as its split, ``ids`` kept as machine ints, so that the
+        Grams and row norms of its re-check do not take it apart."""
+        # imported here, its only use, so that loading the package does
+        # not load it
+        from array import array
+
+        get = cells.__getitem__
+        data = _kernel.TermRows(tuple(map(get, ids[p:p + cols]))
+                                for p in range(0, len(ids), cols))
+        data.split = (cells, array("i", ids))
         return cls._raw(len(data), cols, data)
 
     @classmethod

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from exactframes import _kernel
 from exactframes.errors import (DimensionError, DomainError,
                                 TableValidationError)
-from exactframes.matrices import ExactMatrix, hstack, vstack
+from exactframes.matrices import ExactMatrix
 from exactframes.radicals import sqrt_rational
 
 RationalLike = Fraction | int
@@ -149,6 +150,13 @@ def _signs(order: int) -> list[list[int]]:
     return s
 
 
+def _cells(weights: Sequence[Fraction], norm: Fraction) -> list:
+    """The cells ``sqrt(w / norm)`` of the weights, then their
+    negatives."""
+    mags = [sqrt_rational(w / norm)._terms for w in weights]
+    return mags + [_kernel.neg_terms(t) for t in mags]
+
+
 def weight_in_front(table: TwoRowTable) -> ExactMatrix:
     """The unit-norm 2-tight frame carrying the table's weights.
 
@@ -158,17 +166,17 @@ def weight_in_front(table: TwoRowTable) -> ExactMatrix:
     same signs.  Unnormalized columns square sum to ``2**k * m`` and
     rows to ``2**(k-1) * m``; after the built-in normalization the
     result is exactly unit-norm and 2-tight.
+
+    The rows are built from the ``4 * 2**k`` distinct cells, a weight's
+    root or its negative, which the matrix carries as its split.
     """
-    k = table.order
-    signs = _signs(k)
-    norm = Fraction(2) ** (k - 1) * table.m
-    rows = []
-    for weights in (table.top, table.bottom):
-        mags = [sqrt_rational(w / norm) for w in weights]
-        negs = [-m for m in mags]
-        rows.extend([m if s > 0 else neg for s, m, neg in zip(row, mags, negs)]
-                    for row in signs)
-    return ExactMatrix(rows)
+    width = table.width
+    norm = Fraction(2) ** (table.order - 1) * table.m
+    cells = _cells(table.top, norm) + _cells(table.bottom, norm)
+    ids = [j if s > 0 else j + width
+           for row in _signs(table.order) for j, s in enumerate(row)]
+    ids += [p + 2 * width for p in ids]
+    return ExactMatrix._from_cells(width, cells, ids)
 
 
 def ap_two_tight(a: RationalLike, b: RationalLike) -> ExactMatrix:
@@ -184,12 +192,10 @@ def ap_two_tight(a: RationalLike, b: RationalLike) -> ExactMatrix:
         raise DomainError(f"the progression start must be positive, got {aa}")
     if bb < 0:
         raise DomainError(f"the progression step must be >= 0, got {bb}")
-    norm = 4 * aa + 6 * bb
-    top = [sqrt_rational((aa + (3 - j) * bb) / norm) for j in range(4)]
-    rows = [[-top[j] if i == j else top[j] for j in range(4)]
-            for i in range(4)]
-    upper = ExactMatrix(rows)
-    return vstack(upper, upper.reverse_both())
+    cells = _cells([aa + (3 - j) * bb for j in range(4)], 4 * aa + 6 * bb)
+    # the top half, and below it the same reversed along both axes
+    ids = [j + 4 if i == j else j for i in range(4) for j in range(4)]
+    return ExactMatrix._from_cells(4, cells, ids + ids[::-1])
 
 
 def iterate_two_tight(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
@@ -199,13 +205,29 @@ def iterate_two_tight(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     Applied to the two column halves of a unit-norm 2-tight frame this
     doubles it into another one of twice the size; the output is
     assembled structurally, so callers certify tightness themselves.
+    It is assembled from the split of each block
+    (:func:`~exactframes._kernel.split`) and the negatives of their
+    cells, and carries its own split.
     """
     if left.shape != right.shape:
         raise DimensionError(
             f"blocks must have equal shapes, got {left.shape} and "
             f"{right.shape}")
-    lr = left.reverse_both()
-    rr = right.reverse_both()
-    return vstack(
-        vstack(hstack(left, right), hstack(left, right.scale(-1))),
-        vstack(hstack(rr, lr), hstack(rr, lr.scale(-1))))
+    w = left.cols
+    cells_l, ids_l = _kernel.split(left._data)
+    cells_r, ids_r = _kernel.split(right._data)
+    cells = cells_l + cells_r
+    # the cells of R, -L and -R follow those of L
+    r, neg = len(cells_l), len(cells)
+    cells += [_kernel.neg_terms(t) for t in cells]
+    ids_r = [p + r for p in ids_r]
+    neg_l, neg_r = [p + neg for p in ids_l], [p + neg for p in ids_r]
+    # a reversal of both axes reverses the row-major order
+    rev_r = ids_r[::-1]
+    ids = []
+    for first, second in ((ids_l, ids_r), (ids_l, neg_r),
+                          (rev_r, ids_l[::-1]), (rev_r, neg_l[::-1])):
+        for p in range(0, len(first), w):
+            ids += first[p:p + w]
+            ids += second[p:p + w]
+    return ExactMatrix._from_cells(2 * w, cells, ids)

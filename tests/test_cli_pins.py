@@ -197,6 +197,11 @@ ERRORS = {
     "dimension cap": (
         ["construct", "two-constant-diag", "--n", "1025"], 2,
         "error: --n 1025 is beyond the dimension cap of 1024\n"),
+    "frame width cap": (
+        ["construct", "weight-in-front", "--values", ",".join(["1"] * 1024),
+         "--m", "2"], 2,
+        "error: weight-in-front would build 2048 columns, beyond the "
+        "dimension cap of 1024\n"),
     "float flag": (
         ["construct", "ap-two-tight", "--a", "0.5", "--b", "1"], 2,
         "error: '0.5' is not a rational (use p or p/q; floats are not "

@@ -1032,6 +1032,23 @@ def test_cli_construct_rejects_dimensions_past_the_cap(family, capsys):
     assert f"dimension cap of {MAX_DIMENSION}" in captured.err
 
 
+def test_cli_construct_rejects_frames_past_the_cap(tmp_path, capsys):
+    """Frames sized by their inputs keep to the cap on columns: a table
+    of v values builds 2v columns, and iterate-two-tight doubles the
+    columns it reads; the cap is named before anything is built."""
+    wide = write(tmp_path / "wide.csv", ",".join(["1"] * 513) + "\n")
+    for argv, cols in (
+            (["weight-in-front", "--values", ",".join(["1"] * 513),
+              "--m", "1"], 1026),
+            (["iterate-two-tight", "--left", wide, "--right", wide], 1026)):
+        start = time.perf_counter()
+        assert cli_main(["construct", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            f"error: {argv[0]} would build {cols} columns, beyond the "
+            f"dimension cap of {MAX_DIMENSION}\n"))
+
+
 @pytest.mark.parametrize("text", (
     "1,0\n0,sqrt(2305843009213693951)\n",
     '{"rows":1,"cols":1,"entries":[[[{"den":1,"num":1,'
@@ -1183,8 +1200,13 @@ def test_import_loads_neither_numpy_nor_hashlib(module):
     (["construct", "two-constant-diag", "--n", "13"], False),
     # its Gram re-check lies above the size cut
     (["construct", "two-constant-diag", "--n", "32"], True),
+    # an 8 x 4 frame, built from its distinct cells with its split, and
+    # read back: both Grams and the row norms lie below the cut
+    (["construct", "ap-two-tight", "--a", "1", "--b", "2"], False),
+    (["verify", "{frame}", "--check", "tight"], False),
 ], ids=("help", "errata", "constant-first-row", "mub-r4", "sparsity",
-        "verify", "pave", "two-constant-diag-13", "two-constant-diag-32"))
+        "verify", "pave", "two-constant-diag-13", "two-constant-diag-32",
+        "ap-two-tight", "verify-tight"))
 def test_cold_start_loads_numpy_only_where_needed(argv, loads_numpy,
                                                   tmp_path, capsys,
                                                   monkeypatch):

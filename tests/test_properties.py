@@ -27,7 +27,7 @@ from exactframes.radicals import (MAX_RADICAND_BITS, ZERO, RadicalScalar,
                                   _digit_limit_error, _format_terms,
                                   format_scalar, make, parse_scalar,
                                   split_radicand)
-from exactframes.verify import check_hyperplane_basis
+from exactframes.verify import check_hyperplane_basis, check_tight_frame
 from hyperplane_reference import reference_check
 from paving_reference import assert_same_result, reference_paving
 
@@ -619,6 +619,9 @@ def test_graded_entries_are_the_scan(rows, scale):
     for form in (rows, tuple(rows), columns):
         assert list(_kernel._scan(form, num, den, True)) == list(
             graded.entries(form, num, den))
+    # the columns read from the rows' split, without a transpose
+    assert list(_kernel._scan(columns, num, den, True)) == list(
+        graded.entries(_kernel.Columns(rows), num, den))
 
 
 # Squarefree radicands past 2^31, over the primes 2147483659 and
@@ -664,6 +667,92 @@ def test_graded_entries_with_wide_radicands_are_the_scan(rows, scale):
     assert gram.packs is None and gram.rads.dtype == object
     assert list(_kernel._scan(rows, num, den, True)) == list(
         graded.entries(rows, num, den))
+
+
+# pairs (a, b) with a^2 + b^2 = 1, but for the last, which misses 1 by
+# 2^-70; the cells of the third carry two terms each, and their cross
+# terms cancel only between the two cells
+UNIT_PAIRS = ((Fraction(3, 5), Fraction(4, 5)),
+              (make(Fraction(1, 2), 2), make(Fraction(1, 2), 2)),
+              (make(Fraction(1, 4), 6) + make(Fraction(1, 4), 2),
+               make(Fraction(1, 4), 6) - make(Fraction(1, 4), 2)),
+              (1, Fraction(1, 2 ** 35)))
+
+
+@st.composite
+def tight_inputs(draw):
+    """Matrices of at least as many rows as columns for the tight check.
+    Either blocks ``[[a, b], [-b, a]]`` stacked, a tight frame whenever
+    the sum of their ``a^2 + b^2`` is rational, all of unit pairs or all
+    of drawn cells, and set side by side with a copy of themselves, or at
+    most 7 x 5 drawn cells.  A drawn cell has up to three terms over
+    radicands up to and past 2^31 and coefficients past int64; up to two
+    rows are zero."""
+    pool = st.sampled_from(WIDE_RADS + GRAM_POOL)
+
+    def cell():
+        return sum((make(Fraction(draw(gram_values),
+                                  draw(st.integers(1, 12))), draw(pool))
+                    for _ in range(draw(st.integers(0, 3)))), ZERO)
+
+    if draw(st.booleans()):
+        units = draw(st.booleans())
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            a, b = (draw(st.sampled_from(UNIT_PAIRS)) if units
+                    else (cell(), cell()))
+            rows += [[a, b], [-b, a]]
+        if draw(st.booleans()):
+            rows = [row + [0, 0] for row in rows] + [[0, 0] + row
+                                                     for row in rows]
+    else:
+        width = draw(st.integers(1, 5))
+        rows = [[cell() for _ in range(width)]
+                for _ in range(draw(st.integers(width, 7)))]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[i] = [0] * len(rows[i])
+    return ExactMatrix(rows)
+
+
+def tight_reference(a) -> dict:
+    """``check_tight_frame(a).to_json_dict()`` as the columns' pair scan
+    and one ``dot_terms`` per row give it."""
+    cols = tuple(zip(*a._data))
+    k = _kernel.dot_terms(cols[0], cols[0])
+    out = {"passed": False, "property": "tight_frame"}
+    if len(k) != 1 or k[0][0] != 1 or k[0][1] <= 0:
+        out["witness"] = {"kind": "column_norm_squared", "i": 1, "j": 1,
+                          "residual": _format_terms(k)}
+        return out
+    out["k"] = _format_terms(k)
+    for i, col in enumerate(cols):
+        for j in range(i, len(cols)):
+            want = k if i == j else ()
+            got = _kernel.dot_terms(col, cols[j])
+            if got != want:
+                out["witness"] = {
+                    "kind": "column_inner_product", "i": i + 1, "j": j + 1,
+                    "residual": _format_terms(_kernel.add_terms(
+                        got, _kernel.neg_terms(want)))}
+                return out
+    out["passed"] = True
+    out["unit_rows"] = all(_kernel.dot_terms(row, row) == ((1, 1, 1),)
+                           for row in a._data)
+    return out
+
+
+@settings(FIXED, max_examples=200)
+@given(tight_inputs())
+def test_tight_check_above_the_cut_is_the_scans(m):
+    """Above the size cut, the row norms read from the rows' split are
+    ``dot_terms(row, row)``, cross terms and all, and the tight check,
+    whose column Gram reads the same split, reports what the columns'
+    pair scan and one ``dot_terms`` per row report."""
+    with mock.patch.object(_kernel, "_SCAN_BELOW", 0):
+        norms = _kernel.row_norms(m._data)
+        report = check_tight_frame(m).to_json_dict()
+    assert norms == [_kernel.dot_terms(row, row) for row in m._data]
+    assert report == tight_reference(m)
 
 
 @pytest.mark.parametrize("scale", [(1, 1), (3, 7), (-5, 2)])

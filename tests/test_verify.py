@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from exactframes import _kernel
+from exactframes import _kernel, cli, paving
 from exactframes._kernel import add_terms, dot_terms, graded, neg_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError)
 from exactframes.io import deserialize, serialize
 from exactframes.matrices import ExactMatrix, block_diag, vstack
 from exactframes.radicals import RadicalScalar, make, sqrt_rational
-from exactframes.two_tight import ap_two_tight
+from exactframes.two_tight import (ap_two_tight, make_two_row_table,
+                                   weight_in_front)
 from exactframes.unitary import constant_first_row, two_constant_diag
 from exactframes.verify import (MatrixProperty, check_equal_norm_rows,
                                 check_hyperplane_basis,
@@ -629,6 +630,44 @@ def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
     for report in got:
         assert not report["passed"]
         assert 32 <= report["witness"]["i"] - 1 < 64
+
+
+def test_tight_frames_are_taken_apart_once(monkeypatch, tmp_path, capsys):
+    """The 128 x 64 weight-in-front frame is taken apart at most once by
+    its tight check, as built (its builder hands its split over) and
+    read back from either exact format, whose column Gram and row norms
+    read the same split; ``unit_rows`` makes no ``dot_terms`` call, the
+    one call being the first column's squared norm.  ``pave`` takes a
+    file apart once for its tight report and its Gram, and so does
+    ``gram_projection``."""
+    splits, calls = [], []
+    real_split, real_dot = _kernel._split, _kernel.dot_terms
+    monkeypatch.setattr(_kernel, "_split",
+                        lambda rows: splits.append(1) or real_split(rows))
+    monkeypatch.setattr(_kernel, "dot_terms",
+                        lambda u, v: calls.append(1) or real_dot(u, v))
+    frame = weight_in_front(make_two_row_table(
+        [7, 1, 19, 4, 12, 9, 23, 2] * 4, 24))
+    assert frame.shape == (128, 64) and not _kernel._small(frame._data)
+    assert splits == []
+    texts = {fmt: serialize(frame, fmt) for fmt in ("exact-json", "csv")}
+    for again in (frame, *map(deserialize, texts.values())):
+        takes = 0 if again is frame else 1
+        splits.clear()
+        calls.clear()
+        report = check_tight_frame(again)
+        assert report.passed and report.k_value == 2 and report.unit_rows
+        assert (len(splits), len(calls)) == (takes, 1)
+        splits.clear()
+        paving.gram_projection(again, 2)
+        assert len(splits) == takes
+    for fmt, text in texts.items():
+        path = tmp_path / f"frame.{fmt}"
+        path.write_text(text)
+        splits.clear()
+        assert cli.main(["pave", str(path), "--sample", "2"]) == 0
+        assert len(splits) == 1
+    capsys.readouterr()
 
 
 def test_graded_gram_of_many_radicands_stays_small(monkeypatch):
