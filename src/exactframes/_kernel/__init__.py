@@ -12,21 +12,19 @@ only kernel module that imports numpy.  It is imported on the first
 such Gram, so a command whose Grams all stay below the cut never loads
 numpy.
 
-Rows of one radicand each are integer rows over a root and a
-denominator: :func:`int_rows` reads them so, for the integer scan, the
-graded Gram and the hyperplane check, whether the rows were built that
-way (an :class:`IntRows`) or read from a file.  :func:`int_dot` is the
-inner product of two such rows, and :func:`int_term` makes the term of
-a nonzero one, for the integer scan and the graded Gram alike.
-
-Other rows are taken apart for the graded Gram by :func:`split`: their
-distinct cells, and which of them stands at each position.  A
-:class:`TermRows` keeps its split once taken, or carries the one its
-builder made (the 2-tight families), so that one check or command takes
-a matrix apart at most once: the Gram of its rows, the Gram of its
-columns (:func:`columns`, read at or above the size cut without
-transposing the rows) and its row norms (:func:`row_norms`) all read
-the same split.
+The rows of every matrix are a :class:`TermRows`, which keeps both
+reads of itself once taken, or carries the one its builder made.  Rows
+of one radicand each are integer rows over a root and a denominator:
+:func:`int_rows` reads them so, for the integer scan, the graded Gram
+and the hyperplane check.  :func:`int_dot` is the inner product of two
+such rows, and :func:`int_term` makes the term of a nonzero one, for
+the integer scan and the graded Gram alike.  Other rows are taken apart
+for the graded Gram by :func:`split`: their distinct cells, and which
+of them stands at each position.  So a matrix is read at most once
+each way, however many checks read it: the Gram of its rows, the Gram
+of its columns (a :class:`Columns`, read at or above the size cut
+without transposing the rows) and its row norms (:func:`row_norms`) all
+read the same split.
 """
 
 from functools import cached_property
@@ -39,11 +37,11 @@ from exactframes._kernel.pycore import (add_terms, dot_terms, is_squarefree,
                                         root_terms, scale_terms,
                                         squarefree_split)
 
-__all__ = ["Columns", "IntRows", "TermRows", "add_terms", "columns",
-           "dot_terms", "gram_mismatch", "gram_terms", "int_dot",
-           "int_rows", "int_term", "is_squarefree", "matmul_terms",
-           "mul_terms", "neg_terms", "root_terms", "row_norms",
-           "scale_terms", "split", "squarefree_split"]
+__all__ = ["Columns", "TermRows", "add_terms", "dot_terms",
+           "gram_mismatch", "gram_terms", "int_dot", "int_rows", "int_term",
+           "is_squarefree", "matmul_terms", "mul_terms", "neg_terms",
+           "root_terms", "row_norms", "scale_terms", "split",
+           "squarefree_split"]
 
 # Inputs with fewer entry products n (n + 1) / 2 * width than this are
 # scanned pair by pair: as integer dot products when int_rows reads the
@@ -76,78 +74,7 @@ def _split(rows) -> tuple:
     return list(ids), at
 
 
-class TermRows(tuple):
-    """Rows of term tuples that keep their :func:`split`: the one their
-    builder set as ``split``, or else the one taken on first use.
-    Slicing, adding or rebuilding the rows gives a plain tuple, without
-    it."""
-
-    @cached_property
-    def split(self) -> tuple:
-        return _split(self)
-
-
-class IntRows(TermRows):
-    """Rows of term tuples that also carry their :func:`int_rows` as
-    ``ints = (rads, ints, dens)``, so that the rows are not read again.
-    Slicing, adding or rebuilding the rows gives a plain tuple, without
-    ``ints``."""
-
-
-def split(rows) -> tuple:
-    """``(cells, ids)``: cells of the term-tuple ``rows``, and the index
-    in ``cells`` of the cell at each position, a sequence of ints in
-    row-major order.  A :class:`TermRows` gives its own split, which
-    its builder may have made with a cell listed twice; other rows are
-    taken apart here, each cell looked up once in C and each distinct
-    cell listed once."""
-    return rows.split if isinstance(rows, TermRows) else _split(rows)
-
-
-class Columns:
-    """The columns of term-tuple rows, as the graded Gram reads them
-    (:func:`columns`): ``len``, ``[j]`` and iteration give what the
-    tuple of column tuples would give, one column at a time, and the
-    graded Gram takes them apart as the split of ``rows`` with rows and
-    columns swapped, so that the rows are not transposed."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows) -> None:
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows[0])
-
-    def __getitem__(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def __iter__(self):
-        return zip(*self.rows)
-
-
-def columns(rows):
-    """The columns of the term-tuple ``rows``, for their Gram
-    (:func:`gram_mismatch`, :func:`gram_terms`): below the size cut the
-    tuple of column tuples that the scan reads, and at or above it a
-    :class:`Columns` of the rows."""
-    if _below_cut(len(rows[0]), len(rows)):
-        return tuple(zip(*rows))
-    return Columns(rows)
-
-
-def int_rows(rows) -> tuple | None:
-    """``(rads, ints, dens)`` with row ``i`` of ``rows`` equal to
-    ``sqrt(rads[i]) * ints[i][c] / dens[i]``, ``dens[i]`` its least
-    common denominator, or None when some row carries two radicands.
-    A zero row reads as radicand 1.
-
-    An :class:`IntRows` gives its own ``ints``; any other row is read
-    once over its support, and each distinct cell of it once, up to the
-    first row of two radicands.
-    """
-    if isinstance(rows, IntRows):
-        return rows.ints
+def _int_rows(rows) -> tuple | None:
     rads, ints, dens = [], [], []
     for row in rows:
         cols = list(compress(range(len(row)), row))
@@ -166,6 +93,69 @@ def int_rows(rows) -> tuple | None:
     return rads, ints, dens
 
 
+class TermRows(tuple):
+    """The rows of a matrix, term tuples, that keep both reads of
+    themselves once taken: ``split`` (:func:`split`) and ``ints``
+    (:func:`int_rows`).  A builder may set either one.  Slicing,
+    adding, zipping or ``tuple()`` of the rows gives a plain tuple,
+    without them."""
+
+    @cached_property
+    def split(self) -> tuple:
+        return _split(self)
+
+    @cached_property
+    def ints(self) -> tuple | None:
+        return _int_rows(self)
+
+
+def split(rows) -> tuple:
+    """``(cells, ids)``: cells of the term-tuple ``rows``, and the index
+    in ``cells`` of the cell at each position, a sequence of ints in
+    row-major order.  A :class:`TermRows` gives its own split, which
+    its builder may have made with a cell listed twice; other rows are
+    taken apart here, each cell looked up once in C and each distinct
+    cell listed once."""
+    return rows.split if isinstance(rows, TermRows) else _split(rows)
+
+
+def int_rows(rows) -> tuple | None:
+    """``(rads, ints, dens)`` with row ``i`` of ``rows`` equal to
+    ``sqrt(rads[i]) * ints[i][c] / dens[i]``, ``dens[i]`` its least
+    common denominator, or None when some row carries two radicands.
+    A zero row reads as radicand 1.
+
+    A :class:`TermRows` gives its own ``ints``; other rows are read
+    here, each row once over its support and each distinct cell of it
+    once, up to the first row of two radicands.
+    """
+    return rows.ints if isinstance(rows, TermRows) else _int_rows(rows)
+
+
+class Columns:
+    """The columns of term-tuple rows, for their Gram
+    (:func:`gram_mismatch`, :func:`gram_terms`): ``len``, ``[j]`` and
+    iteration give what the tuple of column tuples would give, one
+    column at a time.  Below the size cut the Gram scans that tuple; at
+    or above it the graded Gram takes the columns apart as the split of
+    ``rows`` with rows and columns swapped, so that the rows are not
+    transposed."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __getitem__(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.rows)
+
+    def __iter__(self):
+        return zip(*self.rows)
+
+
 def int_dot(u, v) -> int:
     """The inner product of two integer rows."""
     return sum(map(mul, u, v))
@@ -182,12 +172,9 @@ def int_term(v: int, r: int, s: int, d: int) -> tuple:
     return ((r // g * (s // g), v // h, d // h),)
 
 
-def _below_cut(n: int, width: int) -> bool:
-    return n * (n + 1) // 2 * width < _SCAN_BELOW
-
-
 def _small(rows) -> bool:
-    return _below_cut(len(rows), len(rows[0]))
+    n = len(rows)
+    return n * (n + 1) // 2 * len(rows[0]) < _SCAN_BELOW
 
 
 def _scan(rows, num: int, den: int, diagonal: bool):
@@ -217,6 +204,8 @@ def _int_scan(read: tuple, num: int, den: int, diagonal: bool):
 
 def _stream(rows, num: int, den: int, diagonal: bool):
     if _small(rows):
+        if isinstance(rows, Columns):
+            rows = tuple(rows)
         read = int_rows(rows)
         if read is None:
             return _scan(rows, num, den, diagonal)

@@ -15,10 +15,10 @@ most one pair of the radicands of rows ``i`` and ``j`` lands on each
 
 Rows of one radicand ``r_i`` each, whether built (the unitary
 families) or read from a file, are read as dense integer rows ``V``
-(:func:`~exactframes._kernel.int_rows`), so their Gram is the one
-integer product ``V V^T``: entry (i, j) is ``g * (V V^T)[i, j]`` times
-``sqrt(core) / (D[i] D[j])``, with ``g`` and the core taken from
-``r_i`` and ``r_j``.  That is one pack (below) of the matrix ``V``.
+(:func:`~exactframes._kernel.int_rows`, once per matrix, which keeps
+them), so their Gram is the one integer product ``V V^T``: entry (i, j)
+is ``g * (V V^T)[i, j]`` times ``sqrt(core) / (D[i] D[j])``, with ``g``
+and the core taken from ``r_i`` and ``r_j``.  That is one pack (below) of the matrix ``V``.
 
 Else, when some row carries more than one radicand but every column carries
 one (the columns of the unitary families, as the orthogonal-columns
@@ -37,11 +37,12 @@ row's radicand and denominator 1.
 
 Other rows, where rows and columns both carry several radicands, are
 split term by term (:func:`_split_terms`), in arrays, from the rows'
-split (:func:`~exactframes._kernel.split`): their distinct cells, each
-taken apart once, and the cell at each position.  The columns of a
-:class:`~exactframes._kernel.Columns` are the same split with rows and
-columns swapped, so a column Gram neither transposes the rows nor takes
-them apart again, and :func:`norms` reads the row norms from it too.
+split (:func:`~exactframes._kernel.split`, taken once per matrix, which
+keeps it): their distinct cells, each taken apart once, and the cell at
+each position.  The columns of a :class:`~exactframes._kernel.Columns`
+are the same split with rows and columns swapped, so a column Gram
+neither transposes the rows nor takes them apart again, and
+:func:`norms` reads the row norms from it too.
 The rows ``V_r[i]`` ("expanded rows") are taken a block of rows at a
 time, sorted by radicand within the block, and multiplied a chunk at a
 time: each chunk only against the expanded rows whose columns meet its

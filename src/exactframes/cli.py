@@ -284,8 +284,7 @@ def _cmd_pave(args: argparse.Namespace, fail_usage) -> int:
         gram = matrix
     else:
         # the tight check without its unit-norm check, which pave does
-        # not print, and the Gram, from one split of the rows
-        matrix = verify._split_once(matrix)
+        # not print, and the Gram, from the rows taken apart once
         report = verify._tight_report(matrix)
         if not report.passed:
             print(json.dumps(report.to_json_dict(), sort_keys=True))

@@ -17,8 +17,8 @@ The recursion runs on lists of Python ints and builds each block size
 once.  Each row is kept as the run of values that holds its nonzero
 entries and the column where the run starts, and a basis it returns is
 built from those values alone: about ``n log2 n`` of them for the
-``n (n - 1)`` cells of ``build(n)``.  It holds its rows as an
-:class:`~exactframes._kernel.IntRows`, so that
+``n (n - 1)`` cells of ``build(n)``.  Its rows carry those integer rows
+(``ints`` of :class:`~exactframes._kernel.TermRows`), so that
 :func:`~exactframes.verify.check_hyperplane_basis` reads them as
 integers without taking the term tuples apart.
 """
@@ -94,8 +94,7 @@ def _base(n: int) -> tuple:
 def _basis(part: tuple) -> HyperplaneBasis:
     """The :class:`HyperplaneBasis` of a basis of the recursion.  Its
     ``(offset, values)`` rows go into the matrix as they are, so that
-    only their values are read; the matrix holds the integer rows as an
-    ``IntRows``."""
+    only their values are read; the matrix carries the integer rows."""
     n, rows, normal = part
     ones = [1] * len(rows)
     return HyperplaneBasis(ExactMatrix._from_int_rows(n, ones, rows, ones),

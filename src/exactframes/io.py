@@ -47,31 +47,27 @@ so every error, note and order of reading is that reader's.
 
 A read parses each distinct cell once.  Reading by entry text keeps
 every distinct entry text, as the decoder keeps the whole document.
-The memo of the whole-document reader lives for one
-:func:`deserialize` call and maps a csv cell's text, or a nonempty
-exact-json entry's ``(num, den, rad)`` triples, to the cell's terms and
-notes; a repeat takes the terms and re-emits the notes, an exact-json
-note at the repeat's own ``entries[i][j]``.  An entry is keyed only
-after each of its terms has passed every check a first sight makes
-(keys, integer fields, denominator, radicand, radicand cap, in that
-order), and a bad cell is never remembered, so errors are those of
-reading every cell afresh.  Each memo, the writer's and these readers',
-is a :class:`~exactframes.matrices._CellMemo`: it keeps each cell until
-it holds ``_MEMO_TRIAL`` cells and they are more than half of the cells
+The whole-document reader reads the entries in row-major order and
+raises at the first fault; for one :func:`deserialize` call it keeps,
+in a plain dict, each distinct entry's ``(num, den, rad)`` triples with
+the entry's terms and notes.  A repeat takes the terms and re-emits the
+notes at its own ``entries[i][j]``.  An entry is keyed only after each
+of its terms has passed every check a first sight makes (keys, integer
+fields, denominator, radicand, radicand cap, in that order), and a bad
+cell is never remembered, so errors are those of reading every cell
+afresh.  The csv reader's memo maps a cell's text to its terms and
+notes in the same way.  It and the writer's memo are each a
+:class:`~exactframes.matrices._CellMemo`: it keeps each cell until it
+holds ``_MEMO_TRIAL`` cells and they are more than half of the cells
 seen, and then nothing more for the rest of the call, so an input of
 mostly distinct cells remembers about ``_MEMO_TRIAL`` of them.
-An empty exact-json entry is zero and is not read at all: the entries
-are checked to be lists, and the nonempty ones found, in C, so a sparse
-matrix costs a step of Python per nonzero entry.  An entry that is not
-a list, or a row that is not a list of ``cols`` entries, still fails
-only after every entry before it has been read.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 from exactframes import _kernel
 from exactframes.errors import DomainError, ParseError, ResourceLimitError
@@ -231,45 +227,30 @@ def _from_json(text: str, notes: list[str] | None) -> ExactMatrix:
         raise ParseError("'rows' and 'cols' must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"'entries' must be a list of {rows} rows")
-    # The entries are read as one row-major list, cell k at entries[i][j]
-    # with (i, j) = divmod(k, cols), up to the first row that is not a
-    # list of cols entries and then up to the first entry that is not a
-    # list: each fails only after every entry before it has been read.
-    # That entry, and the nonempty entries, the only ones read, are found
-    # in C: an empty entry is zero.
-    shaped = rows
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            shaped = i
-            break
-    cells = list(chain.from_iterable(entries[:shaped]))
-    listed = len(cells) if all(map(isinstance, cells, repeat(list))) else next(
-        k for k, entry in enumerate(cells) if not isinstance(entry, list))
-    data = [()] * listed
-    splits: dict[int, tuple[int, int]] = {}
+    # The entries are read in row-major order, cell k at entries[i][j]
+    # with (i, j) = divmod(k, cols), and the first fault raises.  Every
+    # check of every term comes in the order of a first sight: a repeat
+    # is known only once its whole key has passed them.
     # entry key -> (terms, the notes the entry gave, each cut after its
     # "entries[i][j]" so that a repeat re-emits it at its own position)
-    memo = _CellMemo()
-    get, keep = memo.get, memo.keep
-    for k in compress(range(listed), cells):
-        # every check of every term, in the order of a first sight: a
-        # repeat is known only once its whole key has passed them
-        key = _entry_key(cells[k], k, cols)
-        hit = get(key)
-        if hit is None:
-            hit = _entry_value(key, notes is not None, splits)
-            memo.seen = k
-            keep(key, hit)
-        terms, tails = hit
-        if tails:
-            where = _where(k, cols)
-            notes.extend(where + tail for tail in tails)
-        data[k] = terms
-    if listed < shaped * cols:
-        raise ParseError(f"{_where(listed, cols)} must be a list of terms")
-    if shaped < rows:
-        raise ParseError(f"entries[{shaped}] must be a list of {cols} entries")
-    del cells
+    memo: dict[tuple, tuple] = {}
+    splits: dict[int, tuple[int, int]] = {}
+    data = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f"entries[{i}] must be a list of {cols} entries")
+        for k, entry in enumerate(row, i * cols):
+            if not isinstance(entry, list):
+                raise ParseError(f"{_where(k, cols)} must be a list of terms")
+            key = _entry_key(entry, k, cols)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = _entry_value(key, notes is not None, splits)
+            terms, tails = hit
+            if tails:
+                where = _where(k, cols)
+                notes.extend(where + tail for tail in tails)
+            data.append(terms)
     # json.loads keeps the last value of a duplicate key.  Every string of
     # a document read this far is a key, and no key holds a quote or a
     # brace.  Without a duplicate, each object (the top level and each

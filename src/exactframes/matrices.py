@@ -6,13 +6,13 @@ a frame is the transpose.  Matrices are immutable; all arithmetic is
 exact and ``==`` is exact entrywise equality.
 
 Internally each entry is a canonical kernel term tuple, which keeps the
-hot paths (Gram matrices, products) free of wrapper objects.  A matrix
-built from integer rows of one radicand each holds its rows as a
-:class:`~exactframes._kernel.IntRows`, which carries those integer rows
-to the graded Gram and the hyperplane check of its re-check; one built
-from a table of distinct cells holds them as a
-:class:`~exactframes._kernel.TermRows`, which carries the table as the
-split that the graded Gram reads.
+hot paths (Gram matrices, products) free of wrapper objects.  Every
+matrix holds its rows as a :class:`~exactframes._kernel.TermRows`,
+which keeps its integer rows and its split once read, so that a second
+check of the same matrix reads neither again.  A matrix built from
+integer rows of one radicand each carries those integer rows from the
+start, for the Grams and the hyperplane check of its re-check; one
+built from a table of distinct cells carries the table as its split.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class _CellMemo(dict):
     """The value of each distinct cell of one call, by its key.
     ``memo[key]`` makes a missing value with ``make`` and offers it to
     :meth:`keep`; :meth:`row` maps a row in C and adds it to ``seen``,
-    the count of cells seen.  The readers make their values inline, set
-    ``seen`` and call :meth:`keep`."""
+    the count of cells seen.  The csv reader makes its values inline,
+    sets ``seen`` and calls :meth:`keep`."""
 
     __slots__ = ("make", "seen", "full")
 
@@ -77,7 +77,7 @@ class ExactMatrix:
     __slots__ = ("_rows", "_cols", "_data")
 
     def __init__(self, rows: Iterable[Iterable[EntryLike]]) -> None:
-        data = tuple(tuple(map(_terms_of, row)) for row in rows)
+        data = _kernel.TermRows(tuple(map(_terms_of, row)) for row in rows)
         if not data:
             raise DimensionError("matrix needs at least one row")
         width = len(data[0])
@@ -91,10 +91,13 @@ class ExactMatrix:
 
     @classmethod
     def _raw(cls, rows: int, cols: int, data: tuple) -> ExactMatrix:
+        """The matrix of the term-tuple rows ``data``, kept as they are
+        when they are a :class:`~exactframes._kernel.TermRows`."""
         self = object.__new__(cls)
         self._rows = rows
         self._cols = cols
-        self._data = data
+        self._data = (data if isinstance(data, _kernel.TermRows)
+                      else _kernel.TermRows(data))
         return self
 
     @classmethod
@@ -108,13 +111,11 @@ class ExactMatrix:
         Only the values are read: the term tuple of each distinct value
         is built once, and each row is a row of zeros, ``()`` in the term
         rows and ``0`` in the integer rows, with its values put in place
-        in one slice assignment.  ``_data`` is an
-        :class:`~exactframes._kernel.IntRows` whose ``ints`` are the
+        in one slice assignment.  ``_data`` carries as its ``ints`` the
         dense integer rows, each divided by the gcd of its values and
         denominator, so that ``dens[i]`` is the least common denominator
-        of row ``i``; the graded Gram and the hyperplane check read
-        them.  Every other reader uses the term tuples, and every
-        transform builds a plain tuple, without them.
+        of row ``i``; the Grams and the hyperplane check read them.
+        Every transform builds new rows, without them.
         """
         data, int_rows, int_dens = [], [], []
         cells: dict = {}
@@ -135,7 +136,7 @@ class ExactMatrix:
             data.append(tuple(terms))
             int_rows.append(tuple(ints))
             int_dens.append(d)
-        data = _kernel.IntRows(data)
+        data = _kernel.TermRows(data)
         data.ints = (tuple(rads), tuple(int_rows), tuple(int_dens))
         return cls._raw(len(data), cols, data)
 
@@ -143,8 +144,7 @@ class ExactMatrix:
     def _from_cells(cls, cols: int, cells: list, ids: list) -> ExactMatrix:
         """The matrix with ``cols`` columns whose cell at row-major
         position ``p`` is the canonical term tuple ``cells[ids[p]]``.
-        Each row is looked up in C, and ``_data`` is a
-        :class:`~exactframes._kernel.TermRows` that carries ``(cells,
+        Each row is looked up in C, and ``_data`` carries ``(cells,
         ids)`` as its split, ``ids`` kept as machine ints, so that the
         Grams and row norms of its re-check do not take it apart."""
         # imported here, its only use, so that loading the package does

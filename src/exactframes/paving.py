@@ -54,7 +54,7 @@ from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
 from exactframes.matrices import ExactMatrix
 from exactframes.radicals import RadicalScalar
-from exactframes.verify import _split_once, _tight_report
+from exactframes.verify import _tight_report
 
 EXHAUSTIVE_LIMIT = 24
 # the most partitions one search examines, sampled or exhaustive
@@ -68,10 +68,9 @@ def gram_projection(a: ExactMatrix, k: Fraction | int) -> ExactMatrix:
     does, without its unit-norm check, and insists the certified
     constant equals ``k``; the result is then exactly idempotent and
     symmetric, with diagonal ``1/k`` on unit-norm input.  The check and
-    the Gram read one split of the rows.
+    the Gram read the rows as the matrix keeps them, taken apart once.
     """
     k = Fraction(k)
-    a = _split_once(a)
     report = _tight_report(a)
     if not report.passed:
         w = report.witness

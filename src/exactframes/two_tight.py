@@ -214,8 +214,8 @@ def iterate_two_tight(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
             f"blocks must have equal shapes, got {left.shape} and "
             f"{right.shape}")
     w = left.cols
-    cells_l, ids_l = _kernel.split(left._data)
-    cells_r, ids_r = _kernel.split(right._data)
+    cells_l, ids_l = left._data.split
+    cells_r, ids_r = right._data.split
     cells = cells_l + cells_r
     # the cells of R, -L and -R follow those of L
     r, neg = len(cells_l), len(cells)

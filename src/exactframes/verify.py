@@ -127,7 +127,7 @@ def check_unitary(a: ExactMatrix) -> VerifyReport:
 
 def check_orthogonal_columns(a: ExactMatrix) -> VerifyReport:
     """Certify that all column pairs are exactly orthogonal."""
-    witness = _gram_witness(_kernel.columns(a._data),
+    witness = _gram_witness(_kernel.Columns(a._data),
                             "column_inner_product", None)
     return VerifyReport(witness is None,
                         MatrixProperty.ORTHOGONAL_COLUMNS, witness)
@@ -156,25 +156,15 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
     The column Gram and the row norms, the diagonal of the row Gram,
     read the rows as the kernel does (:func:`_kernel.row_norms`): below
     the size cut pair by pair and row by row, and at or above it from
-    one split of the rows' terms, taken once for both (or handed over
-    by the builder of the rows), with the columns read as the split
-    with rows and columns swapped, so that nothing is transposed.
+    the rows taken apart once, as the matrix keeps them for every
+    check, with the columns read as the rows with their two axes
+    swapped, so that nothing is transposed.
     """
-    a = _split_once(a)
     report = _tight_report(a)
     if not report.passed:
         return report
     unit = all(norm == _ONE for norm in _kernel.row_norms(a._data))
     return replace(report, unit_rows=unit)
-
-
-def _split_once(a: ExactMatrix) -> ExactMatrix:
-    """``a`` with rows that keep their split once it is taken (a
-    :class:`_kernel.TermRows`), for a caller that reads its Gram, its
-    column Gram or its row norms more than once."""
-    if isinstance(a._data, _kernel.TermRows):
-        return a
-    return ExactMatrix._raw(a.rows, a.cols, _kernel.TermRows(a._data))
 
 
 def _tight_report(a: ExactMatrix) -> VerifyReport:
@@ -183,7 +173,7 @@ def _tight_report(a: ExactMatrix) -> VerifyReport:
     if a.rows < a.cols:
         raise DimensionError(
             f"a frame needs rows >= cols, got {a.shape}")
-    cols = _kernel.columns(a._data)
+    cols = _kernel.Columns(a._data)
     k_terms = _kernel.dot_terms(cols[0], cols[0])
     if len(k_terms) != 1 or k_terms[0][0] != 1 or k_terms[0][1] <= 0:
         return VerifyReport(

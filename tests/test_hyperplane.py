@@ -186,7 +186,8 @@ def test_build_is_the_reference_recursion(sizes):
         dense = tuple(map(tuple, _as_int_rows(want.matrix)))
         assert got.matrix._data.ints == (ones, dense, ones), n
         assert got.normal == want.normal, n
-        assert isinstance(got.matrix._data, _kernel.IntRows), n
+        assert type(got.matrix._data) is _kernel.TermRows, n
+        assert vars(got.matrix._data).keys() == {"ints"}, n
 
 
 @pytest.mark.parametrize("mode", (None, TopRowMode.ONES, TopRowMode.WEIGHTED))
@@ -209,7 +210,8 @@ def test_combine_is_the_reference_combine(mode):
             got = combine(h1, h2, mode)
             assert got.matrix == want.matrix
             assert got.normal == want.normal
-            assert isinstance(got.matrix._data, _kernel.IntRows)
+            assert type(got.matrix._data) is _kernel.TermRows
+            assert vars(got.matrix._data).keys() == {"ints"}
 
 
 def test_combine_rejects_non_integer_blocks():

@@ -1,6 +1,6 @@
 """Matrices built from integer rows of one radicand each: the unitary
-families build their term tuples from such rows, and their rows are an
-``IntRows``, whose graded Gram is one integer product of those rows.
+families build their term tuples from such rows, and their rows carry
+those integer rows as ``ints``, whose graded Gram is one integer product.
 Everything here is compared with a tuple-built reference
 (``unitary_reference``) and with the same rows as a plain ``tuple``,
 which the graded Gram reads into the same integer rows."""
@@ -44,9 +44,9 @@ def with_entry(m, i, j, value):
 
 
 def assert_graded_front_ends_agree(m, diag=(1, 1)):
-    """The rows as an ``IntRows`` and as a plain tuple, in the graded
-    Gram and in the pair scan, give the same mismatch and the same
-    scaled Gram."""
+    """The rows as built, with their integer rows, and as a plain tuple,
+    in the graded Gram and in the pair scan, give the same mismatch and
+    the same scaled Gram."""
     ints, split = m._data, tuple(m._data)
     with mock.patch.object(_kernel, "_SCAN_BELOW", 0):
         want = _kernel.gram_mismatch(split, diag)
@@ -64,7 +64,8 @@ def test_families_match_the_tuple_reference(family):
     build, ref = getattr(unitary, family), getattr(reference, family)
     for n in sizes(family):
         m, want = build(n), ref(n)
-        assert isinstance(m._data, _kernel.IntRows)
+        assert type(m._data) is _kernel.TermRows
+        assert vars(m._data).keys() == {"ints"}
         assert m._data == want._data
         assert m == want and hash(m) == hash(want)
         for fmt in FORMATS:
@@ -115,7 +116,10 @@ def test_the_unitary_check_reads_the_int_rows(monkeypatch):
                                                             "csv")]
         for again in (m, plain, *read):
             assert check_unitary(again).passed
-        assert all(type(again._data) is tuple for again in read)
+        # read back, the rows were read into integer rows, not split
+        assert all(type(again._data) is _kernel.TermRows
+                   and vars(again._data).keys() == {"ints"}
+                   for again in read)
     monkeypatch.setattr(_kernel, "_SCAN_BELOW", 0)
     frame = weight_in_front(make_two_row_table((7, 5, 3, 1), 8))
     with pytest.raises(AssertionError, match="split the term tuples"):
@@ -150,17 +154,47 @@ def test_small_grams_of_int_rows_make_no_term_products(monkeypatch):
     assert len(calls) == 16 * 17 // 2 + 8 * 9 // 2
 
 
-def test_transforms_leave_the_int_rows_empty():
+def count_reads(monkeypatch):
+    """The calls to ``_kernel._split`` and ``_kernel._int_rows``, the
+    two ways to read rows, as one list of their names."""
+    reads = []
+    for name in ("_split", "_int_rows"):
+        real = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name, lambda rows, name=name, real=real:
+                            reads.append(name) or real(rows))
+    return reads
+
+
+def test_transforms_leave_the_int_rows_empty(monkeypatch):
+    """Every transform, constructor and reader holds its rows as a
+    ``TermRows`` with nothing read yet; built rows carry their integer
+    rows and are read zero times by their checks, and rows read back
+    from a file are read once, however many checks take them."""
+    reads = count_reads(monkeypatch)
     m = unitary.constant_first_row(6)
-    assert isinstance(m._data, _kernel.IntRows)
+    assert type(m._data) is _kernel.TermRows
+    assert vars(m._data).keys() == {"ints"}
     rebuilt = ExactMatrix(m.row(i) for i in range(m.rows))
     for t in (m.transpose(), m.scale(2), m.reverse_rows(), m.reverse_cols(),
               m.reverse_both(), vstack(m, m), hstack(m, m),
-              block_diag([m, m]), m.normalize_rows(), rebuilt,
+              block_diag([m, m]), m.normalize_rows(), rebuilt, m @ m,
+              ExactMatrix.identity(3), deserialize(serialize(m, "csv")),
+              deserialize(serialize(m)),
               unitary.weave(unitary.WeaveCoefficients(
                   ExactMatrix.identity(2)), [m, m])):
-        assert type(t._data) is tuple
+        assert type(t._data) is _kernel.TermRows
+        assert vars(t._data) == {}
         assert all(type(row) is tuple for row in t._data)
+    # weave's column checks read the blocks' columns, which no matrix keeps
+    reads.clear()
+    built = unitary.constant_first_row(12)
+    read = deserialize(serialize(built, "csv"))
+    assert _kernel._small(read._data)
+    for again, want in ((built, []), (read, ["_int_rows"])):
+        for _ in range(2):
+            assert check_unitary(again).passed
+        assert reads == want
+        reads.clear()
 
 
 def test_raw_keeps_the_int_rows_and_still_certifies(monkeypatch):
@@ -173,15 +207,25 @@ def test_raw_keeps_the_int_rows_and_still_certifies(monkeypatch):
 
 
 def test_int_rows_survive_pickle_and_deepcopy(monkeypatch):
-    refuse_the_split(monkeypatch)
+    """Copied rows keep what their builder set, ``ints`` or ``split``,
+    and their checks read them no more than the originals."""
+    reads = count_reads(monkeypatch)
     m = unitary.two_constant_diag(128)
+    frame = weight_in_front(make_two_row_table((7, 5, 3, 1), 8))
     for rows in (pickle.loads(pickle.dumps(m._data)), copy.deepcopy(m._data),
                  pickle.loads(pickle.dumps(m))._data,
                  copy.deepcopy(m)._data):
-        assert type(rows) is _kernel.IntRows
+        assert type(rows) is _kernel.TermRows
         assert rows == m._data and hash(rows) == hash(m._data)
+        assert vars(rows).keys() == {"ints"}
         assert rows.ints == m._data.ints
         assert check_unitary(ExactMatrix._raw(128, 128, rows)).passed
+    for rows in (pickle.loads(pickle.dumps(frame._data)),
+                 copy.deepcopy(frame)._data):
+        assert type(rows) is _kernel.TermRows
+        assert vars(rows).keys() == {"split"}
+        assert rows.split == frame._data.split
+    assert reads == []
 
 
 def test_int_rows_are_kept_over_their_least_denominator():
@@ -211,8 +255,8 @@ def random_int_rows(rng, n, width):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_both_front_ends_fill_the_same_arrays(seed):
-    """An ``IntRows`` is one pack of its integer rows: int64 exactly
-    when ``top**2 * width < 2**62``, Python ints otherwise."""
+    """Built integer rows are one pack of themselves: int64 exactly when
+    ``top**2 * width < 2**62``, Python ints otherwise."""
     rng = random.Random(seed)
     for _ in range(6):
         n, width = rng.randint(1, 9), rng.randint(1, 9)

@@ -582,7 +582,7 @@ def int_rows_matrix(width, rows):
 def gram_rows(draw):
     """The rows of a matrix of at most 8 x 8, each a zero row, a copy
     of an earlier row, or new: either integer rows of one radicand each,
-    kept as an ``IntRows``, or rows of sums over the pool."""
+    that carry their integer rows, or rows of sums over the pool."""
     n, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     one_radicand = draw(st.booleans())
     rows = []
@@ -778,8 +778,9 @@ def test_int_rows_of_wide_radicands_are_the_scan(scale):
 @st.composite
 def one_radicand_rows(draw):
     """Integer rows of one radicand each, as ``gram_rows`` draws them,
-    over the pool and radicands past 2^31, kept as an ``IntRows``: each
-    a zero row (of any radicand), a copy of an earlier row, or new."""
+    over the pool and radicands past 2^31, that carry their integer
+    rows: each a zero row (of any radicand), a copy of an earlier row,
+    or new."""
     n, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     pool = st.sampled_from(GRAM_POOL + WIDE_RADS)
     rows = []
@@ -803,7 +804,7 @@ def one_radicand_rows(draw):
 def test_int_scan_is_the_scan(rows, scale, diagonal):
     """Below the size cut, rows of one radicand each take their Gram as
     integer dot products: the stream is the pair scan's, entry for
-    entry, from an ``IntRows`` and from a plain tuple of its rows, with
+    entry, from built integer rows and from a plain tuple of them, with
     and without the diagonal."""
     num, den = scale
     assert _kernel._small(rows)
@@ -816,8 +817,8 @@ def test_int_scan_is_the_scan(rows, scale, diagonal):
 @FIXED
 @given(one_radicand_rows(), st.data())
 def test_int_rows_read_from_the_term_tuples(rows, data):
-    """Read from a plain tuple of its rows, an ``IntRows`` gives the
-    integer rows it carries: the same denominators and integer rows, and
+    """Read from a plain tuple of its rows, built integer rows give the
+    integer rows they carry: the same denominators and integer rows, and
     the same radicands on the nonzero rows (a zero row reads as radicand
     1).  A row with a cell of two terms, or with two cells of different
     radicands, reads as None."""
@@ -914,7 +915,7 @@ def hyperplane_inputs(draw):
     under a signed column permutation, with at most one planted defect
     (an entry doubled, zeroed or of flipped sign, or a row zeroed), in
     one of four forms: the integer rows, the rows each scaled by a
-    rational, an ``IntRows`` of the rows each scaled by a root over a
+    rational, built integer rows each scaled by a root over a
     denominator, or the normalized rows."""
     # the smallest bases are drawn more often: a zeroed entry keeps
     # their rows orthogonal and gives a zero normal coordinate

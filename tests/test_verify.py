@@ -633,13 +633,14 @@ def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
 
 
 def test_tight_frames_are_taken_apart_once(monkeypatch, tmp_path, capsys):
-    """The 128 x 64 weight-in-front frame is taken apart at most once by
-    its tight check, as built (its builder hands its split over) and
-    read back from either exact format, whose column Gram and row norms
-    read the same split; ``unit_rows`` makes no ``dot_terms`` call, the
-    one call being the first column's squared norm.  ``pave`` takes a
-    file apart once for its tight report and its Gram, and so does
-    ``gram_projection``."""
+    """The 128 x 64 weight-in-front frame is taken apart at most once in
+    all, not once a call: as built (its builder hands its split over)
+    never, and read back from either exact format once, by its tight
+    check, whose column Gram and row norms read the same split, by
+    ``gram_projection`` and by a second tight check together;
+    ``unit_rows`` makes no ``dot_terms`` call, the one call being the
+    first column's squared norm.  ``pave`` takes a file apart once for
+    its tight report and its Gram."""
     splits, calls = [], []
     real_split, real_dot = _kernel._split, _kernel.dot_terms
     monkeypatch.setattr(_kernel, "_split",
@@ -658,8 +659,8 @@ def test_tight_frames_are_taken_apart_once(monkeypatch, tmp_path, capsys):
         report = check_tight_frame(again)
         assert report.passed and report.k_value == 2 and report.unit_rows
         assert (len(splits), len(calls)) == (takes, 1)
-        splits.clear()
         paving.gram_projection(again, 2)
+        assert check_tight_frame(again) == report
         assert len(splits) == takes
     for fmt, text in texts.items():
         path = tmp_path / f"frame.{fmt}"
