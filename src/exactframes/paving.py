@@ -32,20 +32,36 @@ above that record, which is itself at least the best value: it could
 neither lower the histogram nor tie for the best partition.  The
 histogram is a minimum and the tie-break is lexicographic on the first
 block, so neither depends on the order in which partitions are solved.
-Only computed values are compared, with no slack, so every result is the
-same to the bit as solving both blocks of every partition, on any
-symmetric input.  On a projection the larger block of an unbalanced
-partition has norm 1, and its computed norm, 1 give or take a rounding,
-mostly lies above the record, so about one block a partition is solved.
-On the Gram projections of weight-in-front frames the search makes one
-``eigvalsh`` call per 160 partitions on 16 rows and per 90 on 24, and a
-partition costs about 6.3 us on 16 rows and 12 us on 24, sampled or
-exhaustive (process time, numpy 2.4, one core of a 2-CPU Xeon), most of
-it in LAPACK, so the exhaustive search of 24 rows takes about 100 s.
+
+A balance that holds a record from an earlier chunk also skips larger
+blocks unsolved.  The spectral norm of a block of ``B = 2G - I`` is at
+least its largest column 2-norm, and a block is given the value inf
+when that column norm, less ``_MARGIN`` (2^-30) of it, is above the
+record.  The margin covers the rounding of the column norm and LAPACK's
+error bound on the computed norm, so a skipped block's computed norm is
+above the record as well.  The bound is taken only where the record,
+plus the margin, is below the widest column norm of ``B``, and not at
+all where a square of ``B`` leaves the normal float64 range.  So every
+result is the same to the bit as solving both blocks of every
+partition, on any symmetric input.
+
+On a projection ``B`` is a reflection, each of its columns has norm 1,
+and at half rank the larger block of every unbalanced partition has
+norm 1: its computed norm, 1 give or take a rounding, mostly lies above
+the record, so about one block a partition is solved, and only the
+balanced partitions take the bound.  On the Gram projections of
+weight-in-front frames their record is 0 from the first chunk on, and
+on 16 rows the search solves 389 blocks of 8 rows for its 6,435
+balanced partitions.  It makes one ``eigvalsh`` call per 167 partitions on 16
+rows and per 94-110 on 24, and a partition costs about 4.0 us on 16
+rows, 6.6 us on 24 sampled and 6.9 us on 24 exhaustive (process time,
+numpy 2.4, one core of a 2-CPU Xeon), most of it in LAPACK, so the
+exhaustive search of 24 rows takes about 58 s.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,6 +165,26 @@ class PavingResult:
 # were not measurably faster on 16 rows or on 32 rows sampled.
 _CHUNK_ENTRIES = 1 << 15
 
+# The relative margin of the column-norm bound.  A block is skipped
+# only when its largest column norm, less this share, is above the
+# record.  The spectral norm is at least every column norm; LAPACK
+# computes it within p(k)·ε of itself (LAPACK Users' Guide, 3rd ed.,
+# §4.7), and the column norm is computed within about k·ε of itself, for
+# ε = 2⁻⁵³ and blocks of k rows.  2⁻³⁰ = 2²³·ε covers both with p(k) as
+# large as k², for blocks of up to 2,048 rows, twice the CLI's
+# MAX_DIMENSION.
+_MARGIN = 2.0 ** -30
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: an int or a numpy integer, not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
 
 def paving_epsilon(g: ExactMatrix, sample: int | None = None,
                    seed: int = 0) -> PavingResult:
@@ -158,9 +194,11 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     block, including the trivial one) when the size is at most
     EXHAUSTIVE_LIMIT; otherwise ``sample`` random partitions, at most
     SAMPLE_LIMIT, must be requested (seeded, reproducible; ``seed`` must
-    be >= 0, and the exhaustive search ignores it).  Ties on
-    the value are broken toward the lexicographically smallest first
-    block, making the result deterministic.
+    be >= 0, and the exhaustive search ignores it).  ``sample`` and a
+    sampled search's ``seed`` are an int or a numpy integer; a bool or
+    any other value raises DomainError.  Ties on the value are broken
+    toward the lexicographically smallest first block, making the result
+    deterministic.
     """
     if not g.is_square:
         raise DimensionError(f"paving needs a square matrix, got {g.shape}")
@@ -172,6 +210,8 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
             f"{m} indices give 2^{m - 1} partitions, beyond the "
             f"exhaustive cap of {EXHAUSTIVE_LIMIT}; pass sample= to "
             "search a seeded random subset")
+    if sample is not None:
+        sample, seed = _integer("sample", sample), _integer("seed", seed)
     if sample is not None and sample < 1:
         raise DomainError(f"sample must be >= 1, got {sample}")
     if sample is not None and sample > SAMPLE_LIMIT:
@@ -187,11 +227,25 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     if not np.isfinite(base).all():
         raise DomainError("an entry of 2G - I overflows a float64")
 
-    def norms(sets, k):
+    def norms(sets, k, record=None):
         """Spectral norm of ``base`` compressed to each row's member set
         of the boolean ``sets``, every one of ``k`` members: one
         ``eigvalsh`` call per ``(rows, k, k)`` stack of at most
-        ``_CHUNK_ENTRIES`` entries."""
+        ``_CHUNK_ENTRIES`` entries.  With a ``record``, a block whose
+        largest column norm, less ``_MARGIN`` of it, is above the record
+        is given ``inf``, unsolved: its computed norm is above the
+        record too."""
+        if record is not None:
+            # the squared column norms of every block at once, from the
+            # squares of ``base``: no block is gathered to be skipped.
+            # einsum, not ``@``: a product through BLAS touches its
+            # buffers, about 0.5 MiB more peak RSS on the benchmark
+            sums = np.einsum("ij,jk->ik", sets.astype(float), squares)
+            columns = np.where(sets, sums, 0.0).max(axis=1)
+            solve = np.sqrt(columns) * (1 - _MARGIN) <= record
+            out = np.full(len(sets), np.inf)
+            out[solve] = norms(sets[solve], k)
+            return out
         out = np.empty(len(sets))
         step = max(1, _CHUNK_ENTRIES // (k * k))
         for lo in range(0, len(sets), step):
@@ -220,9 +274,25 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
         examined = sample
         exhaustive = False
 
+    # The widest column norm of ``base``: no column norm of a block, and
+    # so no bound, exceeds it.  The bound is taken only where every
+    # nonzero square is a normal float64 and no column's sum of squares
+    # comes near overflow, so that no block's sum overflows or underflows
+    # and each bound is within its rounding of the true column norm.
+    # Else, and in a search of one chunk, which has no record from an
+    # earlier chunk, ``widest`` is 0 and no bound is taken.
+    chunk = max(1, _CHUNK_ENTRIES // m)
+    widest, squares = 0.0, None
+    if examined > chunk:
+        with np.errstate(over="ignore"):
+            squares = base * base
+        widest = float(np.sqrt(squares.sum(axis=0).max()))
+        if not (widest < 2.0 ** 500 and np.all(
+                (squares >= np.finfo(float).tiny) | (base == 0))):
+            widest = 0.0
+
     best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
     hist: dict[int, float] = {}
-    chunk = max(1, _CHUNK_ENTRIES // m)
     for lo in range(0, examined, chunk):
         hi = min(lo + chunk, examined)
         if words is None:
@@ -246,7 +316,13 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
         for b in np.flatnonzero(np.bincount(balance)).tolist():
             rows = np.flatnonzero(balance == b)
             larger = member[rows] ^ flip[rows, None]
-            top = norms(larger, m - b)
+            # a balance with a record from an earlier chunk skips the
+            # larger blocks whose column norms lie above it, where the
+            # record lies below the widest column norm, which bounds
+            # them all
+            record = hist.get(b, np.inf)
+            top = norms(larger, m - b,
+                        record if record * (1 + _MARGIN) < widest else None)
             v[rows] = top
             # then the smaller blocks, in the order of the larger norms
             # and in batches of growing size, while the larger norm is
@@ -254,7 +330,6 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
             # norm tied with its first, which the record cannot fall
             # below: every value left is at least that norm.  A balance
             # of 0 has an empty smaller block, of norm 0.0.
-            record = hist.get(b, np.inf)
             order = np.argsort(top)
             ranked = top[order]
             done, step = 0, 1

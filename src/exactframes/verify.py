@@ -158,7 +158,9 @@ def check_tight_frame(a: ExactMatrix) -> VerifyReport:
     the size cut pair by pair and row by row, and at or above it from
     the rows taken apart once, as the matrix keeps them for every
     check, with the columns read as the rows with their two axes
-    swapped, so that nothing is transposed.
+    swapped, so that nothing is transposed.  A square matrix is proven
+    on its row Gram, against the ``k`` of column 1, and its column Gram
+    is built only to name a failing input's witness.
     """
     report = _tight_report(a)
     if not report.passed:
@@ -180,6 +182,11 @@ def _tight_report(a: ExactMatrix) -> VerifyReport:
             False, MatrixProperty.TIGHT_FRAME,
             Witness("column_norm_squared", 1, 1, _format_terms(k_terms)))
     k = Fraction(k_terms[0][1], k_terms[0][2])
+    # a real square A with A A^T = k I, k > 0, is invertible, and then
+    # A^T A = A^-1 (A A^T) A = k I: the row Gram proves it, and the
+    # column Gram is built only to name a failing input's witness
+    if a.is_square and _kernel.gram_mismatch(a._data, k_terms[0][1:]) is None:
+        return VerifyReport(True, MatrixProperty.TIGHT_FRAME, k_value=k)
     witness = _gram_witness(cols, "column_inner_product", k_terms)
     return VerifyReport(witness is None, MatrixProperty.TIGHT_FRAME, witness,
                         k_value=k)

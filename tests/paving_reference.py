@@ -3,8 +3,11 @@ with masks as Python ints and two ``eigvalsh`` calls per partition.
 The batched and pruned search of ``paving.paving_epsilon`` must agree
 with it bit for bit."""
 
+from fractions import Fraction
+
 import numpy as np
 
+from exactframes.matrices import ExactMatrix
 from exactframes.paving import PavingResult
 
 
@@ -58,3 +61,13 @@ def assert_same_result(got, want):
     assert got.best_value.hex() == want.best_value.hex()
     assert ({b: v.hex() for b, v in got.per_size_histogram.items()}
             == {b: v.hex() for b, v in want.per_size_histogram.items()})
+
+
+def reflected(v, frame):
+    """``H A`` for the Householder reflection ``H = I - 2 v v^T / |v|^2``
+    of an integer vector ``v``: a frame as tight as ``A``, whose Gram
+    projection ``H G H`` mixes the rows that ``v`` meets."""
+    s = sum(x * x for x in v)
+    h = ExactMatrix([[int(i == j) - Fraction(2 * x * y, s)
+                      for j, y in enumerate(v)] for i, x in enumerate(v)])
+    return h @ frame

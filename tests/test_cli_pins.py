@@ -15,9 +15,11 @@ import pytest
 from exactframes.cli import main as cli_main
 from exactframes.hyperplane import build
 from exactframes.io import FORMATS, serialize
+from exactframes.paving import scaled_gram
 from exactframes.two_tight import (ap_two_tight, make_two_row_table,
                                    weight_in_front)
 from exactframes.unitary import mub_r4
+from paving_reference import reflected
 
 INPUTS = {
     "swap.csv": "0,1\n1,0\n",
@@ -38,6 +40,14 @@ INPUTS = {
         make_two_row_table((7, 5, 3, 1), 8))),
     "wif11642.json": serialize(weight_in_front(
         make_two_row_table((11, 6, 4, 2), 13))),
+    # half-rank projections whose best balanced 2-paving lies strictly
+    # between 0 and 1 (about 0.44 and 0.34): a frame, and a Gram
+    "wif7531h.json": serialize(reflected(
+        [1, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0],
+        weight_in_front(make_two_row_table((7, 5, 3, 1), 8)))),
+    "wif11642h-gram.json": serialize(scaled_gram(reflected(
+        [0, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1],
+        weight_in_front(make_two_row_table((11, 6, 4, 2), 13))), 2)),
 }
 
 CONSTRUCT = {
@@ -155,6 +165,12 @@ RUNS = {
     "pave 16 rows": (["pave", "wif7531.json"], 0, "3c343e295c174f02"),
     "pave 16 rows uneven": (
         ["pave", "wif11642.json"], 0, "f94dee7f6ebc8abd"),
+    # their balanced record, strictly between 0 and 1, carries from one
+    # chunk of partitions to the next
+    "pave 16 rows reflected": (["pave", "wif7531h.json"], 0,
+                               "2f21a7e6b4fcf62a"),
+    "pave 16 rows gram": (["pave", "wif11642h-gram.json", "--gram"], 0,
+                          "0a1bbfe5c0e57f77"),
     "pave not tight": (["pave", "bad.csv"], 1, "dfb75cfe22714725"),
     "errata": (["errata"], 0, "b10c199b19d3a9c5"),
 }

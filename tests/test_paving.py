@@ -1,16 +1,19 @@
 """Tests for the 2-paving analyzer: exact Gram projections, weight
 profiles, and the deterministic partition search."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exactframes import _kernel, paving
+from exactframes import _kernel, cli, paving
 from exactframes._kernel import dot_terms, scale_terms
 from exactframes.errors import (DimensionError, DomainError,
                                 PreconditionError, ResourceLimitError)
+from exactframes.io import serialize
 from exactframes.matrices import ExactMatrix, block_diag
 from exactframes.paving import (EXHAUSTIVE_LIMIT, SAMPLE_LIMIT,
                                 gram_projection, paving_epsilon,
@@ -19,7 +22,8 @@ from exactframes.radicals import RadicalScalar, make, sqrt_rational
 from exactframes.two_tight import ap_two_tight, make_two_row_table, \
     weight_in_front
 from exactframes.unitary import constant_first_row
-from paving_reference import assert_same_result, reference_paving
+from paving_reference import (assert_same_result, reference_paving,
+                              reflected)
 
 
 def test_gram_projection_of_two_tight_frame():
@@ -245,6 +249,27 @@ def test_paving_rejects_bad_sample_counts():
         paving_epsilon(g, sample=0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sample": True}, "sample"),
+    ({"sample": 2.5}, "sample"),
+    ({"sample": "3"}, "sample"),
+    ({"sample": 3, "seed": 2.5}, "seed"),
+    ({"sample": 3, "seed": False}, "seed"),
+    ({"sample": np.True_}, "sample"),
+])
+def test_paving_refuses_arguments_that_are_not_integers(kwargs, name):
+    g = gram_projection(ap_two_tight(1, 2), 2)
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        paving_epsilon(g, **kwargs)
+
+
+def test_paving_takes_numpy_integers():
+    g = gram_projection(ap_two_tight(1, 2), 2)
+    got = paving_epsilon(g, sample=np.int64(5), seed=np.uint8(3))
+    assert got == paving_epsilon(g, sample=5, seed=3)
+    assert type(got.partitions_examined) is int
+
+
 def test_paving_rejects_negative_seeds_only_when_sampling():
     g = gram_projection(ap_two_tight(1, 2), 2)
     with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
@@ -338,10 +363,9 @@ def test_pruned_search_keeps_exact_ties_in_small_chunks(g, sample,
     test_batched_search_matches_reference_on_exact_ties(g, sample)
 
 
-def _twelve_row_projection():
-    """The Gram projection of a 12x6 unit-norm 2-tight frame: a
-    weight-in-front frame and a 4x2 frame on the diagonal, its rows
-    permuted and some negated."""
+def _twelve_row_frame():
+    """A 12x6 unit-norm 2-tight frame: a weight-in-front frame and a
+    4x2 frame on the diagonal, its rows permuted and some negated."""
     s = sqrt_rational(Fraction(1, 2))
     frame = block_diag([weight_in_front(make_two_row_table((5, 2), 6)),
                         ExactMatrix([[1, 0], [0, 1], [s, s], [s, -s]])])
@@ -350,7 +374,12 @@ def _twelve_row_projection():
     rng.shuffle(order)
     rows = [[-x for x in frame.row(i)] if rng.random() < 0.5
             else frame.row(i) for i in order]
-    return gram_projection(ExactMatrix(rows), 2)
+    return ExactMatrix(rows)
+
+
+def _twelve_row_projection():
+    """The Gram projection of :func:`_twelve_row_frame`."""
+    return gram_projection(_twelve_row_frame(), 2)
 
 
 @pytest.mark.parametrize("chunked", (False, True), ids=["default", "small"])
@@ -383,3 +412,114 @@ def test_pruning_solves_about_one_block_per_partition(monkeypatch):
     assert result.partitions_examined == 2048
     assert sum(solved) < 1.05 * result.partitions_examined
     assert len(solved) < 40
+
+
+def _profile(monkeypatch):
+    """The sizes of the blocks the search solves, one entry a block."""
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(blocks):
+        solved.extend([blocks.shape[-1]] * len(blocks))
+        return real(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return solved
+
+
+def test_column_norm_bound_prunes_balanced_blocks(monkeypatch):
+    # 16 rows are 16 chunks of 2,048 partitions.  From the second chunk
+    # on, the balanced record is 0 and every balanced partition whose
+    # larger block has a column norm above it is given inf, unsolved:
+    # about 6,464 blocks of 8 rows become a few hundred.  The other
+    # balances' records lie near 1, above the widest column norm less
+    # the margin, and take no bound.
+    g = gram_projection(weight_in_front(make_two_row_table((7, 5, 3, 1),
+                                                           8)), 2)
+    solved = _profile(monkeypatch)
+    result = paving_epsilon(g)
+    assert result.per_size_histogram[8] < 1e-15
+    assert solved.count(8) < 500
+    assert len(solved) < 0.85 * result.partitions_examined
+
+
+def _reflected_projection():
+    """The Gram projection of a reflection of :func:`_twelve_row_frame`,
+    whose best balanced 2-paving lies strictly between 0 and 1."""
+    return gram_projection(reflected([1, 2, 0, 0, 0, 1, 2, 0, 0, 0, -1, 1],
+                                     _twelve_row_frame()), 2)
+
+
+def _reflection_sum(rng, pairs):
+    """``G = (I + B) / 2`` for ``B`` a direct sum of 2x2 reflections
+    ``c [[a, b], [b, -a]]`` with ``a^2 + b^2 = 1``, rows shuffled: equal
+    values abound, and a block holding one whole reflection has its
+    spectral norm ``c`` equal to a column norm, which the floats put a
+    rounding to either side."""
+    m = 2 * pairs
+    b = [[Fraction(0)] * m for _ in range(m)]
+    order = list(range(m))
+    rng.shuffle(order)
+    for p in range(pairs):
+        i, j = order[2 * p], order[2 * p + 1]
+        c = rng.choice((Fraction(1), Fraction(1, 2), Fraction(1, 2),
+                        Fraction(3, 4)))
+        x, y = rng.choice(((3, 4), (5, 12), (8, 15), (20, 21)))
+        r = Fraction(1, math.isqrt(x * x + y * y))
+        b[i][i], b[j][j] = c * x * r, -c * x * r
+        b[i][j] = b[j][i] = c * y * r
+    return ExactMatrix([[(int(i == j) + b[i][j]) / 2 for j in range(m)]
+                        for i in range(m)])
+
+
+def test_bound_prunes_a_reflected_projection_bit_for_bit(small_chunks):
+    # a balanced record of about 0.82 carries across 410 chunks
+    g = _reflected_projection()
+    assert_same_result(paving_epsilon(g), reference_paving(g))
+
+
+def test_bound_prunes_a_sixteen_row_reflection_bit_for_bit(monkeypatch):
+    # the 16 chunks carry a balanced record of about 0.44
+    g = gram_projection(reflected(
+        [1, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0],
+        weight_in_front(make_two_row_table((7, 5, 3, 1), 8))), 2)
+    solved = _profile(monkeypatch)
+    result = paving_epsilon(g)
+    monkeypatch.undo()
+    assert 0.4 < result.per_size_histogram[8] < 0.5
+    assert solved.count(8) < 0.5 * 6435
+    assert_same_result(result, reference_paving(g))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bound_keeps_ties_of_reflection_sums(seed, small_chunks):
+    # a whole reflection in a block puts the block's bound within a few
+    # roundings of its norm, and so of a record that other partitions
+    # tie: the margin keeps such a block from being skipped, which on
+    # some of these seeds would move the tie-break
+    rng = random.Random(900 + seed)
+    g = _reflection_sum(rng, rng.choice((4, 5, 6)))
+    assert_same_result(paving_epsilon(g), reference_paving(g))
+
+
+@pytest.mark.parametrize("scale", (10 ** 200, Fraction(1, 10 ** 160)),
+                         ids=["overflow", "underflow"])
+def test_bound_is_off_where_squares_leave_the_float_range(
+        scale, small_chunks, monkeypatch, tmp_path, capsys):
+    # 2G - I scaled to entries near 1e200 squares past the float64
+    # range, and to entries near 1e-160 below its normal numbers: the
+    # search takes no bound and solves the larger block of every
+    # partition, as pave --gram reads such a matrix
+    g = _reflection_sum(random.Random(77), 5)
+    big = ExactMatrix([[(int(i == j) + scale * (
+        2 * g.entry(i, j).as_fraction() - int(i == j))) / 2
+        for j in range(g.cols)] for i in range(g.rows)])
+    path = tmp_path / "big.json"
+    path.write_text(serialize(big))
+    solved = _profile(monkeypatch)
+    assert cli.main(["pave", str(path), "--gram"]) == 0
+    monkeypatch.undo()
+    want = reference_paving(big)
+    assert capsys.readouterr().out == json.dumps(want.to_json_dict(),
+                                                 sort_keys=True) + "\n"
+    assert len(solved) >= want.partitions_examined

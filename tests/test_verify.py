@@ -602,7 +602,9 @@ def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
     """The columns of constant_first_row(128) read back from a file carry
     one radicand each and about 120 denominators per row: their Gram is
     made of int64 products only, for orthogonal columns and for the
-    tight frame, and a doubled entry gives the pair scan's witness."""
+    witness of a failing tight check, and a doubled entry gives the pair
+    scan's witness.  A square tight check is proven on the row Gram, one
+    pack, and builds the columns' Gram only when that fails."""
     m = deserialize(serialize(constant_first_row(128)))
     built = []
 
@@ -615,21 +617,57 @@ def test_column_gram_of_a_read_back_unitary_stays_in_int64(monkeypatch):
     assert check_orthogonal_columns(m).passed
     tight = check_tight_frame(m)
     assert tight.passed and tight.k_value == 1 and tight.unit_rows
-    assert len(built) == 2
-    for g in built:
-        assert len(g.packs) > 1
-        assert all(a.dtype == graded.np.int64
-                   for left, right, _ in g.packs for a in (left, right))
+    assert [len(g.packs) > 1 for g in built] == [True, False]
     # column 90's products with the columns of block 1 (rows 32-63 of
     # the column Gram) change
     bad = with_doubled_entry(m, 40, 90)
     checks = (check_orthogonal_columns, check_tight_frame)
     got = [check(bad).to_json_dict() for check in checks]
+    assert [len(g.packs) > 1 for g in built] == [True, False, True, False,
+                                                 True]
+    for g in built:
+        assert all(a.dtype == graded.np.int64
+                   for left, right, _ in g.packs for a in (left, right))
     monkeypatch.setattr(_kernel, "_SCAN_BELOW", 128 ** 3)
     assert got == [check(bad).to_json_dict() for check in checks]
     for report in got:
         assert not report["passed"]
         assert 32 <= report["witness"]["i"] - 1 < 64
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_square_tight_check_matches_the_column_gram(seed, gram_path,
+                                                   monkeypatch):
+    """A square tight check is proven on the row Gram and reads the
+    column Gram only to name a failure's witness: its reports are the
+    column scan's on tight, scaled-orthogonal and defective inputs, and
+    a passing one never reads the columns' Gram."""
+    rng = random.Random(300 + seed)
+    grams = []
+    real = _kernel.gram_mismatch
+    monkeypatch.setattr(
+        _kernel, "gram_mismatch",
+        lambda rows, diag: grams.append(type(rows)) or real(rows, diag))
+    for _ in range(3):
+        u = random_unitary(rng)
+        n = u.rows
+        c = rng.choice((make(1, 2), RadicalScalar(3), make(Fraction(1, 3), 6)))
+        tight = u.scale(c)
+        # rows and columns of several squared norms: A A^T and A^T A are
+        # diagonal, and not k I
+        scaled = ExactMatrix([[u.entry(i, j) * (j + 1) for j in range(n)]
+                              for i in range(n)])
+        rows = ExactMatrix([[u.entry(i, j) * (i + 1) for j in range(n)]
+                            for i in range(n)])
+        for base in (tight, scaled, rows):
+            for a in defects(base, rng):
+                grams.clear()
+                report = check_tight_frame(a).to_json_dict()
+                assert report == reference_report(a, "tight_frame")
+                if report["passed"]:
+                    assert _kernel.Columns not in grams
+                elif "k" in report:
+                    assert grams[-1] is _kernel.Columns
 
 
 def test_tight_frames_are_taken_apart_once(monkeypatch, tmp_path, capsys):
