@@ -33,30 +33,45 @@ neither lower the histogram nor tie for the best partition.  The
 histogram is a minimum and the tie-break is lexicographic on the first
 block, so neither depends on the order in which partitions are solved.
 
-A balance that holds a record from an earlier chunk also skips larger
-blocks unsolved.  The spectral norm of a block of ``B = 2G - I`` is at
-least its largest column 2-norm, and a block is given the value inf
-when that column norm, less ``_MARGIN`` (2^-30) of it, is above the
-record.  The margin covers the rounding of the column norm and LAPACK's
-error bound on the computed norm, so a skipped block's computed norm is
-above the record as well.  The bound is taken only where the record,
-plus the margin, is below the widest column norm of ``B``, and not at
-all where a square of ``B`` leaves the normal float64 range.  So every
-result is the same to the bit as solving both blocks of every
-partition, on any symmetric input.
+A balance that holds a record from an earlier chunk of its worker (see
+below) also skips larger blocks unsolved.  The spectral norm of a block
+of ``B = 2G - I`` is at least its largest column 2-norm, and a block is
+given the value inf when that column norm, less ``_MARGIN`` (2^-30) of
+it, is above the record.  The margin covers the rounding of the column
+norm and LAPACK's error bound on the computed norm, so a skipped
+block's computed norm is above the record as well.  The bound is taken
+only where the record, plus the margin, is below the widest column norm
+of ``B``, and not at all where a square of ``B`` leaves the normal
+float64 range.  So every result is the same to the bit as solving both
+blocks of every partition, on any symmetric input.
+
+A search of two or more chunks is spread over the CPUs the process may
+use, one worker a CPU and at most one a chunk.  The caller searches
+chunks 0, W, 2W, ... and W - 1 forked children the others, each from
+the caller's arrays and with records of its own, and a child sends its
+histogram and best partition back through a pipe.  A record decides
+only which blocks are solved, never a value: each balance's least value
+and the least (value, first block) over the workers are those of one
+search of every chunk in turn, and the histogram's keys are put in the
+order that search meets them.  So every output is the same to the bit
+on one CPU or several.  Where ``os.fork`` or ``os.sched_getaffinity``
+is missing, one CPU is usable, or the search is one chunk (every 8-row
+search, and a sample of a few partitions), it runs in process.
 
 On a projection ``B`` is a reflection, each of its columns has norm 1,
 and at half rank the larger block of every unbalanced partition has
 norm 1: its computed norm, 1 give or take a rounding, mostly lies above
 the record, so about one block a partition is solved, and only the
 balanced partitions take the bound.  On the Gram projections of
-weight-in-front frames their record is 0 from the first chunk on, and
-on 16 rows the search solves 389 blocks of 8 rows for its 6,435
-balanced partitions.  It makes one ``eigvalsh`` call per 167 partitions on 16
-rows and per 94-110 on 24, and a partition costs about 4.0 us on 16
-rows, 6.6 us on 24 sampled and 6.9 us on 24 exhaustive (process time,
-numpy 2.4, one core of a 2-CPU Xeon), most of it in LAPACK, so the
-exhaustive search of 24 rows takes about 58 s.
+weight-in-front frames their record is 0 from a worker's first chunk
+on: on 16 rows the search in process solves 389 blocks of 8 rows for
+its 6,435 balanced partitions, 330 of them in its first chunk, and each
+worker solves all of its own first chunk's.  In process the search makes one ``eigvalsh`` call
+per 167 partitions on 16 rows and per 94-110 on 24, and a partition
+costs about 3.8 us on 16 rows and 6 us on 24 sampled (process time,
+numpy 2.4, one core of a 2-CPU Xeon), most of it in LAPACK.  On both
+CPUs the exhaustive search of 24 rows took 32.5-36.6 s, against 70-79 s
+in process (wall time, two runs each).
 """
 
 from __future__ import annotations
@@ -186,6 +201,81 @@ def _integer(name: str, value) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _spread(search, chunks: int) -> list:
+    """The results of ``search(share, workers)`` for every share of the
+    chunks, one share per usable CPU, at most one per chunk.
+
+    The caller searches share 0 and one forked child each other share,
+    so every child starts from the caller's arrays; fork is only where
+    ``os.fork`` and ``os.sched_getaffinity`` exist and two or more CPUs
+    are usable, and else the one share is searched in process.  A child
+    writes nothing but its marshalled result to its pipe and leaves
+    through ``os._exit``; a share whose child fails, or could not be
+    forked, is searched again by the caller, and every child is reaped,
+    killed first where the caller is unwinding, before this returns.
+    """
+    import os
+    workers = 1
+    if chunks > 1 and hasattr(os, "fork") and hasattr(
+            os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), chunks)
+    if workers == 1:
+        return [search(0, 1)]
+    import marshal
+    import signal
+    import warnings
+
+    children = []
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on forking a process with
+                    # threads, as numpy's OpenBLAS threads are; OpenBLAS
+                    # stops them for a fork itself, and a child runs
+                    # numpy alone
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                children.append((share, None, None))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(search(share, workers)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((share, pid, open(read, "rb")))
+        results = [search(0, workers)]
+        while children:
+            share, pid, pipe = children[0]
+            data = status = None
+            if pid is not None:
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            results.append(marshal.loads(data) if status == 0 and data
+                           else search(share, workers))
+        return results
+    finally:
+        for _, pid, pipe in children:
+            if pid is not None:
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
 def paving_epsilon(g: ExactMatrix, sample: int | None = None,
                    seed: int = 0) -> PavingResult:
     """Search 2-pavings of a symmetric matrix ``G``.
@@ -198,7 +288,9 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     sampled search's ``seed`` are an int or a numpy integer; a bool or
     any other value raises DomainError.  Ties on the value are broken
     toward the lexicographically smallest first block, making the result
-    deterministic.
+    deterministic.  A search of several chunks forks a child for each
+    further usable CPU and reaps them all before it returns; the result
+    is the same to the bit on any number of CPUs.
     """
     if not g.is_square:
         raise DimensionError(f"paving needs a square matrix, got {g.shape}")
@@ -250,7 +342,10 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
         step = max(1, _CHUNK_ENTRIES // (k * k))
         for lo in range(0, len(sets), step):
             idx = np.nonzero(sets[lo:lo + step])[1].reshape(-1, k)
-            blocks = base[idx[:, :, None], idx[:, None, :]]
+            # one take by flat index: 1.6-1.9 times as fast as indexing
+            # with two broadcast index arrays, for an index as large as
+            # the stack
+            blocks = base.ravel().take(idx[:, :, None] * m + idx[:, None, :])
             # eigvalsh returns each block's eigenvalues in ascending
             # order: the norm is the larger magnitude of the two ends,
             # and abs of both keeps a zero at +0.0
@@ -282,8 +377,9 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
     # Else, and in a search of one chunk, which has no record from an
     # earlier chunk, ``widest`` is 0 and no bound is taken.
     chunk = max(1, _CHUNK_ENTRIES // m)
+    chunks = -(-examined // chunk)
     widest, squares = 0.0, None
-    if examined > chunk:
+    if chunks > 1:
         with np.errstate(over="ignore"):
             squares = base * base
         widest = float(np.sqrt(squares.sum(axis=0).max()))
@@ -291,67 +387,94 @@ def paving_epsilon(g: ExactMatrix, sample: int | None = None,
                 (squares >= np.finfo(float).tiny) | (base == 0))):
             widest = 0.0
 
-    best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
+    def search(share, workers):
+        """The records of chunks ``share``, ``share + workers``, ...:
+        each balance's least value, the first of those chunks that holds
+        the balance, and the least ``(value, first block, second
+        block)``.  Each balance's record prunes only these chunks."""
+        best = None
+        hist: dict[int, float] = {}
+        born: dict[int, int] = {}
+        for c in range(share, chunks, workers):
+            lo = c * chunk
+            hi = min(lo + chunk, examined)
+            if words is None:
+                block = np.arange(lo, hi, dtype=np.uint64)[:, None]
+            else:
+                block = words[lo:hi]
+            # one row per mask: index 0 is always in the first block, and
+            # index i > 0 is when bit i - 1 of the mask is set
+            member = np.ones((hi - lo, m), dtype=bool)
+            member[:, 1:] = np.unpackbits(
+                block.astype("<u8", copy=False).view(np.uint8), axis=1,
+                count=bits, bitorder="little")
+            size = member.sum(axis=1)
+            balance = np.minimum(size, m - size)
+            # the larger block is the second one where the first is
+            # smaller, and the first where the two are of a size
+            flip = size < m - size
+            v = np.empty(hi - lo)
+            # np.bincount, not np.unique: the first np.unique call of a
+            # process raises its peak memory by about 1.3 MiB (numpy 2.4)
+            for b in np.flatnonzero(np.bincount(balance)).tolist():
+                rows = np.flatnonzero(balance == b)
+                larger = member[rows] ^ flip[rows, None]
+                # a balance with a record from an earlier chunk of this
+                # share skips the larger blocks whose column norms lie
+                # above it, where the record lies below the widest column
+                # norm, which bounds them all
+                record = hist.get(b, np.inf)
+                top = norms(larger, m - b,
+                            record if record * (1 + _MARGIN) < widest
+                            else None)
+                v[rows] = top
+                # then the smaller blocks, in the order of the larger
+                # norms and in batches of growing size, while the larger
+                # norm is at most the balance's record.  A batch takes
+                # every larger norm tied with its first, which the record
+                # cannot fall below: every value left is at least that
+                # norm.  A balance of 0 has an empty smaller block, of
+                # norm 0.0.
+                order = np.argsort(top)
+                ranked = top[order]
+                done, step = 0, 1
+                while b and done < len(rows) and ranked[done] <= record:
+                    tie, cut = np.searchsorted(
+                        ranked, [ranked[done], record], side="right").tolist()
+                    stop = min(max(done + step, tie), cut)
+                    take = order[done:stop]
+                    both = np.maximum(top[take], norms(~larger[take], b))
+                    v[rows[take]] = both
+                    record = min(record, float(both.min()))
+                    done, step = stop, 2 * step
+                low = float(v[rows].min())
+                if b not in hist:
+                    hist[b], born[b] = low, c
+                elif low < hist[b]:
+                    hist[b] = low
+            low = float(v.min())
+            if best is not None and low > best[0]:
+                continue
+            for r in np.flatnonzero(v == low):
+                s = tuple(np.flatnonzero(member[r]).tolist())
+                if best is None or low < best[0] or s < best[1]:
+                    best = (low, s, tuple(np.flatnonzero(~member[r]).tolist()))
+        return hist, born, best
+
+    # the least value of each balance over the shares, keyed in the order
+    # one search of every chunk in turn would have met the balances, and
+    # the least (value, first block) over the shares
     hist: dict[int, float] = {}
-    for lo in range(0, examined, chunk):
-        hi = min(lo + chunk, examined)
-        if words is None:
-            block = np.arange(lo, hi, dtype=np.uint64)[:, None]
-        else:
-            block = words[lo:hi]
-        # one row per mask: index 0 is always in the first block, and
-        # index i > 0 is when bit i - 1 of the mask is set
-        member = np.ones((hi - lo, m), dtype=bool)
-        member[:, 1:] = np.unpackbits(
-            block.astype("<u8", copy=False).view(np.uint8), axis=1,
-            count=bits, bitorder="little")
-        size = member.sum(axis=1)
-        balance = np.minimum(size, m - size)
-        # the larger block is the second one where the first is
-        # smaller, and the first where the two are of a size
-        flip = size < m - size
-        v = np.empty(hi - lo)
-        # np.bincount, not np.unique: the first np.unique call of a
-        # process raises its peak memory by about 1.3 MiB (numpy 2.4)
-        for b in np.flatnonzero(np.bincount(balance)).tolist():
-            rows = np.flatnonzero(balance == b)
-            larger = member[rows] ^ flip[rows, None]
-            # a balance with a record from an earlier chunk skips the
-            # larger blocks whose column norms lie above it, where the
-            # record lies below the widest column norm, which bounds
-            # them all
-            record = hist.get(b, np.inf)
-            top = norms(larger, m - b,
-                        record if record * (1 + _MARGIN) < widest else None)
-            v[rows] = top
-            # then the smaller blocks, in the order of the larger norms
-            # and in batches of growing size, while the larger norm is
-            # at most the balance's record.  A batch takes every larger
-            # norm tied with its first, which the record cannot fall
-            # below: every value left is at least that norm.  A balance
-            # of 0 has an empty smaller block, of norm 0.0.
-            order = np.argsort(top)
-            ranked = top[order]
-            done, step = 0, 1
-            while b and done < len(rows) and ranked[done] <= record:
-                tie, cut = np.searchsorted(ranked, [ranked[done], record],
-                                           side="right").tolist()
-                stop = min(max(done + step, tie), cut)
-                take = order[done:stop]
-                both = np.maximum(top[take], norms(~larger[take], b))
-                v[rows[take]] = both
-                record = min(record, float(both.min()))
-                done, step = stop, 2 * step
-            low = float(v[rows].min())
+    born: dict[int, int] = {}
+    best = None
+    for part_hist, part_born, part_best in _spread(search, chunks):
+        for b, low in part_hist.items():
             if b not in hist or low < hist[b]:
                 hist[b] = low
-        low = float(v.min())
-        if best is not None and low > best[0]:
-            continue
-        for r in np.flatnonzero(v == low):
-            s = tuple(np.flatnonzero(member[r]).tolist())
-            if best is None or low < best[0] or s < best[1]:
-                best = (low, s, tuple(np.flatnonzero(~member[r]).tolist()))
+            born[b] = min(born.get(b, chunks), part_born[b])
+        if best is None or part_best[:2] < best[:2]:
+            best = part_best
+    hist = {b: hist[b] for b in sorted(hist, key=lambda b: (born[b], b))}
     assert best is not None
     return PavingResult(
         matrix_id=f"{m}x{m}-{g._text_digest()[:12]}",

@@ -3,8 +3,12 @@ profiles, and the deterministic partition search."""
 
 import json
 import math
+import os
 import random
+import signal
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +349,14 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(paving, "_CHUNK_ENTRIES", 64)
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: every search runs in process, so that a test that
+    counts ``eigvalsh`` calls sees all of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_pruned_search_matches_reference_in_small_chunks(m, small_chunks):
     test_batched_search_matches_reference_exhaustive(m)
@@ -391,7 +403,7 @@ def test_pruned_search_matches_reference_on_a_projection(chunked,
     assert_same_result(paving_epsilon(g), reference_paving(g))
 
 
-def test_pruning_solves_about_one_block_per_partition(monkeypatch):
+def test_pruning_solves_about_one_block_per_partition(monkeypatch, one_cpu):
     # the larger block of every partition is solved, the smaller one
     # only where the partition could still set its balance's record.
     # The 12 rows are one chunk, and the record tightens within it.
@@ -427,7 +439,7 @@ def _profile(monkeypatch):
     return solved
 
 
-def test_column_norm_bound_prunes_balanced_blocks(monkeypatch):
+def test_column_norm_bound_prunes_balanced_blocks(monkeypatch, one_cpu):
     # 16 rows are 16 chunks of 2,048 partitions.  From the second chunk
     # on, the balanced record is 0 and every balanced partition whose
     # larger block has a column norm above it is given inf, unsolved:
@@ -478,7 +490,8 @@ def test_bound_prunes_a_reflected_projection_bit_for_bit(small_chunks):
     assert_same_result(paving_epsilon(g), reference_paving(g))
 
 
-def test_bound_prunes_a_sixteen_row_reflection_bit_for_bit(monkeypatch):
+def test_bound_prunes_a_sixteen_row_reflection_bit_for_bit(monkeypatch,
+                                                           one_cpu):
     # the 16 chunks carry a balanced record of about 0.44
     g = gram_projection(reflected(
         [1, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0],
@@ -502,18 +515,26 @@ def test_bound_keeps_ties_of_reflection_sums(seed, small_chunks):
     assert_same_result(paving_epsilon(g), reference_paving(g))
 
 
-@pytest.mark.parametrize("scale", (10 ** 200, Fraction(1, 10 ** 160)),
-                         ids=["overflow", "underflow"])
+def _scaled_reflection_sum(scale):
+    """``(I + scale B) / 2`` for the ``B`` of a 10-row reflection sum."""
+    g = _reflection_sum(random.Random(77), 5)
+    return ExactMatrix([[(int(i == j) + scale * (
+        2 * g.entry(i, j).as_fraction() - int(i == j))) / 2
+        for j in range(g.cols)] for i in range(g.rows)])
+
+
+_SCALES = pytest.mark.parametrize("scale", (10 ** 200, Fraction(1, 10 ** 160)),
+                                  ids=["overflow", "underflow"])
+
+
+@_SCALES
 def test_bound_is_off_where_squares_leave_the_float_range(
-        scale, small_chunks, monkeypatch, tmp_path, capsys):
+        scale, small_chunks, one_cpu, monkeypatch, tmp_path, capsys):
     # 2G - I scaled to entries near 1e200 squares past the float64
     # range, and to entries near 1e-160 below its normal numbers: the
     # search takes no bound and solves the larger block of every
     # partition, as pave --gram reads such a matrix
-    g = _reflection_sum(random.Random(77), 5)
-    big = ExactMatrix([[(int(i == j) + scale * (
-        2 * g.entry(i, j).as_fraction() - int(i == j))) / 2
-        for j in range(g.cols)] for i in range(g.rows)])
+    big = _scaled_reflection_sum(scale)
     path = tmp_path / "big.json"
     path.write_text(serialize(big))
     solved = _profile(monkeypatch)
@@ -523,3 +544,166 @@ def test_bound_is_off_where_squares_leave_the_float_range(
     assert capsys.readouterr().out == json.dumps(want.to_json_dict(),
                                                  sort_keys=True) + "\n"
     assert len(solved) >= want.partitions_examined
+
+
+@pytest.fixture(params=(2, 3))
+def cpus(request, monkeypatch):
+    """Two or three usable CPUs, and the pids of the children that
+    ``os.fork`` gave: a search of several chunks spreads them over one
+    worker a CPU, at most one a chunk, the caller and forked children."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(request.param)), raising=False)
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return SimpleNamespace(count=request.param, forks=forks)
+
+
+def _spread_search(g, sample=None, seed=0):
+    """The search of ``g`` on the CPUs patched in.  No child of this
+    process is left after it, and its ``repr`` is that of the search in
+    process: every float to the bit, and the histogram's keys in the
+    same order."""
+    got = paving_epsilon(g, sample=sample, seed=seed)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0},
+                           create=True):
+        assert repr(got) == repr(paving_epsilon(g, sample=sample, seed=seed))
+    return got
+
+
+@pytest.mark.parametrize("m", (5, 8, 10))
+def test_spread_search_matches_reference_exhaustive(m, small_chunks, cpus):
+    # 2, 16 and 86 chunks: the trivial partition, of balance 0, is in
+    # the last, so the histogram's first key is not its least
+    rng = random.Random(400 + m)
+    for values in (range(-3, 4), (0, 0, 0, 1, -1)):
+        g = _random_symmetric(m, rng, values)
+        got = _spread_search(g)
+        assert_same_result(got, reference_paving(g))
+        assert list(got.per_size_histogram)[-1] == 0
+    chunks = -(-2 ** (m - 1) // (64 // m))
+    assert len(cpus.forks) == 2 * (min(cpus.count, chunks) - 1)
+
+
+@pytest.mark.parametrize("m", (30, 66, 130))
+def test_spread_search_matches_reference_sampled(m, small_chunks, cpus):
+    # from 66 rows the masks are two or three words
+    g = _random_symmetric(m, random.Random(m), range(-3, 4))
+    for seed in (0, 11):
+        assert_same_result(_spread_search(g, sample=40, seed=seed),
+                           reference_paving(g, sample=40, seed=seed))
+    assert len(cpus.forks) == 2 * (cpus.count - 1)
+
+
+@_TIE_CASES
+def test_spread_search_keeps_exact_ties(g, sample, small_chunks, cpus):
+    # every partition of the half identities has value 0: the least
+    # first block is the first of share 0's first chunk, or of some
+    # share's chunk
+    assert_same_result(_spread_search(g, sample=sample, seed=5),
+                       reference_paving(g, sample=sample, seed=5))
+    assert cpus.forks
+
+
+def test_spread_search_matches_reference_on_projections(cpus):
+    # 16 chunks, each worker with its own balanced record, and the
+    # reflected 12-row projection in 410 small chunks
+    g = gram_projection(weight_in_front(make_two_row_table((7, 5, 3, 1),
+                                                           8)), 2)
+    assert_same_result(_spread_search(g), reference_paving(g))
+    with mock.patch.object(paving, "_CHUNK_ENTRIES", 64):
+        g = _reflected_projection()
+        assert_same_result(_spread_search(g), reference_paving(g))
+    assert len(cpus.forks) == 2 * (cpus.count - 1)
+
+
+@_SCALES
+def test_spread_search_with_the_bound_off(scale, small_chunks, cpus):
+    big = _scaled_reflection_sum(scale)
+    assert_same_result(_spread_search(big), reference_paving(big))
+    assert cpus.forks
+
+
+def _fail_in_children(how):
+    """An ``eigvalsh`` that, in any process but this one, raises, leaves
+    with exit status 0 and no result, or is killed."""
+    parent, real = os.getpid(), np.linalg.eigvalsh
+
+    def eigvalsh(blocks):
+        if os.getpid() != parent:
+            if how == "raise":
+                raise RuntimeError("a failed child")
+            if how == "exit":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(blocks)
+    return eigvalsh
+
+
+@pytest.mark.parametrize("how", ("raise", "exit", "kill"))
+def test_failed_children_leave_the_result_as_it_is(how, small_chunks, cpus,
+                                                   monkeypatch, capfd):
+    # the caller searches a failed child's share itself: the same result,
+    # and nothing written by a child
+    g = _random_symmetric(8, random.Random(408), range(-3, 4))
+    want = reference_paving(g)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _fail_in_children(how))
+    assert_same_result(_spread_search(g), want)
+    assert cpus.forks
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_failed_fork_leaves_the_result_as_it_is(small_chunks, cpus,
+                                                  monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    g = _random_symmetric(8, random.Random(408), range(-3, 4))
+    assert_same_result(_spread_search(g), reference_paving(g))
+
+
+def test_children_are_killed_when_the_caller_unwinds(small_chunks, cpus,
+                                                     monkeypatch):
+    # the caller fails in its own share, while its children may still
+    # be searching theirs: none of them is left
+    parent, real = os.getpid(), np.linalg.eigvalsh
+
+    def eigvalsh(blocks):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(KeyboardInterrupt):
+        paving_epsilon(_random_symmetric(8, random.Random(408), range(4)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert cpus.forks
+
+
+@pytest.mark.parametrize("missing", ("fork", "sched_getaffinity"))
+def test_search_runs_in_process_without_fork_or_affinity(missing,
+                                                         small_chunks,
+                                                         monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def fork():
+        pytest.fail("forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.delattr(os, missing)
+    g = _random_symmetric(8, random.Random(408), range(-3, 4))
+    assert_same_result(paving_epsilon(g), reference_paving(g))
